@@ -5,16 +5,27 @@ eight on, every route-AP loss instant on the homeward leg issues one query,
 answered from the sliding window of the previous seven days.  Signed errors
 are predicted minus actual seconds-to-home, so negative means early (the
 device got extra preparation time).
+
+Each day is evaluated once.  An EvalDataset keeps a private store of
+per-day artifacts, filled lazily by ``evaluate`` and kept for as long as
+the dataset object lives.  Under the key (RSSI level, day) it holds the
+filtered trace and that day's nightly vote; under each home BSSID asked
+for, it adds the day's DayMap (None when home is never seen), its NN
+history points and its query points (per query policy).  Sliding the
+window is then a tally of cached votes and a concatenation of cached maps
+or history, so ``evaluate`` of both methods and ``sweep_rssi_filter``
+share every day's work instead of redoing it per evaluated day and method.
 """
 
 from __future__ import annotations
 
 import statistics
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
+from . import home_mining, nn_baseline, time_map
 from .errors import (
     ColdStart,
     InsufficientHistory,
@@ -23,13 +34,13 @@ from .errors import (
     NoNightData,
     UnknownBssid,
 )
-from .home_mining import vote_home_ap
-from .nn_baseline import build_history, filter_env, nn_predict, query_seed
+from .home_mining import DayVote
+from .nn_baseline import HistoryPoint, filter_env, nn_predict, query_seed
 from .simulator import GroundTruth
 from .time_map import (
     SCAN_PERIOD_S,
+    DayMap,
     UserProfile,
-    build_day_map,
     homeward_leg,
     predict_tl,
 )
@@ -70,15 +81,82 @@ class QueryPoint:
     actual_tl_s: int
 
 
+class _Day:
+    """One day's artifacts at one RSSI level, each computed on first use.
+
+    ``trace`` is the day filtered at ``level``.  The vote is per day; the
+    DayMap, the NN history points and the query points are per home BSSID
+    (and the query points also per query policy and arrival instant).
+    """
+
+    __slots__ = ("trace", "level", "_vote", "_maps", "_history", "_queries")
+
+    def __init__(self, trace: DayTrace, level: int | None):
+        self.trace = trace
+        self.level = level
+        self._vote: DayVote | None = None
+        self._maps: dict[Bssid, DayMap | None] = {}
+        self._history: dict[Bssid, list[HistoryPoint]] = {}
+        self._queries: dict[tuple, tuple[QueryPoint, ...]] = {}
+
+    @property
+    def day_id(self) -> date:
+        return self.trace.day_id
+
+    def vote(self) -> DayVote:
+        if self._vote is None:
+            self._vote = home_mining.day_vote(self.trace)
+        return self._vote
+
+    def day_map(self, home: Bssid) -> DayMap | None:
+        if home not in self._maps:
+            try:
+                self._maps[home] = time_map.build_day_map(self.trace, home)
+            except NoArrival:
+                self._maps[home] = None
+        return self._maps[home]
+
+    def history(self, home: Bssid) -> list[HistoryPoint]:
+        points = self._history.get(home)
+        if points is None:
+            points = self._history[home] = nn_baseline.day_history(self.trace, home, self.level)
+        return points
+
+    def queries(self, home: Bssid, arrival_ts: int, policy) -> tuple[QueryPoint, ...]:
+        key = (home, arrival_ts, policy)
+        found = self._queries.get(key)
+        if found is None:
+            found = self._queries[key] = tuple(policy(self.trace, home, arrival_ts))
+        return found
+
+
 @dataclass(frozen=True, slots=True)
 class EvalDataset:
+    """Day traces with their ground truth, plus a private per-day artifact store.
+
+    The store maps an RSSI level to one record per trace, in day order,
+    holding what the module docstring lists.  ``evaluate`` fills it on
+    demand; it lives as long as this object and never goes stale, because
+    the traces and truths are not meant to change after construction.  It
+    takes no part in equality or ``repr``.
+    """
+
     traces: tuple[DayTrace, ...]
     truths: Mapping[date, GroundTruth]
+    _store: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_lists(cls, traces: Iterable[DayTrace], truths: Iterable[GroundTruth]):
         ordered = tuple(sorted(traces, key=lambda t: t.day_id))
         return cls(traces=ordered, truths={g.day_id: g for g in truths})
+
+    def _days(self, level: int | None) -> list[_Day]:
+        """The day records at one RSSI level, in day order."""
+        days = self._store.get(level)
+        if days is None:
+            ordered = sorted(self.traces, key=lambda t: t.day_id)
+            days = self._store[level] = [_Day(filter_trace(t, level), level) for t in ordered]
+        return days
 
 
 def ap_loss_queries(
@@ -128,6 +206,11 @@ def ap_loss_queries(
     return queries
 
 
+# Built-in predictors start each day from the window's cached day records
+# (``start_window``); other predictors get the filtered window traces through
+# the public ``name``/``start_day(window, home, threshold)``/``predict(q)``
+# interface, via _TraceWindow.
+
 class TlsPredictor:
     """Window-profile predictor; answers in a constant two probes."""
 
@@ -137,14 +220,8 @@ class TlsPredictor:
         self.window_days = window_days
         self._profile: UserProfile | None = None
 
-    def start_day(self, window_traces: Sequence[DayTrace], home: Bssid, threshold) -> None:
-        maps = []
-        for t in window_traces:
-            try:
-                maps.append(build_day_map(t, home))
-            except NoArrival:
-                continue
-        maps.sort(key=lambda m: m.day_id)
+    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
+        maps = [m for m in (d.day_map(home) for d in days) if m is not None]
         window = tuple(maps[-self.window_days :])
         built_at = window[-1].day_id if window else date.min
         self._profile = UserProfile(home_bssid=home, window=window, fallback={}, built_at=built_at)
@@ -164,11 +241,11 @@ class NnPredictor:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._history = []
+        self._history: list[HistoryPoint] = []
         self._threshold = None
 
-    def start_day(self, window_traces: Sequence[DayTrace], home: Bssid, threshold) -> None:
-        self._history = build_history(list(window_traces), home, threshold)
+    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
+        self._history = [p for d in days for p in d.history(home)]
         self._threshold = threshold
 
     def predict(self, q: QueryPoint) -> tuple[int, int] | None:
@@ -184,12 +261,26 @@ class NnPredictor:
         return p.tl_seconds, comparisons
 
 
+class _TraceWindow:
+    """Adapts a predictor with the public ``start_day`` interface."""
+
+    def __init__(self, predictor):
+        self.predictor = predictor
+        self.name = predictor.name
+
+    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
+        self.predictor.start_day([d.trace for d in days], home, threshold)
+
+    def predict(self, q: QueryPoint) -> tuple[int, int] | None:
+        return self.predictor.predict(q)
+
+
 def _resolve_predictor(method, seed: int):
     if method == "tls":
         return TlsPredictor()
     if method == "nn":
         return NnPredictor(seed=seed)
-    return method  # an object implementing name/start_day/predict
+    return _TraceWindow(method)  # an object implementing name/start_day/predict
 
 
 def cdf(samples: Sequence[int | float]) -> list[tuple[int | float, float]]:
@@ -217,41 +308,39 @@ def evaluate(
     """Run one predictor over the dataset and aggregate its error report.
 
     ``method`` is "tls", "nn", or any object with the predictor interface.
+    Per-day work comes from, and is added to, the dataset's artifact store.
     Raises InsufficientHistory unless the dataset spans more than a week.
     """
-    traces = sorted(dataset.traces, key=lambda t: t.day_id)
-    if not traces:
+    days = dataset._days(rssi_threshold_dbm)
+    if not days:
         raise InsufficientHistory("empty dataset")
-    first_day = traces[0].day_id
-    span = (traces[-1].day_id - first_day).days + 1
+    first_day = days[0].day_id
+    span = (days[-1].day_id - first_day).days + 1
     if span <= COLD_START_DAYS:
         raise InsufficientHistory(
             f"dataset spans {span} day(s); need more than {COLD_START_DAYS}"
         )
 
-    filtered = [filter_trace(t, rssi_threshold_dbm) for t in traces]
     predictor = _resolve_predictor(method, seed)
 
     samples: list[ErrorSample] = []
     probes: list[int] = []
-    for trace in filtered:
-        age = (trace.day_id - first_day).days
+    for day in days:
+        age = (day.day_id - first_day).days
         if age < COLD_START_DAYS:
             continue  # history only: no predictions in the first week
-        window = [
-            t for t in filtered if 0 < (trace.day_id - t.day_id).days <= window_days
-        ]
+        window = [d for d in days if 0 < (day.day_id - d.day_id).days <= window_days]
         if not window:
             continue
         try:
-            home = vote_home_ap(window).winner
+            home = home_mining.tally_votes(d.vote() for d in window).winner
         except NoNightData:
             continue
-        truth = dataset.truths.get(trace.day_id)
+        truth = dataset.truths.get(day.day_id)
         if truth is None:
             continue
-        predictor.start_day(window, home, rssi_threshold_dbm)
-        for q in query_policy(trace, home, truth.arrival_ts):
+        predictor.start_window(window, home, rssi_threshold_dbm)
+        for q in day.queries(home, truth.arrival_ts, query_policy):
             answer = predictor.predict(q)
             if answer is None:
                 continue

@@ -2,7 +2,10 @@
 
 Each day accumulates, per BSSID, the seconds it stayed reachable between
 21:00 and 06:00; the day's top BSSID casts one vote, and the modal vote
-across days is declared the home AP.
+across days is declared the home AP.  ``day_vote`` casts one day's ballot
+and ``tally_votes`` counts ballots, so a caller that keeps per-day ballots
+(the evaluation harness) can re-tally a sliding window without recomputing
+any day's dwell.
 """
 
 from __future__ import annotations
@@ -74,26 +77,43 @@ def total_dwell(traces: Iterable[DayTrace]) -> dict[Bssid, int]:
     return totals
 
 
-def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:
-    """Elect the home AP: per-day dwell argmax votes, modal vote wins.
+@dataclass(frozen=True, slots=True)
+class DayVote:
+    """One day's ballot: its dwell argmax, or None for a day without dwell.
 
-    Ties (within a day or overall) break toward the lexicographically
-    smallest BSSID; per-day ties are reported in ``tie_days``.  Raises
-    NoNightData when no day has any nightly dwell.
+    ``tied`` marks a day whose argmax was ambiguous and went to the
+    lexicographically smallest BSSID.
+    """
+
+    day_id: date
+    vote: Bssid | None
+    tied: bool = False
+
+
+def day_vote(trace: DayTrace) -> DayVote:
+    """The BSSID with the most nightly dwell on this day (smallest on ties)."""
+    dwell = nightly_dwell(trace).dwell
+    if not dwell:
+        return DayVote(trace.day_id, None)
+    top = max(dwell.values())
+    leaders = sorted(b for b, s in dwell.items() if s == top)
+    return DayVote(trace.day_id, leaders[0], len(leaders) > 1)
+
+
+def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
+    """Modal vote over days; overall ties break toward the smallest BSSID.
+
+    Days without a vote are skipped.  Raises NoNightData when no day voted.
     """
     tally: dict[Bssid, int] = {}
     tie_days: list[date] = []
     voting_days = 0
-    for trace in traces:
-        dwell = nightly_dwell(trace).dwell
-        if not dwell:
+    for v in votes:
+        if v.vote is None:
             continue
-        top = max(dwell.values())
-        leaders = sorted(b for b, s in dwell.items() if s == top)
-        if len(leaders) > 1:
-            tie_days.append(trace.day_id)
-        vote = leaders[0]
-        tally[vote] = tally.get(vote, 0) + 1
+        if v.tied:
+            tie_days.append(v.day_id)
+        tally[v.vote] = tally.get(v.vote, 0) + 1
         voting_days += 1
     if voting_days == 0:
         raise NoNightData("no scans inside the 21:00-06:00 window on any day")
@@ -105,3 +125,13 @@ def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:
         confidence=tally[winner] / voting_days,
         tie_days=tuple(tie_days),
     )
+
+
+def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:
+    """Elect the home AP: per-day dwell argmax votes, modal vote wins.
+
+    Ties (within a day or overall) break toward the lexicographically
+    smallest BSSID; per-day ties are reported in ``tie_days``.  Raises
+    NoNightData when no day has any nightly dwell.
+    """
+    return tally_votes(day_vote(t) for t in traces)

@@ -47,10 +47,27 @@ def filter_env(scan: ScanRecord, threshold_dbm: int | None) -> Fingerprint:
 
 def env_similarity(a: Fingerprint, b: Fingerprint) -> float:
     """Jaccard index of the two BSSID sets; two empty sets score 0."""
-    union = a.bssids | b.bssids
-    if not union:
-        return 0.0
-    return len(a.bssids & b.bssids) / len(union)
+    inter = len(a.bssids & b.bssids)
+    union = len(a.bssids) + len(b.bssids) - inter
+    return inter / union if union else 0.0
+
+
+def day_history(trace: DayTrace, home: Bssid, threshold_dbm: int | None) -> list[HistoryPoint]:
+    """History points from one day's homeward leg, in scan order.
+
+    A day without a home detection contributes nothing; scans whose filtered
+    fingerprint is empty are skipped (they carry no environment).
+    """
+    try:
+        leg, arrival_ts = homeward_leg(trace, home)
+    except NoArrival:
+        return []
+    points = []
+    for s in leg:
+        fp = filter_env(s, threshold_dbm)
+        if fp.bssids:
+            points.append(HistoryPoint(fingerprint=fp, tl_seconds=arrival_ts - s.ts))
+    return points
 
 
 def build_history(
@@ -58,22 +75,10 @@ def build_history(
     home: Bssid,
     threshold_dbm: int | None,
 ) -> list[HistoryPoint]:
-    """History points from the homeward legs of the given days.
-
-    Days without a home detection contribute nothing; scans whose filtered
-    fingerprint is empty are skipped (they carry no environment).
-    """
+    """History points from the homeward legs of the given days, in day order."""
     points: list[HistoryPoint] = []
     for trace in traces:
-        try:
-            leg, arrival_ts = homeward_leg(trace, home)
-        except NoArrival:
-            continue
-        for s in leg:
-            fp = filter_env(s, threshold_dbm)
-            if not fp.bssids:
-                continue
-            points.append(HistoryPoint(fingerprint=fp, tl_seconds=arrival_ts - s.ts))
+        points.extend(day_history(trace, home, threshold_dbm))
     return points
 
 
@@ -86,14 +91,20 @@ def nn_predict(
 
     The comparison count always equals the history size.  Ties at the top
     similarity are broken by a uniform random draw from ``seed``, so the
-    same seed always picks the same point.
+    same seed always picks the same point.  Similarity is the Jaccard index
+    of ``env_similarity``, inlined here because this loop is the hot path.
     """
     if not history:
         raise NoHistory("cannot predict from an empty history")
+    q = query.bssids
+    nq = len(q)
     best_sim = -1.0
     tied: list[HistoryPoint] = []
     for point in history:
-        sim = env_similarity(query, point.fingerprint)
+        b = point.fingerprint.bssids
+        inter = len(q & b)
+        union = nq + len(b) - inter
+        sim = inter / union if union else 0.0
         if sim > best_sim:
             best_sim = sim
             tied = [point]

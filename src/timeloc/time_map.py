@@ -10,7 +10,9 @@ reachability duration, then read that day's entry for the BSSID.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 from datetime import date
 from statistics import median
@@ -299,19 +301,29 @@ def profile_from_json(text: str) -> UserProfile:
 
 
 def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
-    """Write ``{device_id}.profile.json`` under the store; returns the path."""
-    import os
+    """Write ``{device_id}.profile.json`` under the store; returns the path.
 
+    The document goes to a temporary file in the store, is flushed to disk
+    and then renamed over the old one, so a crash or failed write leaves
+    the previous profile intact.
+    """
     os.makedirs(store_dir, exist_ok=True)
     path = os.path.join(store_dir, f"{device_id}.profile.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(profile_to_json(profile) + "\n")
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(profile_to_json(profile) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
     return path
 
 
 def load_profile(store_dir, device_id: str) -> UserProfile:
-    import os
-
     path = os.path.join(store_dir, f"{device_id}.profile.json")
     with open(path, "r", encoding="utf-8") as fh:
         return profile_from_json(fh.read())

@@ -5,7 +5,8 @@ BSSID identifiers, per-AP observations, GPS fixes, accelerometer samples,
 scan records and noon-to-noon day slices.  The module also owns the JSONL
 trace file format, day slicing, and great-circle distance.
 
-All types are plain frozen dataclasses, safe to share across threads.
+All types are immutable (frozen dataclasses, and a ``str`` subclass for
+BSSIDs), safe to share across threads.
 """
 
 from __future__ import annotations
@@ -28,24 +29,34 @@ NOON_SOD = DAY_S // 2
 _BSSID_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Bssid:
+class Bssid(str):
     """48-bit AP identifier, canonicalized to lowercase colon-separated hex.
 
     Accepts uppercase and hyphen-separated input; anything else is rejected.
-    Equality and ordering are on the canonical form.
+    A Bssid is the canonical string itself, so equality, hashing and
+    ordering run on the canonical form at C speed.  ``Bssid(b)`` hands an
+    existing Bssid back unchanged.
     """
 
-    value: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        canon = self.value.strip().lower().replace("-", ":")
+    def __new__(cls, value):
+        if isinstance(value, cls):
+            return value
+        if not isinstance(value, str):
+            raise TraceValidationError(f"invalid BSSID: {value!r}")
+        canon = value.strip().lower().replace("-", ":")
         if not _BSSID_RE.match(canon):
-            raise TraceValidationError(f"invalid BSSID: {self.value!r}")
-        object.__setattr__(self, "value", canon)
+            raise TraceValidationError(f"invalid BSSID: {value!r}")
+        return super().__new__(cls, canon)
 
-    def __str__(self) -> str:
-        return self.value
+    @property
+    def value(self) -> str:
+        """The canonical form as a plain ``str``."""
+        return str.__str__(self)
+
+    def __repr__(self) -> str:
+        return f"Bssid({str.__repr__(self)})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,15 +233,23 @@ def haversine_m(a: GpsFix, b: GpsFix) -> float:
 #    "aps":[{"bssid":"<b>","rssi":<int>}]}
 # Accelerometer file: {"ts":<int>,"mag":<f>} per line.  UTF-8, LF endings.
 
-def _record_from_obj(obj: dict, lineno: int) -> ScanRecord:
+class _SeenBssids(dict):
+    """Raw BSSID string -> its Bssid, validating each distinct string once."""
+
+    def __missing__(self, raw) -> Bssid:
+        b = self[raw] = Bssid(raw)
+        return b
+
+
+def _record_from_obj(obj: dict, lineno: int, bssids: _SeenBssids) -> ScanRecord:
     try:
         ts = int(obj["ts"])
         gps_obj = obj.get("gps")
         gps = None if gps_obj is None else GpsFix(float(gps_obj["lat"]), float(gps_obj["lon"]))
         conn_obj = obj.get("conn")
-        conn = None if conn_obj is None else Bssid(conn_obj)
+        conn = None if conn_obj is None else bssids[conn_obj]
         aps = tuple(
-            ApObservation(Bssid(e["bssid"]), int(e["rssi"])) for e in obj["aps"]
+            ApObservation(bssids[e["bssid"]], int(e["rssi"])) for e in obj["aps"]
         )
         return ScanRecord(ts=ts, gps=gps, connected=conn, aps=aps)
     except TraceValidationError as exc:
@@ -250,6 +269,7 @@ def parse_trace_file(stream) -> list[ScanRecord]:
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
     records = []
+    bssids = _SeenBssids()  # per call, so nothing outlives this file
     for lineno, line in enumerate(stream.splitlines(), start=1):
         if not line.strip():
             continue
@@ -257,7 +277,7 @@ def parse_trace_file(stream) -> list[ScanRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        records.append(_record_from_obj(obj, lineno))
+        records.append(_record_from_obj(obj, lineno, bssids))
     return records
 
 

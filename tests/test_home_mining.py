@@ -8,7 +8,9 @@ from timeloc.home_mining import (
     GAP_CAP_S,
     NIGHT_END_SOD,
     NIGHT_START_SOD,
+    day_vote,
     nightly_dwell,
+    tally_votes,
     total_dwell,
     vote_home_ap,
 )
@@ -153,6 +155,32 @@ class TestVoteHomeAp:
         days = [_night_trace(DAY + timedelta(days=i), bss(1)) for i in range(5)]
         totals = total_dwell(days)
         assert max(totals, key=totals.get) == vote_home_ap(days).winner
+
+
+class TestDayVotes:
+    def test_vote_equals_tally_of_per_day_votes(self):
+        from timeloc import simulator as sim
+
+        scenario = sim.relocation_scenario(move_day=6, n_days=12)
+        traces, _ = sim.synth_dataset(scenario, seed=5)
+        for lo in range(len(traces) - 3):
+            window = traces[lo : lo + 4]
+            assert vote_home_ap(window) == tally_votes([day_vote(t) for t in window])
+
+    def test_tie_day_ballot(self):
+        ts = day_slice_start(DAY) + 32_400
+        tied = trace([scan(ts, {bss(2): -50, bss(1): -55}), scan(ts + 600, {bss(2): -50, bss(1): -55})])
+        ballot = day_vote(tied)
+        assert (ballot.day_id, ballot.vote, ballot.tied) == (DAY, bss(1), True)
+        assert vote_home_ap([tied]) == tally_votes([ballot])
+
+    def test_day_without_dwell_casts_no_vote(self):
+        daytime = trace([scan(day_slice_start(DAY) + 3600, {bss(1): -50})])
+        assert day_vote(daytime).vote is None
+        with pytest.raises(NoNightData):
+            tally_votes([day_vote(daytime)])
+        night = _night_trace(DAY + timedelta(days=1), bss(3))
+        assert tally_votes([day_vote(daytime), day_vote(night)]) == vote_home_ap([daytime, night])
 
 
 def test_night_window_constants():

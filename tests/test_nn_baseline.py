@@ -1,12 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from timeloc.errors import NoHistory
 from timeloc.nn_baseline import (
     Fingerprint,
     HistoryPoint,
     build_history,
+    day_history,
     env_similarity,
     filter_env,
     nn_predict,
@@ -105,6 +108,23 @@ class TestNnPredict:
         with pytest.raises(NoHistory):
             nn_predict([], fp(bss(1)))
 
+    @given(
+        st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=30),
+        st.frozensets(st.integers(0, 7)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_env_similarity_scan(self, sets, query_ids, seed):
+        """The inlined Jaccard in nn_predict picks exactly what a scan with
+        env_similarity picks: same tie list, same order, same seeded draw."""
+        history = [HistoryPoint(fp(*map(bss, ids)), i) for i, ids in enumerate(sets)]
+        query = fp(*map(bss, query_ids))
+        sims = [env_similarity(query, p.fingerprint) for p in history]
+        tied = [p for p, s in zip(history, sims) if s == max(sims)]
+        expected = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
+        prediction, comparisons = nn_predict(history, query, seed=seed)
+        assert prediction.tl_seconds == expected.tl_seconds
+        assert comparisons == len(history)
+
 
 class TestBuildHistory:
     def test_history_points_have_nonnegative_tl(self):
@@ -116,6 +136,16 @@ class TestBuildHistory:
         assert history
         assert all(h.tl_seconds >= 0 for h in history)
         assert all(h.fingerprint.bssids for h in history)
+
+    def test_history_is_the_concatenation_of_day_histories(self):
+        from timeloc import simulator as sim
+
+        scenario = sim.mixture_scenario(n_days=4)
+        traces, _ = sim.synth_dataset(scenario, seed=9)
+        home = scenario.route.home_bssid
+        for level in (None, -70):
+            per_day = [p for t in traces for p in day_history(t, home, level)]
+            assert build_history(traces, home, level) == per_day
 
     def test_weak_only_scans_survive_at_all_level(self):
         from timeloc import simulator as sim

@@ -269,3 +269,53 @@ def test_profile_json_round_trip(tmp_path):
     assert load_profile(tmp_path, "dev42") == profile
     # serialization is stable
     assert profile_to_json(profile_from_json(profile_to_json(profile))) == profile_to_json(profile)
+
+
+class TestSaveProfileIsAtomic:
+    def _saved(self, tmp_path):
+        from timeloc.time_map import save_profile
+
+        old = build_profile_from_maps(HOME, _window_maps(8))
+        save_profile(old, tmp_path, "dev")
+        new = build_profile_from_maps(HOME, _window_maps(9))
+        assert new != old
+        return old, new
+
+    def test_failed_write_keeps_previous_profile(self, tmp_path, monkeypatch):
+        import os
+
+        from timeloc.time_map import load_profile, save_profile
+
+        old, new = self._saved(tmp_path)
+
+        def broken_fsync(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", broken_fsync)
+        with pytest.raises(OSError, match="disk full"):
+            save_profile(new, tmp_path, "dev")
+        assert load_profile(tmp_path, "dev") == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.profile.json"]
+
+    def test_failed_serialization_keeps_previous_profile(self, tmp_path, monkeypatch):
+        from timeloc import time_map
+        from timeloc.time_map import load_profile, save_profile
+
+        old, new = self._saved(tmp_path)
+
+        def broken(profile):
+            raise RuntimeError("serializer crashed")
+
+        monkeypatch.setattr(time_map, "profile_to_json", broken)
+        with pytest.raises(RuntimeError):
+            save_profile(new, tmp_path, "dev")
+        assert load_profile(tmp_path, "dev") == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.profile.json"]
+
+    def test_successful_write_replaces(self, tmp_path):
+        from timeloc.time_map import load_profile, save_profile
+
+        _, new = self._saved(tmp_path)
+        save_profile(new, tmp_path, "dev")
+        assert load_profile(tmp_path, "dev") == new
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.profile.json"]

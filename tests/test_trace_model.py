@@ -3,7 +3,11 @@ import math
 import random
 from datetime import date
 
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from timeloc.errors import OrderingError, TraceParseError, TraceValidationError
 from timeloc.trace_model import (
@@ -42,6 +46,65 @@ class TestBssid:
     def test_usable_as_map_key(self):
         d = {Bssid("AA:00:00:00:00:01"): 1}
         assert d[Bssid("aa:00:00:00:00:01")] == 1
+
+    def test_existing_bssid_is_returned_unchanged(self):
+        b = Bssid("AA:00:00:00:00:01")
+        assert Bssid(b) is b
+
+    def test_value_repr_and_str(self):
+        b = Bssid("AA-00-00-00-00-01")
+        assert type(b.value) is str and b.value == "aa:00:00:00:00:01"
+        assert str(b) == f"{b}" == "aa:00:00:00:00:01"
+        assert repr(b) == "Bssid('aa:00:00:00:00:01')"
+
+    def test_non_string_rejected_with_message(self):
+        with pytest.raises(TraceValidationError, match="invalid BSSID: 5"):
+            Bssid(5)
+
+    def test_pickle_keeps_type_and_value(self):
+        b = Bssid("aa:00:00:00:00:01")
+        back = pickle.loads(pickle.dumps(b))
+        assert type(back) is Bssid and back == b
+
+
+# A BSSID spelled six octets of random case, joined by ':' or '-', plus the
+# canonical form it must reduce to.
+_octets = st.lists(st.integers(0, 255), min_size=6, max_size=6)
+
+
+@st.composite
+def spelled_bssids(draw):
+    octets = draw(_octets)
+    sep = draw(st.sampled_from([":", "-"]))
+    upper = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    parts = [f"{o:02X}" if u else f"{o:02x}" for o, u in zip(octets, upper)]
+    return sep.join(parts), ":".join(f"{o:02x}" for o in octets)
+
+
+class TestBssidProperties:
+    @given(spelled_bssids())
+    def test_is_its_canonical_string(self, spelled):
+        raw, canon = spelled
+        b = Bssid(raw)
+        assert b == canon and b.value == canon and hash(b) == hash(canon)
+
+    @given(spelled_bssids(), spelled_bssids())
+    def test_equality_hash_and_order_follow_canonical_form(self, x, y):
+        a, b = Bssid(x[0]), Bssid(y[0])
+        assert (a == b) == (x[1] == y[1])
+        if a == b:
+            assert hash(a) == hash(b)
+        assert (a < b) == (x[1] < y[1])
+        assert (a <= b) == (x[1] <= y[1])
+
+    @given(st.lists(spelled_bssids(), min_size=1, max_size=8, unique_by=lambda s: s[1]))
+    def test_serialize_parse_round_trip(self, spelled):
+        aps = tuple(ApObservation(Bssid(raw), -50) for raw, _ in spelled)
+        record = ScanRecord(ts=SLICE, gps=None, connected=aps[0].bssid, aps=aps)
+        (back,) = parse_trace_file(serialize_scan_records([record]))
+        assert back == record
+        assert [o.bssid for o in back.aps] == [canon for _, canon in spelled]
+        assert all(type(o.bssid) is Bssid for o in back.aps)
 
 
 class TestRecordInvariants:
@@ -96,6 +159,29 @@ class TestParseTraceFile:
         data = b'{"ts":1,"gps":null,"conn":null,"aps":[]}\nnot json\n'
         with pytest.raises(TraceParseError, match="line 2"):
             parse_trace_file(data)
+
+    def test_repeated_bssid_strings_share_one_object(self):
+        data = (
+            b'{"ts":1,"gps":null,"conn":"AA:00:00:00:00:01","aps":[{"bssid":"AA:00:00:00:00:01","rssi":-40}]}\n'
+            b'{"ts":2,"gps":null,"conn":null,"aps":[{"bssid":"AA:00:00:00:00:01","rssi":-41}]}\n'
+        )
+        first, second = parse_trace_file(data)
+        assert first.connected is first.aps[0].bssid is second.aps[0].bssid
+
+    def test_invalid_bssid_reports_its_line_every_time(self):
+        good = b'{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"aa:00:00:00:00:01","rssi":-40}]}\n'
+        bad = b'{"ts":2,"gps":null,"conn":null,"aps":[{"bssid":"not-a-bssid","rssi":-40}]}\n'
+        for data, line in ((bad, 1), (good + bad, 2), (good + good + bad, 3)):
+            with pytest.raises(TraceValidationError, match=f"line {line}: invalid BSSID"):
+                parse_trace_file(data)
+
+    def test_non_string_bssid_is_an_error_with_line(self):
+        number = b'{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":7,"rssi":-40}]}\n'
+        with pytest.raises(TraceValidationError, match="line 1"):
+            parse_trace_file(number)
+        listed = b'{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":[1],"rssi":-40}]}\n'
+        with pytest.raises(TraceParseError, match="line 1"):
+            parse_trace_file(listed)
 
     def test_accepts_file_object(self):
         data = b'{"ts":5,"gps":null,"conn":null,"aps":[]}\n'
