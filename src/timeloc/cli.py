@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from datetime import date
 
 from . import door_detect, eval_harness, home_mining, sensing_fsm, simulator, time_map
@@ -28,18 +27,6 @@ from .trace_model import (
 )
 
 PROFILE_STORE_ENV = "TLS_PROFILE_STORE"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common settings for one CLI invocation."""
-
-    scenario_path: str | None = None
-    seed: int = 0
-    profile_store: str = "."
-    output_dir: str = "."
-    rssi_threshold_dbm: int = -70
-    window_days: int = 7
 
 
 def _default_store() -> str:
@@ -270,7 +257,6 @@ def _cmd_sweep(args) -> int:
 # argument wiring
 
 def build_parser() -> argparse.ArgumentParser:
-    cfg = RunConfig()
     parser = argparse.ArgumentParser(
         prog="timeloc",
         description="Arrival-time localization from WiFi scan traces.",
@@ -286,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("simulate", _cmd_simulate, "generate a synthetic dataset")
     p.add_argument("--scenario", required=True, help="scenario file or preset name")
-    p.add_argument("--seed", type=int, default=cfg.seed, help="master seed")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--days", type=int, default=None, help="override the scenario day count")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -298,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
     p.add_argument("--device", required=True, help="device id naming the profile file")
     p.add_argument("--store", default=_default_store(), help=f"profile store (or ${PROFILE_STORE_ENV})")
-    p.add_argument("--window-days", type=int, default=cfg.window_days, help="sliding window length")
+    p.add_argument("--window-days", type=int, default=time_map.WINDOW_DAYS, help="sliding window length")
 
     p = add("predict", _cmd_predict, "predict seconds-to-home")
     p.add_argument("--method", choices=("tls", "nn"), default="tls", help="prediction method")
@@ -308,9 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tdr", type=int, default=None, help="observed reachable seconds (tls)")
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
-    p.add_argument("--threshold", type=_parse_threshold, default=cfg.rssi_threshold_dbm, help="RSSI filter level")
-    p.add_argument("--window-days", type=int, default=cfg.window_days, help="sliding window length")
-    p.add_argument("--seed", type=int, default=cfg.seed, help="tie-break seed (nn)")
+    p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level")
+    p.add_argument("--window-days", type=int, default=time_map.WINDOW_DAYS, help="sliding window length")
+    p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
@@ -320,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("fsm-run", _cmd_fsm_run, "run the duty-cycled sensing day")
     p.add_argument("--scenario", required=True, help="scenario file or preset name")
-    p.add_argument("--seed", type=int, default=cfg.seed, help="master seed")
+    p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--day", type=int, default=0, help="scenario day index")
     p.add_argument("--out", required=True, help="output directory")
 
@@ -328,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("tls", "nn", "both"), default="both", help="method(s) to run")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl + ground_truth.csv")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", default=str(cfg.rssi_threshold_dbm), help='RSSI filter level or "all"')
-    p.add_argument("--seed", type=int, default=cfg.seed, help="nn tie-break seed")
+    p.add_argument("--threshold", default="-70", help='RSSI filter level or "all"')
+    p.add_argument("--seed", type=int, default=0, help="nn tie-break seed")
 
     p = add("sweep", _cmd_sweep, "evaluate across RSSI filter levels")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl + ground_truth.csv")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--levels", default="all,-70", help="comma-separated levels")
-    p.add_argument("--seed", type=int, default=cfg.seed, help="nn tie-break seed")
+    p.add_argument("--seed", type=int, default=0, help="nn tie-break seed")
 
     return parser
 

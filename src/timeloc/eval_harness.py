@@ -39,14 +39,16 @@ from .nn_baseline import HistoryPoint, filter_env, nn_predict, query_seed
 from .simulator import GroundTruth
 from .time_map import (
     SCAN_PERIOD_S,
+    WINDOW_DAYS,
     DayMap,
     UserProfile,
-    homeward_leg,
+    build_profile_from_maps,
+    leg_sightings,
     predict_tl,
 )
 from .trace_model import Bssid, DayTrace, ScanRecord, filter_trace
 
-COLD_START_DAYS = 7
+COLD_START_DAYS = WINDOW_DAYS
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,23 +161,12 @@ class EvalDataset:
         return days
 
 
-def ap_loss_queries(
-    trace: DayTrace,
-    home: Bssid,
-    arrival_ts: int,
-    scan_period_s: int = SCAN_PERIOD_S,
-) -> list[QueryPoint]:
+def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[QueryPoint]:
     """Query points for one day: each route AP's loss-observation instant."""
     try:
-        leg, home_ts = homeward_leg(trace, home)
+        leg, home_ts, first_seen, last_seen = leg_sightings(trace, home)
     except NoArrival:
         return []
-    first_seen: dict[Bssid, int] = {}
-    last_seen: dict[Bssid, int] = {}
-    for s in leg:
-        for o in s.aps:
-            first_seen.setdefault(o.bssid, s.ts)
-            last_seen[o.bssid] = s.ts
     leg_ts = [s.ts for s in leg]
     final_bssids = leg[-1].bssids()
 
@@ -183,7 +174,7 @@ def ap_loss_queries(
     for b, first in first_seen.items():
         if b == home or b in final_bssids:
             continue
-        lost = last_seen[b] + scan_period_s
+        lost = last_seen[b] + SCAN_PERIOD_S
         if lost > home_ts:
             continue
         idx = bisect_right(leg_ts, last_seen[b])
@@ -206,25 +197,23 @@ def ap_loss_queries(
     return queries
 
 
-# Built-in predictors start each day from the window's cached day records
-# (``start_window``); other predictors get the filtered window traces through
-# the public ``name``/``start_day(window, home, threshold)``/``predict(q)``
-# interface, via _TraceWindow.
+# Built-in predictors, named or passed as instances, start each day from the
+# window's cached day records (``start_window``); other predictors get the
+# filtered window traces through the public
+# ``name``/``start_day(window, home, threshold)``/``predict(q)`` interface,
+# via _TraceWindow.
 
 class TlsPredictor:
     """Window-profile predictor; answers in a constant two probes."""
 
     name = "tls"
 
-    def __init__(self, window_days: int = COLD_START_DAYS):
-        self.window_days = window_days
+    def __init__(self):
         self._profile: UserProfile | None = None
 
     def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
-        maps = [m for m in (d.day_map(home) for d in days) if m is not None]
-        window = tuple(maps[-self.window_days :])
-        built_at = window[-1].day_id if window else date.min
-        self._profile = UserProfile(home_bssid=home, window=window, fallback={}, built_at=built_at)
+        maps = (d.day_map(home) for d in days)
+        self._profile = build_profile_from_maps(home, [m for m in maps if m is not None])
 
     def predict(self, q: QueryPoint) -> tuple[int, int] | None:
         try:
@@ -280,6 +269,8 @@ def _resolve_predictor(method, seed: int):
         return TlsPredictor()
     if method == "nn":
         return NnPredictor(seed=seed)
+    if isinstance(method, (TlsPredictor, NnPredictor)):
+        return method
     return _TraceWindow(method)  # an object implementing name/start_day/predict
 
 
@@ -302,12 +293,12 @@ def evaluate(
     query_policy=ap_loss_queries,
     *,
     rssi_threshold_dbm: int | None = -70,
-    window_days: int = COLD_START_DAYS,
     seed: int = 0,
 ) -> EvalReport:
     """Run one predictor over the dataset and aggregate its error report.
 
-    ``method`` is "tls", "nn", or any object with the predictor interface.
+    ``method`` is "tls", "nn", a TlsPredictor or NnPredictor (used as it
+    is, with its own seed), or any object with the predictor interface.
     Per-day work comes from, and is added to, the dataset's artifact store.
     Raises InsufficientHistory unless the dataset spans more than a week.
     """
@@ -329,7 +320,7 @@ def evaluate(
         age = (day.day_id - first_day).days
         if age < COLD_START_DAYS:
             continue  # history only: no predictions in the first week
-        window = [d for d in days if 0 < (day.day_id - d.day_id).days <= window_days]
+        window = [d for d in days if 0 < (day.day_id - d.day_id).days <= WINDOW_DAYS]
         if not window:
             continue
         try:

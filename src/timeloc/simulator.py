@@ -189,8 +189,7 @@ class ScenarioSpec:
     mode_schedule: ModeMix | tuple[TransportMode, ...]
     detour_prob: float = 0.0
     detour_duration_s: int = 90
-    rssi_sigma_db: float = 0.0
-    dropout_prob: float = 0.0
+    noise: NoiseParams = NoiseParams()
     depart_time_jitter_s: int = 0
     night_dwell: NightDwellSpec = NightDwellSpec()
     depart_sod: int = 18 * 3600
@@ -202,8 +201,6 @@ class ScenarioSpec:
             raise ConfigurationError("n_days must be >= 1")
         if not 0.0 <= self.detour_prob <= 1.0:
             raise ConfigurationError("detour_prob outside [0, 1]")
-        if not 0.0 <= self.dropout_prob <= 1.0:
-            raise ConfigurationError("dropout_prob outside [0, 1]")
         if isinstance(self.mode_schedule, tuple) and len(self.mode_schedule) != self.n_days:
             raise ConfigurationError("per-day mode schedule must cover every day")
 
@@ -286,7 +283,7 @@ def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> D
         depart_ts=depart_ts,
         detour_s=detour_s,
         door_delay_s=door_delay_s,
-        noise=NoiseParams(scenario.rssi_sigma_db, scenario.dropout_prob),
+        noise=scenario.noise,
         night=scenario.night_dwell,
         seed=day_seed,
     )
@@ -641,8 +638,7 @@ def simple_walk_scenario(n_days: int = 24) -> ScenarioSpec:
         mode_schedule=ModeMix(modes=((WALK, 1.0),), speed_jitter_frac=0.05),
         detour_prob=0.0,
         detour_duration_s=90,
-        rssi_sigma_db=4.0,
-        dropout_prob=0.03,
+        noise=NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.03),
         depart_time_jitter_s=300,
     )
 
@@ -655,8 +651,7 @@ def mixture_scenario(n_days: int = 35) -> ScenarioSpec:
         mode_schedule=ModeMix(modes=((WALK, 0.5), (CYCLE, 0.5)), speed_jitter_frac=0.05),
         detour_prob=0.2,
         detour_duration_s=90,
-        rssi_sigma_db=4.0,
-        dropout_prob=0.03,
+        noise=NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.03),
         depart_time_jitter_s=300,
     )
 
@@ -667,8 +662,7 @@ def mining_scenario(n_days: int = 14) -> ScenarioSpec:
         route=make_chain_route(ap_count=4, duration_s=240, coverage_s=80, weak_bridge=False),
         n_days=n_days,
         mode_schedule=ModeMix(modes=((WALK, 1.0),), speed_jitter_frac=0.03),
-        rssi_sigma_db=2.0,
-        dropout_prob=0.02,
+        noise=NoiseParams(rssi_sigma_db=2.0, dropout_prob=0.02),
         depart_time_jitter_s=120,
     )
 
@@ -768,8 +762,10 @@ def load_scenario(path) -> ScenarioSpec:
         mode_schedule=mode_schedule,
         detour_prob=float(days_sec.get("detour_prob", 0.0)),
         detour_duration_s=int(days_sec.get("detour_duration_s", 90)),
-        rssi_sigma_db=float(noise_sec.get("rssi_sigma_db", 4.0)),
-        dropout_prob=float(noise_sec.get("dropout_prob", 0.03)),
+        noise=NoiseParams(
+            rssi_sigma_db=float(noise_sec.get("rssi_sigma_db", 4.0)),
+            dropout_prob=float(noise_sec.get("dropout_prob", 0.03)),
+        ),
         depart_time_jitter_s=int(days_sec.get("depart_jitter_s", 300)),
         night_dwell=night,
         depart_sod=_parse_sod(str(days_sec.get("depart", "18:00"))),

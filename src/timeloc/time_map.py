@@ -1,4 +1,4 @@
-"""Two-level time map: per-day BSSID labels under a 7-day sliding window.
+"""Two-level time map: per-day BSSID labels under a one-week sliding window.
 
 Each day of trace data yields a DayMap labelling every AP seen on the
 homeward leg with how long it stayed reachable (tdr) and how many seconds
@@ -99,14 +99,13 @@ def homeward_leg(trace: DayTrace, home: Bssid) -> tuple[tuple[ScanRecord, ...], 
     return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
 
 
-def build_day_map(trace: DayTrace, home: Bssid, scan_period_s: int = SCAN_PERIOD_S) -> DayMap:
-    """Label every AP seen on the homeward leg.
+def leg_sightings(
+    trace: DayTrace, home: Bssid
+) -> tuple[tuple[ScanRecord, ...], int, dict[Bssid, int], dict[Bssid, int]]:
+    """The homeward leg, its home-detection instant, and each leg AP's
+    first and last sighting (scan timestamps), keyed in first-seen order.
 
-    For AP m:  loss time = last sighting + one scan period (loss is only
-    observable at scan granularity), capped at the home-detection instant;
-    tdr = loss - first sighting; tl = home detection - loss.  An AP still
-    visible when home is detected gets tl 0 and its tdr runs to the
-    detection instant.  The home AP itself always carries tl 0.
+    Raises NoArrival when home is never seen.
     """
     leg, home_ts = homeward_leg(trace, home)
     first_seen: dict[Bssid, int] = {}
@@ -115,6 +114,19 @@ def build_day_map(trace: DayTrace, home: Bssid, scan_period_s: int = SCAN_PERIOD
         for o in s.aps:
             first_seen.setdefault(o.bssid, s.ts)
             last_seen[o.bssid] = s.ts
+    return leg, home_ts, first_seen, last_seen
+
+
+def build_day_map(trace: DayTrace, home: Bssid) -> DayMap:
+    """Label every AP seen on the homeward leg.
+
+    For AP m:  loss time = last sighting + one scan period (loss is only
+    observable at scan granularity), capped at the home-detection instant;
+    tdr = loss - first sighting; tl = home detection - loss.  An AP still
+    visible when home is detected gets tl 0 and its tdr runs to the
+    detection instant.  The home AP itself always carries tl 0.
+    """
+    leg, home_ts, first_seen, last_seen = leg_sightings(trace, home)
     final_bssids = leg[-1].bssids()
 
     entries: dict[Bssid, ApLabel] = {}
@@ -122,7 +134,7 @@ def build_day_map(trace: DayTrace, home: Bssid, scan_period_s: int = SCAN_PERIOD
         if b in final_bssids:
             lost = home_ts
         else:
-            lost = min(last_seen[b] + scan_period_s, home_ts)
+            lost = min(last_seen[b] + SCAN_PERIOD_S, home_ts)
         entries[b] = ApLabel(tl_seconds=home_ts - lost, tdr_seconds=lost - first)
 
     route_tdrs = [lab.tdr_seconds for lab in entries.values() if lab.tl_seconds > 0]
@@ -166,10 +178,10 @@ def update_profile(
                 fallback[b] = lab
 
     home = profile.home_bssid
-    try:
-        vote = vote_home_ap(all_window_traces)
-    except NoNightData:
-        vote = None
+    vote = None
+    if all_window_traces:
+        with contextlib.suppress(NoNightData):
+            vote = vote_home_ap(all_window_traces)
     if vote is not None and vote.winner != home:
         home = vote.winner
         # Labels anchored to the old home are meaningless now: rebuild the
@@ -194,16 +206,12 @@ def update_profile(
     )
 
 
-def build_profile_from_maps(
-    home: Bssid,
-    maps: Iterable[DayMap],
-    window_days: int = WINDOW_DAYS,
-) -> UserProfile:
+def build_profile_from_maps(home: Bssid, maps: Iterable[DayMap]) -> UserProfile:
     """Profile from a bag of DayMaps, independent of insertion order."""
     ordered = sorted(maps, key=lambda m: m.day_id)
     profile = empty_profile(home, ordered[0].day_id if ordered else date.min)
     for m in ordered:
-        profile = update_profile(profile, m, (), window_days=window_days)
+        profile = update_profile(profile, m, ())
     return profile
 
 

@@ -241,21 +241,45 @@ class _SeenBssids(dict):
         return b
 
 
-def _record_from_obj(obj: dict, lineno: int, bssids: _SeenBssids) -> ScanRecord:
-    try:
-        ts = int(obj["ts"])
-        gps_obj = obj.get("gps")
-        gps = None if gps_obj is None else GpsFix(float(gps_obj["lat"]), float(gps_obj["lon"]))
-        conn_obj = obj.get("conn")
-        conn = None if conn_obj is None else bssids[conn_obj]
-        aps = tuple(
-            ApObservation(bssids[e["bssid"]], int(e["rssi"])) for e in obj["aps"]
-        )
-        return ScanRecord(ts=ts, gps=gps, connected=conn, aps=aps)
-    except TraceValidationError as exc:
-        raise TraceValidationError(f"line {lineno}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise TraceParseError(f"line {lineno}: malformed record ({exc})") from exc
+def _parse_jsonl(stream, what: str, from_obj) -> list:
+    """Decode JSONL (bytes, str, or binary file object) with ``from_obj``.
+
+    Blank lines are skipped; items come back in file order.  An undecodable
+    line, or one ``from_obj`` rejects with KeyError/TypeError/ValueError,
+    raises TraceParseError with its line number; a TraceValidationError
+    from ``from_obj`` is re-raised with the line number prefixed.
+    """
+    if hasattr(stream, "read"):
+        stream = stream.read()
+    if isinstance(stream, bytes):
+        stream = stream.decode("utf-8")
+    items = []
+    for lineno, line in enumerate(stream.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            items.append(from_obj(obj))
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"line {lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceParseError(f"line {lineno}: malformed {what} ({exc})") from exc
+    return items
+
+
+def _record_from_obj(obj: dict, bssids: _SeenBssids) -> ScanRecord:
+    ts = int(obj["ts"])
+    gps_obj = obj.get("gps")
+    gps = None if gps_obj is None else GpsFix(float(gps_obj["lat"]), float(gps_obj["lon"]))
+    conn_obj = obj.get("conn")
+    conn = None if conn_obj is None else bssids[conn_obj]
+    aps = tuple(
+        ApObservation(bssids[e["bssid"]], int(e["rssi"])) for e in obj["aps"]
+    )
+    return ScanRecord(ts=ts, gps=gps, connected=conn, aps=aps)
 
 
 def parse_trace_file(stream) -> list[ScanRecord]:
@@ -264,21 +288,8 @@ def parse_trace_file(stream) -> list[ScanRecord]:
     Records come back in file order.  A malformed line raises TraceParseError
     with its line number; invariant violations raise TraceValidationError.
     """
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    records = []
     bssids = _SeenBssids()  # per call, so nothing outlives this file
-    for lineno, line in enumerate(stream.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        records.append(_record_from_obj(obj, lineno, bssids))
-    return records
+    return _parse_jsonl(stream, "record", lambda obj: _record_from_obj(obj, bssids))
 
 
 def serialize_scan_records(records: Iterable[ScanRecord]) -> bytes:
@@ -296,24 +307,7 @@ def serialize_scan_records(records: Iterable[ScanRecord]) -> bytes:
 
 def parse_accel_file(stream) -> list[AccelSample]:
     """Parse a JSONL accelerometer file into samples, in file order."""
-    if hasattr(stream, "read"):
-        stream = stream.read()
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8")
-    samples = []
-    for lineno, line in enumerate(stream.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            samples.append(AccelSample(int(obj["ts"]), float(obj["mag"])))
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
-        except TraceValidationError as exc:
-            raise TraceValidationError(f"line {lineno}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceParseError(f"line {lineno}: malformed sample ({exc})") from exc
-    return samples
+    return _parse_jsonl(stream, "sample", lambda obj: AccelSample(int(obj["ts"]), float(obj["mag"])))
 
 
 def serialize_accel_samples(samples: Iterable[AccelSample]) -> bytes:

@@ -16,6 +16,8 @@ from timeloc.eval_harness import (
     COLD_START_DAYS,
     ErrorSample,
     EvalDataset,
+    NnPredictor,
+    TlsPredictor,
     _build_report,
     ap_loss_queries,
     evaluate,
@@ -188,3 +190,32 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
         assert threshold == -70
         assert len(days) == COLD_START_DAYS
         assert (days[-1] - first).days >= COLD_START_DAYS - 1
+
+
+@pytest.mark.parametrize("level", [None, -70])
+def test_builtin_predictor_instances_match_their_names(mixture, level):
+    tls, nn = TlsPredictor(), NnPredictor(seed=3)
+    for _ in range(2):  # an instance can be reused across evaluations
+        assert evaluate(tls, fresh(mixture), rssi_threshold_dbm=level) == evaluate(
+            "tls", fresh(mixture), rssi_threshold_dbm=level
+        )
+        assert evaluate(nn, fresh(mixture), rssi_threshold_dbm=level) == evaluate(
+            "nn", fresh(mixture), rssi_threshold_dbm=level, seed=3
+        )
+
+
+@pytest.mark.parametrize("level", [None, -70])
+@pytest.mark.parametrize("name", ["mixture", "relocation"])
+def test_query_tdr_equals_day_map_tdr(request, name, level):
+    traces, truths = request.getfixturevalue(name)
+    arrivals = {g.day_id: g.arrival_ts for g in truths}
+    points = 0
+    for trace in traces:
+        trace = filter_trace(trace, level)
+        home = home_mining.day_vote(trace).vote
+        if home is None:
+            continue
+        for q in ap_loss_queries(trace, home, arrivals[trace.day_id]):
+            assert build_day_map(trace, home).entries[q.bssid].tdr_seconds == q.observed_tdr_s
+            points += 1
+    assert points > 0

@@ -199,7 +199,7 @@ neighbor_dwell_s = 3600
     assert scenario.n_days == 9
     assert scenario.start_day == date(2024, 3, 1)
     assert scenario.depart_sod == 18 * 3600 + 1800
-    assert scenario.rssi_sigma_db == 3.0
+    assert scenario.noise.rssi_sigma_db == 3.0
     assert scenario.night_dwell.scan_period_s == 300
     assert {m.name for m, _ in scenario.mode_schedule.modes} == {"walk", "cycle"}
     traces, truths = sim.synth_dataset(scenario, seed=1)

@@ -204,6 +204,56 @@ class TestParseTraceFile:
         assert parse_accel_file(data) == samples
 
 
+class TestParseAccelFile:
+    def test_invalid_json_reports_line_number(self):
+        data = b'{"ts":1,"mag":9.8}\n{"ts":2,\n'
+        with pytest.raises(TraceParseError, match=r"^line 2: invalid JSON \("):
+            parse_accel_file(data)
+
+    def test_missing_magnitude_is_malformed_sample(self):
+        data = b'{"ts":1,"mag":9.8}\n\n{"ts":3}\n'
+        with pytest.raises(TraceParseError, match=r"^line 3: malformed sample \('mag'\)$"):
+            parse_accel_file(data)
+
+    def test_negative_magnitude_is_validation_error_with_line(self):
+        data = b'{"ts":1,"mag":9.8}\n{"ts":2,"mag":-0.5}\n'
+        with pytest.raises(
+            TraceValidationError, match=r"^line 2: accelerometer magnitude must be >= 0$"
+        ):
+            parse_accel_file(data)
+
+
+_finite = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def scan_records(draw):
+    octets = draw(st.lists(st.integers(0, 2**48 - 1), max_size=6, unique=True))
+    bssids = [Bssid(":".join(f"{o:012x}"[i : i + 2] for i in range(0, 12, 2))) for o in octets]
+    aps = tuple(ApObservation(b, draw(st.integers(-120, 0))) for b in bssids)
+    gps = draw(
+        st.none()
+        | st.builds(GpsFix, st.floats(-90, 90, **_finite), st.floats(-180, 180, **_finite))
+    )
+    connected = draw(st.none() | st.sampled_from(bssids)) if bssids else None
+    return ScanRecord(ts=draw(st.integers(0, 2**40)), gps=gps, connected=connected, aps=aps)
+
+
+class TestJsonlRoundTripProperties:
+    @given(st.lists(scan_records(), max_size=5))
+    def test_scan_records(self, records):
+        assert parse_trace_file(serialize_scan_records(records)) == records
+
+    @given(
+        st.lists(
+            st.builds(AccelSample, st.integers(0, 2**40), st.floats(min_value=0, **_finite)),
+            max_size=5,
+        )
+    )
+    def test_accel_samples(self, samples):
+        assert parse_accel_file(serialize_accel_samples(samples)) == samples
+
+
 class TestSliceIntoDays:
     def _at(self, day_offset_h):
         # hours relative to 2024-01-01 00:00 UTC
