@@ -91,6 +91,25 @@ def _parse_threshold(text: str) -> int | None:
     return None if text == "all" else int(text)
 
 
+def _parse_levels(text: str) -> list[int | None]:
+    return [_parse_threshold(x.strip()) for x in text.split(",") if x.strip()]
+
+
+def _window_length(minimum: int):
+    """An argparse type: a window length in days, at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            days = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if days < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {days}")
+        return days
+
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -128,8 +147,7 @@ def _cmd_build_profile(args) -> int:
     days = _load_days(args.traces)
     if not days:
         raise TimelocError("no days found in the trace directory")
-    seed_days = days[: args.window_days] or days
-    home = home_mining.vote_home_ap(seed_days).winner
+    home = home_mining.vote_home_ap(days[: args.window_days]).winner
     profile = time_map.empty_profile(home, days[0].day_id)
     for i, day in enumerate(days):
         window_traces = days[max(0, i - args.window_days + 1) : i + 1]
@@ -222,12 +240,11 @@ def _cmd_fsm_run(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset = eval_harness.EvalDataset.from_lists(_load_days(args.traces), _load_truths(args.traces))
     methods = ("tls", "nn") if args.method == "both" else (args.method,)
-    level = _parse_threshold(args.threshold)
-    label = "all" if level is None else str(level)
+    label = "all" if args.threshold is None else str(args.threshold)
     rows = []
     for method in methods:
         report = eval_harness.evaluate(
-            method, dataset, rssi_threshold_dbm=level, seed=args.seed
+            method, dataset, rssi_threshold_dbm=args.threshold, seed=args.seed
         )
         rows.append((label, report))
         _emit(args, f"cdf_{method}.csv", eval_harness.cdf_csv(report))
@@ -243,10 +260,9 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     dataset = eval_harness.EvalDataset.from_lists(_load_days(args.traces), _load_truths(args.traces))
-    levels = [_parse_threshold(x.strip()) for x in args.levels.split(",") if x.strip()]
-    if len(levels) < 2:
+    if len(args.levels) < 2:
         raise TimelocError("sweep needs at least two levels, e.g. --levels all,-70")
-    rows = eval_harness.sweep_rssi_filter(dataset, levels, seed=args.seed)
+    rows = eval_harness.sweep_rssi_filter(dataset, args.levels, seed=args.seed)
     _emit(args, "sweep.csv", eval_harness.report_csv(rows))
     for label, r in rows:
         print(f"level={label} {r.method}: median_abs={r.median_abs_s:.1f}s probe_cost={r.probe_cost:.1f}")
@@ -262,6 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Arrival-time localization from WiFi scan traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    week = time_map.WINDOW_DAYS
 
     def add(name, func, help_text):
         p = sub.add_parser(
@@ -284,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
     p.add_argument("--device", required=True, help="device id naming the profile file")
     p.add_argument("--store", default=_default_store(), help=f"profile store (or ${PROFILE_STORE_ENV})")
-    p.add_argument("--window-days", type=int, default=time_map.WINDOW_DAYS, help="sliding window length")
+    p.add_argument("--window-days", type=_window_length(week), default=week, help="sliding window length")
 
     p = add("predict", _cmd_predict, "predict seconds-to-home")
     p.add_argument("--method", choices=("tls", "nn"), default="tls", help="prediction method")
@@ -295,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
     p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level")
-    p.add_argument("--window-days", type=int, default=time_map.WINDOW_DAYS, help="sliding window length")
+    p.add_argument("--window-days", type=_window_length(1), default=week, help="sliding window length")
     p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")
@@ -314,13 +331,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("tls", "nn", "both"), default="both", help="method(s) to run")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl + ground_truth.csv")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--threshold", default="-70", help='RSSI filter level or "all"')
+    p.add_argument("--threshold", type=_parse_threshold, default="-70", help='RSSI filter level or "all"')
     p.add_argument("--seed", type=int, default=0, help="nn tie-break seed")
 
     p = add("sweep", _cmd_sweep, "evaluate across RSSI filter levels")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl + ground_truth.csv")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--levels", default="all,-70", help="comma-separated levels")
+    p.add_argument("--levels", type=_parse_levels, default="all,-70", help="comma-separated levels")
     p.add_argument("--seed", type=int, default=0, help="nn tie-break seed")
 
     return parser

@@ -6,15 +6,20 @@ answered from the sliding window of the previous seven days.  Signed errors
 are predicted minus actual seconds-to-home, so negative means early (the
 device got extra preparation time).
 
-Each day is evaluated once.  An EvalDataset keeps a private store of
-per-day artifacts, filled lazily by ``evaluate`` and kept for as long as
-the dataset object lives.  Under the key (RSSI level, day) it holds the
-filtered trace and that day's nightly vote; under each home BSSID asked
-for, it adds the day's DayMap (None when home is never seen), its NN
-history points and its query points (per query policy).  Sliding the
-window is then a tally of cached votes and a concatenation of cached maps
-or history, so ``evaluate`` of both methods and ``sweep_rssi_filter``
-share every day's work instead of redoing it per evaluated day and method.
+Each day is evaluated once.  An EvalDataset keeps one EvalDay record per
+(RSSI level, day), filled lazily by ``evaluate`` and kept for as long as
+the dataset object lives.  A record holds the filtered trace and that
+day's nightly vote; under each home BSSID asked for, it adds the day's
+DayMap (None when home is never seen), its NN history points and its
+query points (per query policy).  Sliding the window is then a tally of
+cached votes and a concatenation of cached maps or history, so
+``evaluate`` of both methods and ``sweep_rssi_filter`` share every day's
+work instead of redoing it per evaluated day and method.
+
+Every predictor, built-in or not, has the same three members: ``name``,
+``start_day(days, home, threshold)``, called once per evaluated day with
+the window's EvalDay records, and ``predict(q)``, which returns
+``(predicted_tl_s, probe_cost)`` or None to skip the query.
 """
 
 from __future__ import annotations
@@ -83,12 +88,15 @@ class QueryPoint:
     actual_tl_s: int
 
 
-class _Day:
+class EvalDay:
     """One day's artifacts at one RSSI level, each computed on first use.
 
-    ``trace`` is the day filtered at ``level``.  The vote is per day; the
-    DayMap, the NN history points and the query points are per home BSSID
-    (and the query points also per query policy and arrival instant).
+    ``trace`` is the day filtered at ``level``.  ``vote()`` is the day's
+    nightly vote; ``day_map(home)`` (None when home is never seen),
+    ``history(home)`` and the query points are per home BSSID (the query
+    points also per query policy and arrival instant).  Records are shared
+    by every evaluation of their dataset, so a predictor must not change
+    them.
     """
 
     __slots__ = ("trace", "level", "_vote", "_maps", "_history", "_queries")
@@ -152,12 +160,12 @@ class EvalDataset:
         ordered = tuple(sorted(traces, key=lambda t: t.day_id))
         return cls(traces=ordered, truths={g.day_id: g for g in truths})
 
-    def _days(self, level: int | None) -> list[_Day]:
+    def _days(self, level: int | None) -> list[EvalDay]:
         """The day records at one RSSI level, in day order."""
         days = self._store.get(level)
         if days is None:
             ordered = sorted(self.traces, key=lambda t: t.day_id)
-            days = self._store[level] = [_Day(filter_trace(t, level), level) for t in ordered]
+            days = self._store[level] = [EvalDay(filter_trace(t, level), level) for t in ordered]
         return days
 
 
@@ -197,12 +205,6 @@ def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[Query
     return queries
 
 
-# Built-in predictors, named or passed as instances, start each day from the
-# window's cached day records (``start_window``); other predictors get the
-# filtered window traces through the public
-# ``name``/``start_day(window, home, threshold)``/``predict(q)`` interface,
-# via _TraceWindow.
-
 class TlsPredictor:
     """Window-profile predictor; answers in a constant two probes."""
 
@@ -211,7 +213,7 @@ class TlsPredictor:
     def __init__(self):
         self._profile: UserProfile | None = None
 
-    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
+    def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
         maps = (d.day_map(home) for d in days)
         self._profile = build_profile_from_maps(home, [m for m in maps if m is not None])
 
@@ -233,7 +235,7 @@ class NnPredictor:
         self._history: list[HistoryPoint] = []
         self._threshold = None
 
-    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
+    def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
         self._history = [p for d in days for p in d.history(home)]
         self._threshold = threshold
 
@@ -250,28 +252,12 @@ class NnPredictor:
         return p.tl_seconds, comparisons
 
 
-class _TraceWindow:
-    """Adapts a predictor with the public ``start_day`` interface."""
-
-    def __init__(self, predictor):
-        self.predictor = predictor
-        self.name = predictor.name
-
-    def start_window(self, days: Sequence[_Day], home: Bssid, threshold) -> None:
-        self.predictor.start_day([d.trace for d in days], home, threshold)
-
-    def predict(self, q: QueryPoint) -> tuple[int, int] | None:
-        return self.predictor.predict(q)
-
-
 def _resolve_predictor(method, seed: int):
     if method == "tls":
         return TlsPredictor()
     if method == "nn":
         return NnPredictor(seed=seed)
-    if isinstance(method, (TlsPredictor, NnPredictor)):
-        return method
-    return _TraceWindow(method)  # an object implementing name/start_day/predict
+    return method
 
 
 def cdf(samples: Sequence[int | float]) -> list[tuple[int | float, float]]:
@@ -297,10 +283,10 @@ def evaluate(
 ) -> EvalReport:
     """Run one predictor over the dataset and aggregate its error report.
 
-    ``method`` is "tls", "nn", a TlsPredictor or NnPredictor (used as it
-    is, with its own seed), or any object with the predictor interface.
-    Per-day work comes from, and is added to, the dataset's artifact store.
-    Raises InsufficientHistory unless the dataset spans more than a week.
+    ``method`` is "tls", "nn", or any predictor object, used as it is (a
+    NnPredictor keeps its own seed).  Per-day work comes from, and is added
+    to, the dataset's artifact store.  Raises InsufficientHistory unless
+    the dataset spans more than a week.
     """
     days = dataset._days(rssi_threshold_dbm)
     if not days:
@@ -330,7 +316,7 @@ def evaluate(
         truth = dataset.truths.get(day.day_id)
         if truth is None:
             continue
-        predictor.start_window(window, home, rssi_threshold_dbm)
+        predictor.start_day(window, home, rssi_threshold_dbm)
         for q in day.queries(home, truth.arrival_ts, query_policy):
             answer = predictor.predict(q)
             if answer is None:
@@ -371,16 +357,15 @@ def sweep_rssi_filter(
     dataset: EvalDataset,
     levels: Sequence[int | None],
     *,
-    methods: Sequence[str] = ("tls", "nn"),
     seed: int = 0,
 ) -> list[tuple[str, EvalReport]]:
-    """One full evaluation per (RSSI level, method); None means keep all APs."""
+    """One full evaluation of tls, then nn, per RSSI level; None keeps all APs."""
     if len(levels) < 2:
         raise ValueError("a sweep needs at least two RSSI levels")
     rows = []
     for level in levels:
         label = "all" if level is None else str(level)
-        for method in methods:
+        for method in ("tls", "nn"):
             report = evaluate(method, dataset, rssi_threshold_dbm=level, seed=seed)
             rows.append((label, report))
     return rows

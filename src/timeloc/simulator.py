@@ -186,7 +186,7 @@ class Relocation:
 class ScenarioSpec:
     route: RouteSpec
     n_days: int
-    mode_schedule: ModeMix | tuple[TransportMode, ...]
+    mode_schedule: ModeMix
     detour_prob: float = 0.0
     detour_duration_s: int = 90
     noise: NoiseParams = NoiseParams()
@@ -201,8 +201,6 @@ class ScenarioSpec:
             raise ConfigurationError("n_days must be >= 1")
         if not 0.0 <= self.detour_prob <= 1.0:
             raise ConfigurationError("detour_prob outside [0, 1]")
-        if isinstance(self.mode_schedule, tuple) and len(self.mode_schedule) != self.n_days:
-            raise ConfigurationError("per-day mode schedule must cover every day")
 
 
 @dataclass(frozen=True, slots=True)
@@ -248,16 +246,13 @@ def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> D
     day_seed = master_seed ^ day_index
     rng = random.Random(_mix(day_seed, "plan"))
 
-    if isinstance(scenario.mode_schedule, ModeMix):
-        mix = scenario.mode_schedule
-        modes = [m for m, _ in mix.modes]
-        weights = [w for _, w in mix.modes]
-        base = rng.choices(modes, weights=weights)[0]
-        jitter = mix.speed_jitter_frac
-        factor = base.speed_factor * (1.0 + rng.uniform(-jitter, jitter)) if jitter else base.speed_factor
-        mode = TransportMode(base.name, factor)
-    else:
-        mode = scenario.mode_schedule[day_index]
+    mix = scenario.mode_schedule
+    modes = [m for m, _ in mix.modes]
+    weights = [w for _, w in mix.modes]
+    base = rng.choices(modes, weights=weights)[0]
+    jitter = mix.speed_jitter_frac
+    factor = base.speed_factor * (1.0 + rng.uniform(-jitter, jitter)) if jitter else base.speed_factor
+    mode = TransportMode(base.name, factor)
 
     depart_jitter = (
         rng.randint(-scenario.depart_time_jitter_s, scenario.depart_time_jitter_s)

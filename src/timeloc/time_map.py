@@ -161,8 +161,10 @@ def update_profile(
     from those traces, and days where the new home was never detected drop
     out.  ``new_day`` may be None for a day that produced no map against the
     current home (typically right after a relocation); its trace still
-    participates in the vote.
+    participates in the vote.  Raises ValueError if ``window_days`` < 1.
     """
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
     window = list(profile.window)
     fallback = dict(profile.fallback)
 

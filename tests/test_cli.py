@@ -141,6 +141,12 @@ class TestEvaluateAndSweep:
         rc = run("sweep", "--traces", dataset_dir, "--out", tmp_path / "s", "--levels", "-70")
         assert rc == 1
 
+    def test_evaluate_threshold_all_keeps_every_ap(self, dataset_dir, tmp_path):
+        out = tmp_path / "all"
+        assert run("evaluate", "--traces", dataset_dir, "--out", out, "--threshold", "all") == 0
+        rows = (out / "report.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["tls", "all"], ["nn", "all"]]
+
     def test_sweep_writes_table(self, dataset_dir, tmp_path):
         out = tmp_path / "sw"
         assert run("sweep", "--traces", dataset_dir, "--out", out, "--levels", "all,-70") == 0
@@ -166,3 +172,29 @@ class TestUsage:
         text = capsys.readouterr().out
         assert "default: -70" in text
         assert "default: both" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--traces", "t", "--out", "o", "--threshold", "abc"],
+            ["sweep", "--traces", "t", "--out", "o", "--levels", "all,x"],
+            ["build-profile", "--traces", "t", "--device", "d", "--window-days", "-1"],
+            ["build-profile", "--traces", "t", "--device", "d", "--window-days", "0"],
+            ["build-profile", "--traces", "t", "--device", "d", "--window-days", "6"],
+            ["build-profile", "--traces", "t", "--device", "d", "--window-days", "x"],
+            ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--window-days", "0"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+    )
+    def test_bad_flag_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+    def test_build_profile_accepts_a_longer_window(self, dataset_dir, tmp_path, capsys):
+        store = tmp_path / "store"
+        args = ("build-profile", "--traces", dataset_dir, "--device", "d", "--store", store)
+        assert run(*args, "--window-days", "8") == 0
+        assert "8 window day(s)" in capsys.readouterr().out

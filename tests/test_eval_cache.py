@@ -6,6 +6,7 @@ window traces, rebuild that window's maps or history, and query.  The
 cached ``evaluate`` must match it exactly.
 """
 
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -16,6 +17,7 @@ from timeloc.eval_harness import (
     COLD_START_DAYS,
     ErrorSample,
     EvalDataset,
+    EvalDay,
     NnPredictor,
     TlsPredictor,
     _build_report,
@@ -177,8 +179,8 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
         name = "recorder"
 
         def start_day(self, window, home, threshold):
-            seen.append((tuple(t.day_id for t in window), home, threshold))
-            assert all(o.rssi_dbm >= -70 for t in window for s in t.scans for o in s.aps)
+            seen.append((tuple(d.day_id for d in window), home, threshold))
+            assert all(o.rssi_dbm >= -70 for d in window for s in d.trace.scans for o in s.aps)
 
         def predict(self, q):
             return q.actual_tl_s, 1
@@ -190,6 +192,33 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
         assert threshold == -70
         assert len(days) == COLD_START_DAYS
         assert (days[-1] - first).days >= COLD_START_DAYS - 1
+
+
+def test_custom_predictor_shares_the_day_records(mixture, monkeypatch):
+    """A predictor from outside the package gets the same EvalDay records as
+    the built-ins, so its day maps come from the store that "tls" filled."""
+
+    class WindowMaps:
+        name = "window-maps"
+
+        def start_day(self, days, home, threshold):
+            assert all(isinstance(d, EvalDay) for d in days)
+            maps = [m for m in (d.day_map(home) for d in days) if m is not None]
+            self.profile = time_map.build_profile_from_maps(home, maps)
+
+        def predict(self, q):
+            try:
+                p = predict_tl(self.profile, q.bssid, q.observed_tdr_s)
+            except (ColdStart, UnknownBssid):
+                return None
+            return p.tl_seconds, p.lookups
+
+    dataset = fresh(mixture)
+    expected = evaluate("tls", dataset)
+    built = []
+    monkeypatch.setattr(time_map, "build_day_map", lambda *a: built.append(a))
+    assert evaluate(WindowMaps(), dataset) == replace(expected, method="window-maps")
+    assert built == []
 
 
 @pytest.mark.parametrize("level", [None, -70])

@@ -1,9 +1,12 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.sensing_fsm import (
+    SLEEP_PERIOD_S,
     Action,
     EnvSnapshot,
     FsmState,
@@ -128,6 +131,46 @@ class TestFsmStep:
         state = FsmState(StateTag.SLEEP, 1000)
         new, _, _ = fsm_step(state, 2800, env())
         assert new.tag is StateTag.IDLE_CHECK
+
+
+AP_POOL = (HOME, bss(1), bss(2))
+fixes = st.builds(
+    GpsFix,
+    st.floats(-90, 90, allow_nan=False),
+    st.floats(-180, 180, allow_nan=False),
+)
+snapshots = st.builds(
+    EnvSnapshot,
+    gps_available=st.booleans(),
+    # anywhere on Earth, or up to 1 km from home on either side of the geofence
+    fix=st.none() | fixes | st.floats(0, 1000).map(off_fix),
+    visible=st.lists(
+        st.builds(ApObservation, st.sampled_from(AP_POOL), st.integers(-120, 0)), max_size=4
+    ).map(tuple),
+    connected=st.none() | st.sampled_from(AP_POOL),
+    home_bssid=st.just(HOME),
+    home_fix=st.just(HOME_FIX),
+)
+states = st.builds(
+    FsmState,
+    st.sampled_from(StateTag),
+    st.integers(-(10**6), 10**6),
+    st.integers(0, 5),
+    st.integers(0, 3),
+)
+
+
+@settings(max_examples=500)
+@given(states, st.integers(-10, 2 * SLEEP_PERIOD_S), snapshots)
+def test_next_wake_is_always_later(state, elapsed, snapshot):
+    """fsm_step schedules its next wake strictly after ``now`` from any state.
+
+    ``now`` is drawn relative to the state's entry so that every timer
+    threshold (burst, recording, sleep) is crossed in some example.
+    """
+    now = state.entered_at + elapsed
+    _, _, next_wake = fsm_step(state, now, snapshot)
+    assert next_wake > now
 
 
 @pytest.fixture(scope="module")

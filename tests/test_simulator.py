@@ -113,18 +113,6 @@ class TestSynthDataset:
         hi = next(k for k in range(200, -1, -1) if sum(probs[k:]) > 0.005)
         assert lo <= walks <= hi
 
-    def test_explicit_per_day_mode_schedule(self):
-        modes = tuple(sim.WALK if i % 2 else sim.CYCLE for i in range(4))
-        scenario = replace(
-            sim.simple_walk_scenario(n_days=4), mode_schedule=modes, depart_time_jitter_s=0
-        )
-        _, truths = sim.synth_dataset(scenario, seed=0)
-        assert [g.mode.name for g in truths] == ["cycle", "walk", "cycle", "walk"]
-
-    def test_per_day_schedule_must_cover_every_day(self):
-        with pytest.raises(ConfigurationError):
-            replace(sim.simple_walk_scenario(n_days=4), mode_schedule=(sim.WALK,))
-
     def test_per_day_seeds_are_order_independent(self):
         scenario = sim.simple_walk_scenario(n_days=5)
         full, _ = sim.synth_dataset(scenario, seed=3)

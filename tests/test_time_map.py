@@ -159,6 +159,13 @@ class TestUpdateProfile:
         with pytest.raises(OrderingError):
             update_profile(profile, maps[0], ())
 
+    @pytest.mark.parametrize("window_days", [0, -1])
+    def test_window_shorter_than_one_day_rejected(self, window_days):
+        maps = _window_maps(2)
+        profile = build_profile_from_maps(HOME, maps[:1])
+        with pytest.raises(ValueError, match="window_days"):
+            update_profile(profile, maps[1], (), window_days=window_days)
+
     def test_relocation_flips_home_by_third_followup_day(self):
         move_day = 10
         scenario = sim.relocation_scenario(move_day=move_day, n_days=15)
