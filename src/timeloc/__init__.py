@@ -46,7 +46,7 @@ from .time_map import (
     predict_tl,
     update_profile,
 )
-from .door_detect import DoorEvent, DoorParams, detect_door_events
+from .door_detect import DoorEvent, detect_door_events
 from .sensing_fsm import FsmState, SensingStats, fsm_step, in_gps_region, run_fsm_day
 from .nn_baseline import Fingerprint, HistoryPoint, env_similarity, filter_env, nn_predict
 from .simulator import (

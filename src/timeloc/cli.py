@@ -206,11 +206,9 @@ def _cmd_detect_door(args) -> int:
         if not days:
             raise TimelocError(f"no trace for day {args.day}")
     home = Bssid(args.home) if args.home else home_mining.vote_home_ap(days).winner
-    lines = ["ts,cond1,cond2,cond3"]
+    lines = ["ts"]
     for day in days:
-        for event in door_detect.detect_door_events(day, home):
-            c1, c2, c3 = event.conditions_met
-            lines.append(f"{event.ts},{int(c1)},{int(c2)},{int(c3)}")
+        lines.extend(str(event.ts) for event in door_detect.detect_door_events(day, home))
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text)
@@ -312,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
     p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level")
-    p.add_argument("--window-days", type=_window_length(1), default=week, help="sliding window length")
+    p.add_argument("--window-days", type=_window_length(1), default=week, help="sliding window length (nn)")
     p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")

@@ -3,7 +3,7 @@
 A door event is emitted where, simultaneously, (1) the home AP is visible
 (connection not required), (2) its RSSI fluctuates while the accelerometer
 says the user is standing still, and (3) the scan sits next to a peak in
-the number of visible APs.
+the number of visible APs.  The thresholds below are fixed.
 """
 
 from __future__ import annotations
@@ -13,37 +13,21 @@ from statistics import pvariance, variance
 from typing import Sequence
 
 from .errors import InsufficientData
-from .trace_model import AccelSample, Bssid, DayTrace
+from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord
 
-
-@dataclass(frozen=True, slots=True)
-class DoorParams:
-    """Detection thresholds.  All values are tunable defaults."""
-
-    rssi_window_scans: int = 5
-    rssi_var_threshold_db2: float = 9.0
-    accel_window_s: int = 3
-    accel_var_threshold: float = 0.5
-    count_peak_delta: int = 2
-    count_neighborhood_scans: int = 4
-
-    def __post_init__(self) -> None:
-        for name in (
-            "rssi_window_scans",
-            "rssi_var_threshold_db2",
-            "accel_window_s",
-            "accel_var_threshold",
-            "count_peak_delta",
-            "count_neighborhood_scans",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+RSSI_WINDOW_SCANS = 5
+RSSI_VAR_THRESHOLD_DB2 = 9.0
+ACCEL_WINDOW_S = 3
+ACCEL_VAR_THRESHOLD = 0.5
+COUNT_PEAK_DELTA = 2
+COUNT_NEIGHBORHOOD_SCANS = 4
+PEAK_REACH_SCANS = 2
+MERGE_S = 30
 
 
 @dataclass(frozen=True, slots=True)
 class DoorEvent:
     ts: int
-    conditions_met: tuple[bool, bool, bool]
 
 
 def rssi_fluctuation_score(window: Sequence[float]) -> float:
@@ -53,87 +37,78 @@ def rssi_fluctuation_score(window: Sequence[float]) -> float:
     return variance(window)
 
 
-def is_standing(samples: Sequence[AccelSample], threshold: float = 0.5) -> bool:
-    """True when the magnitude variance over the window is below threshold."""
+def is_standing(samples: Sequence[AccelSample]) -> bool:
+    """True when the window's magnitude variance is below ACCEL_VAR_THRESHOLD."""
     if len(samples) < 3:
         raise InsufficientData("need at least 3 accelerometer samples")
-    return pvariance([s.magnitude_mps2 for s in samples]) < threshold
+    return pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
 
 
-def ap_count_peak(
-    counts: Sequence[tuple[int, int]],
-    delta: int = 2,
-    neighborhood: int = 4,
-) -> list[int]:
+def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
     """Timestamps whose AP count exceeds both flanking neighborhood means.
 
-    A point is a peak when its count is at least ``delta`` above the mean of
-    the ``neighborhood`` points on each side; edges without a full
-    neighborhood never qualify.
+    A point is a peak when its count is at least COUNT_PEAK_DELTA above the
+    mean of the COUNT_NEIGHBORHOOD_SCANS points on each side; edges without
+    a full neighborhood never qualify.
     """
-    if len(counts) < 2 * neighborhood + 1:
-        raise InsufficientData(
-            f"need at least {2 * neighborhood + 1} points, got {len(counts)}"
-        )
+    n = COUNT_NEIGHBORHOOD_SCANS
+    if len(counts) < 2 * n + 1:
+        raise InsufficientData(f"need at least {2 * n + 1} points, got {len(counts)}")
     peaks = []
-    for i in range(neighborhood, len(counts) - neighborhood):
+    for i in range(n, len(counts) - n):
         _, c = counts[i]
-        left = sum(counts[j][1] for j in range(i - neighborhood, i)) / neighborhood
-        right = sum(counts[j][1] for j in range(i + 1, i + 1 + neighborhood)) / neighborhood
-        if c - left >= delta and c - right >= delta:
+        left = sum(counts[j][1] for j in range(i - n, i)) / n
+        right = sum(counts[j][1] for j in range(i + 1, i + 1 + n)) / n
+        if c - left >= COUNT_PEAK_DELTA and c - right >= COUNT_PEAK_DELTA:
             peaks.append(counts[i][0])
     return peaks
 
 
-def _standing_at(trace: DayTrace, ts: int, params: DoorParams) -> bool:
-    half = params.accel_window_s / 2.0
+def _near_peak(scans: Sequence[ScanRecord]) -> set[int]:
+    """Indices of the scans within PEAK_REACH_SCANS of an AP-count peak."""
+    try:
+        peak_ts = set(ap_count_peak([(s.ts, len(s.aps)) for s in scans]))
+    except InsufficientData:
+        return set()
+    return {
+        j
+        for i, s in enumerate(scans)
+        if s.ts in peak_ts
+        for j in range(i - PEAK_REACH_SCANS, i + PEAK_REACH_SCANS + 1)
+    }
+
+
+def _standing_at(trace: DayTrace, ts: int) -> bool:
+    half = ACCEL_WINDOW_S / 2.0
     window = [a for a in trace.accel if abs(a.ts - ts) <= half]
-    if len(window) < 3:
-        return False
-    return is_standing(window, params.accel_var_threshold)
+    return len(window) >= 3 and is_standing(window)
 
 
-def detect_door_events(
-    trace: DayTrace,
-    home: Bssid,
-    params: DoorParams = DoorParams(),
-) -> list[DoorEvent]:
-    """All door-opening events of one day, merged within 30 s.
+def detect_door_events(trace: DayTrace, home: Bssid) -> list[DoorEvent]:
+    """All door-opening events of one day, merged within MERGE_S seconds.
 
+    Every scan that sees home adds its RSSI to the fluctuation history; a
+    scan is an event candidate when it is near a count peak, the last
+    RSSI_WINDOW_SCANS home readings fluctuate and the user stands still.
     No events is a valid result; short windows simply fail their condition
     instead of raising.
     """
-    scans = trace.scans
-    counts = [(s.ts, len(s.aps)) for s in scans]
-    if len(counts) >= 2 * params.count_neighborhood_scans + 1:
-        peak_ts = set(
-            ap_count_peak(counts, params.count_peak_delta, params.count_neighborhood_scans)
-        )
-    else:
-        peak_ts = set()
-    peak_idx = [i for i, s in enumerate(scans) if s.ts in peak_ts]
-
+    near_peak = _near_peak(trace.scans)
     home_rssi_hist: list[int] = []
-    candidates: list[int] = []
-    for i, s in enumerate(scans):
+    events: list[DoorEvent] = []
+    for i, s in enumerate(trace.scans):
         rssi = s.rssi_of(home)
         if rssi is None:
             continue
         home_rssi_hist.append(rssi)
-
-        window = home_rssi_hist[-params.rssi_window_scans :]
-        if len(window) < 2:
+        if i not in near_peak:
             continue
-        fluctuating = rssi_fluctuation_score(window) >= params.rssi_var_threshold_db2
-        if not (fluctuating and _standing_at(trace, s.ts, params)):
+        window = home_rssi_hist[-RSSI_WINDOW_SCANS:]
+        if len(window) < 2 or rssi_fluctuation_score(window) < RSSI_VAR_THRESHOLD_DB2:
             continue
-        # condition 3: within two scan periods of a count peak
-        if any(abs(i - pi) <= 2 for pi in peak_idx):
-            candidates.append(s.ts)
-
-    events: list[DoorEvent] = []
-    for ts in candidates:
-        if events and ts - events[-1].ts < 30:
+        if not _standing_at(trace, s.ts):
+            continue
+        if events and s.ts - events[-1].ts < MERGE_S:
             continue  # merged into the earliest event of the burst
-        events.append(DoorEvent(ts=ts, conditions_met=(True, True, True)))
+        events.append(DoorEvent(s.ts))
     return events

@@ -11,10 +11,10 @@ Each day is evaluated once.  An EvalDataset keeps one EvalDay record per
 the dataset object lives.  A record holds the filtered trace and that
 day's nightly vote; under each home BSSID asked for, it adds the day's
 DayMap (None when home is never seen), its NN history points and its
-query points (per query policy).  Sliding the window is then a tally of
-cached votes and a concatenation of cached maps or history, so
-``evaluate`` of both methods and ``sweep_rssi_filter`` share every day's
-work instead of redoing it per evaluated day and method.
+query points.  Sliding the window is then a tally of cached votes and a
+concatenation of cached maps or history, so ``evaluate`` of both methods
+and ``sweep_rssi_filter`` share every day's work instead of redoing it
+per evaluated day and method.
 
 Every predictor, built-in or not, has the same three members: ``name``,
 ``start_day(days, home, threshold)``, called once per evaluated day with
@@ -94,9 +94,8 @@ class EvalDay:
     ``trace`` is the day filtered at ``level``.  ``vote()`` is the day's
     nightly vote; ``day_map(home)`` (None when home is never seen),
     ``history(home)`` and the query points are per home BSSID (the query
-    points also per query policy and arrival instant).  Records are shared
-    by every evaluation of their dataset, so a predictor must not change
-    them.
+    points also per arrival instant).  Records are shared by every
+    evaluation of their dataset, so a predictor must not change them.
     """
 
     __slots__ = ("trace", "level", "_vote", "_maps", "_history", "_queries")
@@ -107,7 +106,7 @@ class EvalDay:
         self._vote: DayVote | None = None
         self._maps: dict[Bssid, DayMap | None] = {}
         self._history: dict[Bssid, list[HistoryPoint]] = {}
-        self._queries: dict[tuple, tuple[QueryPoint, ...]] = {}
+        self._queries: dict[tuple[Bssid, int], tuple[QueryPoint, ...]] = {}
 
     @property
     def day_id(self) -> date:
@@ -132,11 +131,11 @@ class EvalDay:
             points = self._history[home] = nn_baseline.day_history(self.trace, home, self.level)
         return points
 
-    def queries(self, home: Bssid, arrival_ts: int, policy) -> tuple[QueryPoint, ...]:
-        key = (home, arrival_ts, policy)
+    def queries(self, home: Bssid, arrival_ts: int) -> tuple[QueryPoint, ...]:
+        key = (home, arrival_ts)
         found = self._queries.get(key)
         if found is None:
-            found = self._queries[key] = tuple(policy(self.trace, home, arrival_ts))
+            found = self._queries[key] = tuple(ap_loss_queries(self.trace, home, arrival_ts))
         return found
 
 
@@ -276,7 +275,6 @@ def cdf(samples: Sequence[int | float]) -> list[tuple[int | float, float]]:
 def evaluate(
     method,
     dataset: EvalDataset,
-    query_policy=ap_loss_queries,
     *,
     rssi_threshold_dbm: int | None = -70,
     seed: int = 0,
@@ -317,7 +315,7 @@ def evaluate(
         if truth is None:
             continue
         predictor.start_day(window, home, rssi_threshold_dbm)
-        for q in day.queries(home, truth.arrival_ts, query_policy):
+        for q in day.queries(home, truth.arrival_ts):
             answer = predictor.predict(q)
             if answer is None:
                 continue

@@ -86,9 +86,9 @@ class EnvSnapshot:
         return any(o.bssid == self.home_bssid for o in self.visible)
 
 
-def in_gps_region(fix: GpsFix, home_fix: GpsFix, radius_m: float = GEOFENCE_RADIUS_M) -> bool:
+def in_gps_region(fix: GpsFix, home_fix: GpsFix) -> bool:
     """True inside (or exactly on) the home-centered geofence circle."""
-    return haversine_m(fix, home_fix) <= radius_m
+    return haversine_m(fix, home_fix) <= GEOFENCE_RADIUS_M
 
 
 def fsm_step(
@@ -173,10 +173,10 @@ class FsmDayRun:
     transitions: tuple[tuple[int, StateTag], ...]
 
 
-def drive_day(oracle, start_ts: int | None = None, duration_s: int = DAY_S) -> FsmDayRun:
+def drive_day(oracle) -> FsmDayRun:
     """Run the machine over one simulated day and collect the sensed trace."""
-    start = oracle.slice_start if start_ts is None else start_ts
-    end = start + duration_s
+    start = oracle.slice_start
+    end = start + DAY_S
     state = FsmState(StateTag.IDLE_CHECK, start)
     stats = SensingStats()
     scans: list[ScanRecord] = []
@@ -215,12 +215,12 @@ def drive_day(oracle, start_ts: int | None = None, duration_s: int = DAY_S) -> F
     return FsmDayRun(trace=trace, stats=stats, transitions=tuple(transitions))
 
 
-def run_fsm_day(oracle, start_ts: int | None = None, duration_s: int = DAY_S):
+def run_fsm_day(oracle):
     """Sensed DayTrace plus sensing counters for one simulated day."""
-    run = drive_day(oracle, start_ts=start_ts, duration_s=duration_s)
+    run = drive_day(oracle)
     return run.trace, run.stats
 
 
-def baseline_scan_count(duration_s: int = DAY_S, period_s: int = REGION_SCAN_PERIOD_S) -> int:
-    """Scan count of a naive fixed-cadence sampler over the same span."""
-    return duration_s // period_s
+def baseline_scan_count() -> int:
+    """Scan count of a naive sampler scanning every REGION_SCAN_PERIOD_S all day."""
+    return DAY_S // REGION_SCAN_PERIOD_S

@@ -98,12 +98,12 @@ class TestProfileAndPredict:
 
 
 class TestDetectDoor:
-    def test_emits_condition_columns(self, dataset_dir, capsys):
+    def test_emits_ts_column(self, dataset_dir, capsys):
         assert run("detect-door", "--traces", dataset_dir) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "ts,cond1,cond2,cond3"
+        assert lines[0] == "ts"
         assert len(lines) > 1
-        assert all(line.endswith("1,1,1") for line in lines[1:])
+        assert all(line.isdigit() for line in lines[1:])
 
 
 class TestFsmRun:
@@ -172,6 +172,13 @@ class TestUsage:
         text = capsys.readouterr().out
         assert "default: -70" in text
         assert "default: both" in text
+
+    def test_predict_help_marks_window_days_nn_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "sliding window length (nn) (default: 7)" in text
 
     @pytest.mark.parametrize(
         "argv",

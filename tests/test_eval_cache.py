@@ -148,29 +148,6 @@ def test_each_day_is_computed_once(mixture, monkeypatch):
     assert calls == before
 
 
-def test_custom_query_policy_is_honoured(mixture):
-    dataset = fresh(mixture)
-
-    class Perfect:
-        name = "perfect"
-
-        def start_day(self, window, home, threshold):
-            pass
-
-        def predict(self, q):
-            return q.actual_tl_s, 1
-
-    def first_only(trace, home, arrival_ts):
-        return ap_loss_queries(trace, home, arrival_ts)[:1]
-
-    full = evaluate(Perfect(), dataset)
-    one_per_day = evaluate(Perfect(), dataset, first_only)
-    assert 0 < one_per_day.n < full.n
-    assert one_per_day.n <= len(dataset.traces) - COLD_START_DAYS
-    # the cached default-policy queries are untouched by the custom run
-    assert evaluate(Perfect(), dataset) == full
-
-
 def test_custom_predictor_gets_filtered_window_traces(mixture):
     dataset = fresh(mixture)
     seen = []
