@@ -9,12 +9,13 @@ fsm-run, evaluate, sweep.  All outputs are deterministic for a fixed
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from datetime import date
 
 from . import door_detect, eval_harness, home_mining, sensing_fsm, simulator, time_map
-from .errors import TimelocError
+from .errors import NoNightData, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
     Bssid,
@@ -198,17 +199,40 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+def _window_homes(days: list[DayTrace]) -> dict[date, Bssid]:
+    """Each day's home AP: the vote over the WINDOW_DAYS read days ending at it.
+
+    Every day is voted once.  A day whose window has no nightly data gets no
+    home; raises NoNightData when no day has any.
+    """
+    votes = [home_mining.day_vote(d) for d in days]
+    homes = {}
+    for i, day in enumerate(days):
+        window = votes[max(0, i - time_map.WINDOW_DAYS + 1) : i + 1]
+        with contextlib.suppress(NoNightData):
+            homes[day.day_id] = home_mining.tally_votes(window).winner
+    if not homes:
+        home_mining.tally_votes(votes)  # raises NoNightData
+    return homes
+
+
 def _cmd_detect_door(args) -> int:
-    days = _load_days(args.traces)
+    days = all_days = _load_days(args.traces)
     if args.day:
         wanted = date.fromisoformat(args.day)
         days = [d for d in days if d.day_id == wanted]
         if not days:
             raise TimelocError(f"no trace for day {args.day}")
-    home = Bssid(args.home) if args.home else home_mining.vote_home_ap(days).winner
+    if args.home:
+        home = Bssid(args.home)
+        homes = {d.day_id: home for d in days}
+    else:
+        homes = _window_homes(all_days)
     lines = ["ts"]
     for day in days:
-        lines.extend(str(event.ts) for event in door_detect.detect_door_events(day, home))
+        if day.day_id in homes:
+            events = door_detect.detect_door_events(day, homes[day.day_id])
+            lines.extend(str(event.ts) for event in events)
     text = "\n".join(lines) + "\n"
     if args.out:
         _write(args.out, text)
@@ -309,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tdr", type=int, default=None, help="observed reachable seconds (tls)")
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
-    p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level")
+    p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level (nn)")
     p.add_argument("--window-days", type=_window_length(1), default=week, help="sliding window length (nn)")
     p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 

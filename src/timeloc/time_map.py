@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ColdStart, NoArrival, NoNightData, OrderingError, UnknownBssid
 from .home_mining import vote_home_ap
-from .trace_model import Bssid, DayTrace, ScanRecord
+from .trace_model import Bssid, DayTrace, ScanRecord, _SeenBssids
 
 # Nominal in-region scan cadence; an AP's loss is only observable one scan
 # period after its last sighting.
@@ -289,18 +289,20 @@ def profile_to_json(profile: UserProfile) -> str:
 
 def profile_from_json(text: str) -> UserProfile:
     doc = json.loads(text)
+    # Map keys are always strings: validate each distinct one once per call.
+    bssids = _SeenBssids()
     window = tuple(
         DayMap(
             day_id=date.fromisoformat(d["day_id"]),
             entries={
-                Bssid(b): ApLabel(int(v[0]), int(v[1])) for b, v in d["entries"].items()
+                bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in d["entries"].items()
             },
             signature_s=float(d["signature_s"]),
         )
         for d in doc["window"]
     )
     fallback = {
-        Bssid(b): ApLabel(int(v[0]), int(v[1])) for b, v in doc["fallback"].items()
+        bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in doc["fallback"].items()
     }
     return UserProfile(
         home_bssid=Bssid(doc["home_bssid"]),

@@ -197,14 +197,17 @@ def slice_into_days(
                 raise OrderingError(f"{what} not sorted by ts (around {item.ts})")
             prev = item.ts
 
-    by_day: dict[date, tuple[list[ScanRecord], list[AccelSample]]] = {}
+    # Slice k starts at k * DAY_S + NOON_SOD.  Each k becomes its date once,
+    # in first-seen order, so a date out of range fails on the same item.
+    by_slice: dict[int, tuple[list[ScanRecord], list[AccelSample]]] = {}
     for r in records:
-        by_day.setdefault(day_id_for_ts(r.ts), ([], []))[0].append(r)
+        by_slice.setdefault((r.ts - NOON_SOD) // DAY_S, ([], []))[0].append(r)
     for a in accel:
-        by_day.setdefault(day_id_for_ts(a.ts), ([], []))[1].append(a)
+        by_slice.setdefault((a.ts - NOON_SOD) // DAY_S, ([], []))[1].append(a)
+    labels = {k: day_id_for_ts(k * DAY_S + NOON_SOD) for k in by_slice}
     return [
-        DayTrace(day, tuple(scans), tuple(acc))
-        for day, (scans, acc) in sorted(by_day.items())
+        DayTrace(labels[k], tuple(scans), tuple(acc))
+        for k, (scans, acc) in sorted(by_slice.items())
     ]
 
 
@@ -241,6 +244,22 @@ class _SeenBssids(dict):
         return b
 
 
+class _SeenObservations(dict):
+    """Raw (bssid, rssi) pair -> its ApObservation, built and validated once.
+
+    A pair that fails validation is never stored, so it raises again on
+    every line where it appears.
+    """
+
+    def __init__(self, bssids: _SeenBssids):
+        super().__init__()
+        self.bssids = bssids
+
+    def __missing__(self, raw: tuple) -> ApObservation:
+        obs = self[raw] = ApObservation(self.bssids[raw[0]], int(raw[1]))
+        return obs
+
+
 def _parse_jsonl(stream, what: str, from_obj) -> list:
     """Decode JSONL (bytes, str, or binary file object) with ``from_obj``.
 
@@ -248,19 +267,30 @@ def _parse_jsonl(stream, what: str, from_obj) -> list:
     line, or one ``from_obj`` rejects with KeyError/TypeError/ValueError,
     raises TraceParseError with its line number; a TraceValidationError
     from ``from_obj`` is re-raised with the line number prefixed.
+
+    Each line goes through the C scanner; a line it cannot take whole
+    (surrounding whitespace, a BOM, extra data, invalid JSON) is handed to
+    ``json.loads``, so every line decodes, or fails, exactly as
+    ``json.loads(line)`` would.
     """
     if hasattr(stream, "read"):
         stream = stream.read()
     if isinstance(stream, bytes):
         stream = stream.decode("utf-8")
+    scan_once = json.JSONDecoder().scan_once
     items = []
     for lineno, line in enumerate(stream.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            obj, end = scan_once(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
         try:
             items.append(from_obj(obj))
         except TraceValidationError as exc:
@@ -270,16 +300,22 @@ def _parse_jsonl(stream, what: str, from_obj) -> list:
     return items
 
 
-def _record_from_obj(obj: dict, bssids: _SeenBssids) -> ScanRecord:
+def _record_from_obj(obj: dict, observations: _SeenObservations) -> ScanRecord:
     ts = int(obj["ts"])
     gps_obj = obj.get("gps")
     gps = None if gps_obj is None else GpsFix(float(gps_obj["lat"]), float(gps_obj["lon"]))
     conn_obj = obj.get("conn")
-    conn = None if conn_obj is None else bssids[conn_obj]
-    aps = tuple(
-        ApObservation(bssids[e["bssid"]], int(e["rssi"])) for e in obj["aps"]
-    )
-    return ScanRecord(ts=ts, gps=gps, connected=conn, aps=aps)
+    conn = None if conn_obj is None else observations.bssids[conn_obj]
+    entries = obj["aps"]
+    try:
+        aps = tuple([observations[e["bssid"], e["rssi"]] for e in entries])
+    except (KeyError, TypeError):
+        # A malformed entry: build entry by entry, bssid first, so it fails
+        # with the same error as an uncached read.
+        aps = tuple(
+            ApObservation(observations.bssids[e["bssid"]], int(e["rssi"])) for e in entries
+        )
+    return ScanRecord(ts, gps, conn, aps)
 
 
 def parse_trace_file(stream) -> list[ScanRecord]:
@@ -287,9 +323,10 @@ def parse_trace_file(stream) -> list[ScanRecord]:
 
     Records come back in file order.  A malformed line raises TraceParseError
     with its line number; invariant violations raise TraceValidationError.
+    Equal observations within one call share one validated ApObservation.
     """
-    bssids = _SeenBssids()  # per call, so nothing outlives this file
-    return _parse_jsonl(stream, "record", lambda obj: _record_from_obj(obj, bssids))
+    observations = _SeenObservations(_SeenBssids())  # per call, so nothing outlives this file
+    return _parse_jsonl(stream, "record", lambda obj: _record_from_obj(obj, observations))
 
 
 def serialize_scan_records(records: Iterable[ScanRecord]) -> bytes:
@@ -332,13 +369,17 @@ def filter_trace(trace: DayTrace, threshold_dbm: int | None) -> DayTrace:
     """Drop observations weaker than ``threshold_dbm`` (None keeps everything).
 
     Scans whose AP list becomes empty are kept as empty records; a connected
-    flag pointing at a filtered-out AP is cleared.
+    flag pointing at a filtered-out AP is cleared.  A scan that loses no AP
+    is kept as the same object.
     """
     if threshold_dbm is None:
         return trace
     scans = []
     for s in trace.scans:
-        aps = tuple(o for o in s.aps if o.rssi_dbm >= threshold_dbm)
+        aps = tuple([o for o in s.aps if o.rssi_dbm >= threshold_dbm])
+        if len(aps) == len(s.aps):
+            scans.append(s)
+            continue
         conn = s.connected if s.connected in {o.bssid for o in aps} else None
         scans.append(ScanRecord(s.ts, s.gps, conn, aps))
     return DayTrace(trace.day_id, tuple(scans), trace.accel)

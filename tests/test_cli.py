@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
-from timeloc.cli import main
+from timeloc import home_mining
+from timeloc.cli import _load_days, main
+from timeloc.trace_model import day_slice_start, seconds_of_day, serialize_scan_records
 
 
 def run(*argv):
@@ -106,6 +108,68 @@ class TestDetectDoor:
         assert all(line.isdigit() for line in lines[1:])
 
 
+def door_ts(capsys, *argv) -> list[int]:
+    capsys.readouterr()
+    assert run("detect-door", *argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "ts"
+    return [int(line) for line in lines[1:]]
+
+
+def _is_night(ts: int) -> bool:
+    sod = seconds_of_day(ts)
+    return sod >= home_mining.NIGHT_START_SOD or sod < home_mining.NIGHT_END_SOD
+
+
+class TestDetectDoorAfterRelocation:
+    """20 relocation days, seed 5: the user moves before the night of day 11."""
+
+    NEW_HOME = "02:00:00:1f:ff:01"
+
+    @pytest.fixture(scope="class")
+    def relocated(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("relocation")
+        argv = ("simulate", "--scenario", "relocation", "--days", "20", "--seed", "5", "--out", out)
+        assert run(*argv) == 0
+        return out, _load_days(str(out))
+
+    def test_each_day_uses_the_home_of_its_window(self, relocated, capsys):
+        data, days = relocated
+        moved = day_slice_start(days[10].day_id)
+        voted = door_ts(capsys, "--traces", data)
+        new_home = door_ts(capsys, "--traces", data, "--home", self.NEW_HOME)
+        old_home = home_mining.vote_home_ap(days[:10]).winner
+        before = [ts for ts in door_ts(capsys, "--traces", data, "--home", old_home) if ts < moved]
+        assert [ts for ts in voted if ts < moved] == before and len(before) == 9
+        # The windows of days 11-13 still hold 4 old-home nights of 7; from
+        # day 14 on they vote the new home and find its doors, one a day.
+        after = [ts for ts in voted if ts >= moved]
+        assert after == [ts for ts in new_home if ts >= day_slice_start(days[13].day_id)]
+        assert len(after) == 7
+
+    @pytest.mark.parametrize("index", [0, 11, 14])
+    def test_one_day_is_voted_over_the_days_read(self, relocated, index, capsys):
+        data, days = relocated
+        start = day_slice_start(days[index].day_id)
+        every_day = door_ts(capsys, "--traces", data)
+        one_day = door_ts(capsys, "--traces", data, "--day", days[index].day_id.isoformat())
+        assert one_day == [ts for ts in every_day if start <= ts < start + 86_400]
+
+    def test_a_day_whose_window_has_no_night_gets_no_home(self, relocated, tmp_path, capsys):
+        data, days = relocated
+        first_day = [s for s in days[0].scans if not _is_night(s.ts)]
+        rest = [s for d in days[1:] for s in d.scans]
+        (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(first_day + rest))
+        (tmp_path / "accel.jsonl").write_bytes((data / "accel.jsonl").read_bytes())
+        second = day_slice_start(days[1].day_id)
+        expected = [ts for ts in door_ts(capsys, "--traces", data) if ts >= second]
+        assert door_ts(capsys, "--traces", tmp_path) == expected
+
+        (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(first_day))
+        assert run("detect-door", "--traces", tmp_path) == 1
+        assert "21:00-06:00" in capsys.readouterr().err
+
+
 class TestFsmRun:
     def test_outputs_and_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -179,6 +243,13 @@ class TestUsage:
         assert exc.value.code == 0
         text = " ".join(capsys.readouterr().out.split())
         assert "sliding window length (nn) (default: 7)" in text
+
+    def test_predict_help_marks_threshold_nn_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "RSSI filter level (nn) (default: -70)" in text
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,7 +4,7 @@ from datetime import timedelta
 import pytest
 
 from timeloc import simulator as sim
-from timeloc.errors import ColdStart, NoArrival, OrderingError, UnknownBssid
+from timeloc.errors import ColdStart, NoArrival, OrderingError, TraceValidationError, UnknownBssid
 from timeloc.time_map import (
     ApLabel,
     DayMap,
@@ -276,6 +276,18 @@ def test_profile_json_round_trip(tmp_path):
     assert load_profile(tmp_path, "dev42") == profile
     # serialization is stable
     assert profile_to_json(profile_from_json(profile_to_json(profile))) == profile_to_json(profile)
+
+
+def test_profile_json_validates_each_bssid_string_once():
+    profile = build_profile_from_maps(HOME, _window_maps(8))
+    back = profile_from_json(profile_to_json(profile))
+    keys = [b for dm in back.window for b in dm.entries] + list(back.fallback)
+    homes = [b for b in keys if b == HOME]
+    assert len(homes) == 8 and all(b is homes[0] for b in homes)
+
+    bad = profile_to_json(profile).replace(str(bss(1)), "02:00:00:00:00:zz")
+    with pytest.raises(TraceValidationError, match="^invalid BSSID: '02:00:00:00:00:zz'$"):
+        profile_from_json(bad)
 
 
 class TestSaveProfileIsAtomic:

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import random
 from datetime import date
@@ -6,11 +7,13 @@ from datetime import date
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloc.errors import OrderingError, TraceParseError, TraceValidationError
 from timeloc.trace_model import (
+    DAY_S,
+    NOON_SOD,
     AccelSample,
     ApObservation,
     Bssid,
@@ -223,6 +226,155 @@ class TestParseAccelFile:
             parse_accel_file(data)
 
 
+def reference_parse_trace(data: bytes) -> list[ScanRecord]:
+    """The trace reader without observation interning or the C scanner:
+    ``json.loads`` per line, a fresh ApObservation per sighting, and the
+    scan's duplicate and connection checks as one walk over its AP list.
+    BSSID strings go through a per-call dict, as they did before."""
+    seen_bssids: dict = {}
+
+    def bssid(raw) -> Bssid:
+        if raw not in seen_bssids:  # TypeError for an unhashable value
+            seen_bssids[raw] = Bssid(raw)
+        return seen_bssids[raw]
+
+    records = []
+    for lineno, line in enumerate(data.decode("utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+        try:
+            ts = int(obj["ts"])
+            gps_obj = obj.get("gps")
+            gps = None if gps_obj is None else GpsFix(float(gps_obj["lat"]), float(gps_obj["lon"]))
+            conn = None if obj.get("conn") is None else bssid(obj["conn"])
+            aps = tuple(ApObservation(bssid(e["bssid"]), int(e["rssi"])) for e in obj["aps"])
+            seen = set()
+            for o in aps:
+                if o.bssid in seen:
+                    raise TraceValidationError(f"duplicate BSSID {o.bssid} at ts {ts}")
+                seen.add(o.bssid)
+            if conn is not None and conn not in seen:
+                raise TraceValidationError(
+                    f"connected BSSID {conn} not among scanned APs at ts {ts}"
+                )
+            records.append(ScanRecord(ts=ts, gps=gps, connected=conn, aps=aps))
+        except TraceValidationError as exc:
+            raise TraceValidationError(f"line {lineno}: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TraceParseError(f"line {lineno}: malformed record ({exc})") from exc
+    return records
+
+
+def _outcome(parse, data: bytes):
+    """The records, or the error as (type, message)."""
+    try:
+        return parse(data)
+    except (TraceParseError, TraceValidationError) as exc:
+        return type(exc), str(exc)
+
+
+# Few distinct raw values, so (bssid, rssi) pairs repeat within a file.
+# Every value here is accepted; the faults below are rarer, so many files
+# parse through and the interned values are compared too.
+_RAW_BSSIDS = ["02:00:00:00:00:01", "02:00:00:00:00:02", "02-00-00-00-00-0A", "02:00:00:00:00:0a"]
+_RAW_RSSI = [-40, -71, -120, 0, -40.5, "-55"]
+_LINE_FAULTS = {
+    "rssi": lambda draw, obj: obj["aps"].append(
+        {"bssid": draw(st.sampled_from(_RAW_BSSIDS)), "rssi": draw(st.sampled_from([-130, 1, True, None, [1]]))}
+    ),
+    "bssid": lambda draw, obj: obj["aps"].append(
+        {"bssid": draw(st.sampled_from(["not-a-bssid", 7, [7]])), "rssi": -40}
+    ),
+    "duplicate": lambda draw, obj: obj["aps"].extend(obj["aps"][:1]),
+    "entry": lambda draw, obj: obj["aps"].append(
+        draw(st.sampled_from([{"bssid": "02:00:00:00:00:01"}, {"rssi": -40}, "ap", [1, 2]]))
+    ),
+    "conn": lambda draw, obj: obj.update(conn="02:00:00:00:00:ff"),
+    "gps": lambda draw, obj: obj.update(gps={"lat": 91, "lon": 0}),
+}
+_WRAPPERS = {
+    # JSON whitespace (a lone CR also ends a line), a BOM, trailing data
+    "prefix": lambda draw, text: draw(st.sampled_from([" ", "\t", "\r", "\ufeff"])) + text,
+    "suffix": lambda draw, text: text + draw(st.sampled_from([" ", "\t ", "\r", "x", "}", " 1", "{}"])),
+    "cut": lambda draw, text: text[: draw(st.integers(0, len(text) - 1))],
+}
+
+
+@st.composite
+def jsonl_lines(draw):
+    entries = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {"bssid": st.sampled_from(_RAW_BSSIDS), "rssi": st.sampled_from(_RAW_RSSI)}
+            ),
+            max_size=3,
+            unique_by=lambda e: e["bssid"].lower().replace("-", ":"),
+        )
+    )
+    obj = {
+        "ts": draw(st.integers(-(2**33), 2**33)),
+        "gps": draw(st.none() | st.just({"lat": 39.9, "lon": 116.3})),
+        "conn": draw(st.none() | st.sampled_from([e["bssid"] for e in entries])) if entries else None,
+        "aps": entries,
+    }
+    kind = draw(st.sampled_from([None] * 24 + sorted(_LINE_FAULTS) + sorted(_WRAPPERS)))
+    if kind in _LINE_FAULTS:
+        _LINE_FAULTS[kind](draw, obj)
+    text = json.dumps(obj, separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
+    return _WRAPPERS[kind](draw, text) if kind in _WRAPPERS else text
+
+
+class TestReaderMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(jsonl_lines(), max_size=8))
+    def test_same_records_or_same_error(self, lines):
+        data = "\n".join(lines).encode("utf-8")
+        assert _outcome(parse_trace_file, data) == _outcome(reference_parse_trace, data)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '  {"ts":1,"gps":null,"conn":null,"aps":[]}\t',
+            '\ufeff{"ts":1,"gps":null,"conn":null,"aps":[]}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[]} x',
+            '{"ts":1,"gps":null,"conn":null,"aps":[]}{}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[',
+            '{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-130}]}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-40},'
+            '{"bssid":"02-00-00-00-00-01","rssi":-50}]}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"bad","rssi":[1]}]}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":[1]}]}',
+            '{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"bad"}]}',
+        ],
+        ids=["whitespace", "bom", "extra", "second-value", "cut", "rssi-range",
+             "duplicate", "bad-bssid-list-rssi", "list-rssi", "bad-bssid-no-rssi"],
+    )
+    def test_line_kinds(self, line):
+        good = '{"ts":0,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-130}]}'
+        for data in (line, good.replace("-130", "-40") + "\n" + line):
+            data = data.encode("utf-8")
+            assert _outcome(parse_trace_file, data) == _outcome(reference_parse_trace, data)
+
+    def test_out_of_range_pair_raises_on_every_line(self):
+        good = b'{"ts":1,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-40}]}\n'
+        bad = b'{"ts":2,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-130}]}\n'
+        for data, line in ((bad, 1), (good + bad, 2), (good + good + bad, 3)):
+            with pytest.raises(TraceValidationError, match=f"^line {line}: rssi -130 dBm outside"):
+                parse_trace_file(data)
+
+    def test_equal_observations_are_shared_within_one_parse(self):
+        line = b'{"ts":%d,"gps":null,"conn":null,"aps":[{"bssid":"02:00:00:00:00:01","rssi":-40}]}\n'
+        data = line % 1 + line % 2
+        first, second = parse_trace_file(data)
+        assert first.aps[0] is second.aps[0]
+        (again,) = parse_trace_file(line % 3)
+        assert again.aps[0] == first.aps[0] and again.aps[0] is not first.aps[0]
+
+
 _finite = {"allow_nan": False, "allow_infinity": False}
 
 
@@ -293,6 +445,19 @@ class TestSliceIntoDays:
             start = day_slice_start(d.day_id)
             assert all(start <= s.ts < start + 86_400 for s in d.scans)
 
+    def test_labels_at_slice_boundaries_and_before_the_epoch(self):
+        stamps = sorted(
+            k * DAY_S + NOON_SOD + off
+            for k in (-3, -1, 0, 1, 19_723)
+            for off in (-1, 0, 1, DAY_S - 1)
+        )
+        days = slice_into_days([scan(ts, {}) for ts in stamps], [AccelSample(ts, 9.8) for ts in stamps])
+        for d in days:
+            assert [day_id_for_ts(s.ts) for s in d.scans] == [d.day_id] * len(d.scans)
+            assert [day_id_for_ts(a.ts) for a in d.accel] == [d.day_id] * len(d.accel)
+        assert [s.ts for d in days for s in d.scans] == stamps
+        assert days[0].day_id == date(1969, 12, 28)  # the slice before k = -3
+
     def test_accel_assigned_to_slices(self):
         acc = [AccelSample(self._at(13), 9.8), AccelSample(self._at(37), 9.8)]
         days = slice_into_days([], acc)
@@ -335,6 +500,24 @@ class TestFilterTrace:
     def test_none_threshold_keeps_everything(self):
         t = trace([scan(SLICE, {bss(1): -80})])
         assert filter_trace(t, None) is t
+
+    @given(st.lists(scan_records(), max_size=6), st.integers(-121, 1))
+    def test_filtered_trace_is_a_sub_view(self, records, level):
+        records = [
+            ScanRecord(SLICE + i, r.gps, r.connected, r.aps) for i, r in enumerate(records)
+        ]
+        t = trace(records)
+        assert filter_trace(t, None) is t
+        out = filter_trace(t, level)
+        assert out.day_id == t.day_id and out.accel is t.accel
+        assert [s.ts for s in out.scans] == [s.ts for s in t.scans]
+        for before, after in zip(t.scans, out.scans):
+            assert after.aps == tuple(o for o in before.aps if o.rssi_dbm >= level)
+            assert after.gps == before.gps
+            dropped = before.bssids() - after.bssids()
+            assert after.connected == (None if before.connected in dropped else before.connected)
+            if not dropped:
+                assert after is before
 
 
 def test_day_id_for_ts_matches_slice_start():
