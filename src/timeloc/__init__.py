@@ -17,6 +17,7 @@ from .errors import (
     NoHistory,
     NoNightData,
     OrderingError,
+    ProfileFormatError,
     TimelocError,
     TraceParseError,
     TraceValidationError,

@@ -8,7 +8,10 @@ the number of visible APs.  The thresholds below are fixed.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from statistics import pvariance, variance
 from typing import Sequence
 
@@ -23,6 +26,8 @@ COUNT_PEAK_DELTA = 2
 COUNT_NEIGHBORHOOD_SCANS = 4
 PEAK_REACH_SCANS = 2
 MERGE_S = 30
+
+_sample_ts = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,17 +54,21 @@ def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
 
     A point is a peak when its count is at least COUNT_PEAK_DELTA above the
     mean of the COUNT_NEIGHBORHOOD_SCANS points on each side; edges without
-    a full neighborhood never qualify.
+    a full neighborhood never qualify.  Counts are integers, so the test
+    runs exactly on n * count against the neighborhood sums.
     """
     n = COUNT_NEIGHBORHOOD_SCANS
     if len(counts) < 2 * n + 1:
         raise InsufficientData(f"need at least {2 * n + 1} points, got {len(counts)}")
+    values = [c for _, c in counts]
+    prefix = [0, *accumulate(values)]  # prefix[k] = sum(values[:k])
+    need = COUNT_PEAK_DELTA * n
     peaks = []
-    for i in range(n, len(counts) - n):
-        _, c = counts[i]
-        left = sum(counts[j][1] for j in range(i - n, i)) / n
-        right = sum(counts[j][1] for j in range(i + 1, i + 1 + n)) / n
-        if c - left >= COUNT_PEAK_DELTA and c - right >= COUNT_PEAK_DELTA:
+    for i in range(n, len(values) - n):
+        c = n * values[i]
+        left = prefix[i] - prefix[i - n]
+        right = prefix[i + 1 + n] - prefix[i + 1]
+        if c - left >= need and c - right >= need:
             peaks.append(counts[i][0])
     return peaks
 
@@ -79,8 +88,11 @@ def _near_peak(scans: Sequence[ScanRecord]) -> set[int]:
 
 
 def _standing_at(trace: DayTrace, ts: int) -> bool:
+    """Whether the time-ordered samples within ACCEL_WINDOW_S / 2 of ts say standing."""
     half = ACCEL_WINDOW_S / 2.0
-    window = [a for a in trace.accel if abs(a.ts - ts) <= half]
+    accel = trace.accel
+    lo = bisect_left(accel, ts - half, key=_sample_ts)
+    window = accel[lo : bisect_right(accel, ts + half, lo, key=_sample_ts)]
     return len(window) >= 3 and is_standing(window)
 
 

@@ -13,6 +13,10 @@ class TraceValidationError(TimelocError):
     """A record violates a structural invariant (bad BSSID, RSSI range, ...)."""
 
 
+class ProfileFormatError(TimelocError):
+    """A stored profile is not valid JSON or lacks a key or value it needs."""
+
+
 class OrderingError(TimelocError):
     """Input that must be time-ordered is not."""
 

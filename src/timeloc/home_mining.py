@@ -10,23 +10,26 @@ any day's dwell.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .errors import NoNightData
-from .trace_model import Bssid, DayTrace, seconds_of_day
+from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start
 
 NIGHT_START_SOD = 21 * 3600
 NIGHT_END_SOD = 6 * 3600
 # Gaps longer than the sleep-state wake period indicate missing data, not
 # dwell, so a single inter-scan credit is capped here.
 GAP_CAP_S = 1800
+# A noon-to-noon slice holds the whole night as one contiguous range of
+# seconds after the slice start: [21:00, 06:00) = [9 h, 18 h).
+NIGHT_OPEN_S = NIGHT_START_SOD - NOON_SOD
+NIGHT_CLOSE_S = NIGHT_END_SOD + DAY_S - NOON_SOD
 
-
-def _in_night_window(ts: int) -> bool:
-    sod = seconds_of_day(ts)
-    return sod >= NIGHT_START_SOD or sod < NIGHT_END_SOD
+_scan_ts = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,8 +59,14 @@ def nightly_dwell(trace: DayTrace) -> NightlyDwell:
 
     Presence at scan t_i credits the gap to the next night scan t_{i+1},
     capped at GAP_CAP_S.  BSSIDs never seen at night are absent from the map.
+    The scans are time-ordered within one slice, so the night scans are the
+    contiguous run found by bisecting the slice's night range.
     """
-    night = [s for s in trace.scans if _in_night_window(s.ts)]
+    scans = trace.scans
+    start = day_slice_start(trace.day_id)
+    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=_scan_ts)
+    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=_scan_ts)
+    night = scans[lo:hi]
     dwell: dict[Bssid, int] = {}
     for cur, nxt in zip(night, night[1:]):
         credit = min(nxt.ts - cur.ts, GAP_CAP_S)
@@ -66,15 +75,6 @@ def nightly_dwell(trace: DayTrace) -> NightlyDwell:
         for o in cur.aps:
             dwell[o.bssid] = dwell.get(o.bssid, 0) + credit
     return NightlyDwell(trace.day_id, dwell)
-
-
-def total_dwell(traces: Iterable[DayTrace]) -> dict[Bssid, int]:
-    """Dwell seconds summed over all days (the accumulated-time view)."""
-    totals: dict[Bssid, int] = {}
-    for t in traces:
-        for b, s in nightly_dwell(t).dwell.items():
-            totals[b] = totals.get(b, 0) + s
-    return totals
 
 
 @dataclass(frozen=True, slots=True)

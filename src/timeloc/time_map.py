@@ -12,13 +12,23 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import date
+from json.encoder import encode_basestring_ascii as _json_str
 from statistics import median
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ColdStart, NoArrival, NoNightData, OrderingError, UnknownBssid
+from .errors import (
+    ColdStart,
+    NoArrival,
+    NoNightData,
+    OrderingError,
+    ProfileFormatError,
+    TimelocError,
+    UnknownBssid,
+)
 from .home_mining import vote_home_ap
 from .trace_model import Bssid, DayTrace, ScanRecord, _SeenBssids
 
@@ -264,52 +274,88 @@ def predict_tl(profile: UserProfile, bssid: Bssid, observed_tdr_s: int) -> Predi
 # ---------------------------------------------------------------------------
 # persistence: one JSON document per device in a profile-store directory
 
+def _json_float(x: float) -> str:
+    """A number as ``json.dumps`` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
+
+
+def _labels_json(labels: Mapping[Bssid, ApLabel], indent: str) -> str:
+    """A BSSID -> [tl_seconds, tdr_seconds] object whose closing brace sits at ``indent``."""
+    if not labels:
+        return "{}"
+    inner = indent + "  "
+    items = ",\n".join(
+        f"{inner}{_json_str(b)}: [\n"
+        f"{inner}  {lab.tl_seconds},\n{inner}  {lab.tdr_seconds}\n{inner}]"
+        for b, lab in sorted(labels.items())
+    )
+    return f"{{\n{items}\n{indent}}}"
+
+
 def profile_to_json(profile: UserProfile) -> str:
-    doc = {
-        "home_bssid": str(profile.home_bssid),
-        "built_at": profile.built_at.isoformat(),
-        "window": [
-            {
-                "day_id": dm.day_id.isoformat(),
-                "signature_s": dm.signature_s,
-                "entries": {
-                    str(b): [lab.tl_seconds, lab.tdr_seconds]
-                    for b, lab in sorted(dm.entries.items())
-                },
-            }
-            for dm in profile.window
-        ],
-        "fallback": {
-            str(b): [lab.tl_seconds, lab.tdr_seconds]
-            for b, lab in sorted(profile.fallback.items())
-        },
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """The profile document, 2-space indented with sorted keys.
+
+    The text is exactly what ``json.dumps(doc, indent=2, sort_keys=True)``
+    writes for the document, built directly because the indenting encoder
+    runs in pure Python.
+    """
+    days = ",\n".join(
+        f'    {{\n      "day_id": "{dm.day_id.isoformat()}",\n'
+        f'      "entries": {_labels_json(dm.entries, "      ")},\n'
+        f'      "signature_s": {_json_float(dm.signature_s)}\n    }}'
+        for dm in profile.window
+    )
+    window = f"[\n{days}\n  ]" if profile.window else "[]"
+    return (
+        f'{{\n  "built_at": "{profile.built_at.isoformat()}",\n'
+        f'  "fallback": {_labels_json(profile.fallback, "  ")},\n'
+        f'  "home_bssid": {_json_str(profile.home_bssid)},\n'
+        f'  "window": {window}\n}}'
+    )
 
 
 def profile_from_json(text: str) -> UserProfile:
-    doc = json.loads(text)
+    """Read a profile document.
+
+    Raises ProfileFormatError for invalid JSON, a missing key or a value of
+    the wrong type or range, and TraceValidationError for an invalid BSSID.
+    """
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ProfileFormatError(f"profile is not valid JSON ({exc})") from exc
     # Map keys are always strings: validate each distinct one once per call.
     bssids = _SeenBssids()
-    window = tuple(
-        DayMap(
-            day_id=date.fromisoformat(d["day_id"]),
-            entries={
-                bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in d["entries"].items()
-            },
-            signature_s=float(d["signature_s"]),
+    try:
+        window = tuple(
+            DayMap(
+                day_id=date.fromisoformat(d["day_id"]),
+                entries={
+                    bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in d["entries"].items()
+                },
+                signature_s=float(d["signature_s"]),
+            )
+            for d in doc["window"]
         )
-        for d in doc["window"]
-    )
-    fallback = {
-        bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in doc["fallback"].items()
-    }
-    return UserProfile(
-        home_bssid=Bssid(doc["home_bssid"]),
-        window=window,
-        fallback=fallback,
-        built_at=date.fromisoformat(doc["built_at"]),
-    )
+        fallback = {
+            bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in doc["fallback"].items()
+        }
+        return UserProfile(
+            home_bssid=Bssid(doc["home_bssid"]),
+            window=window,
+            fallback=fallback,
+            built_at=date.fromisoformat(doc["built_at"]),
+        )
+    except KeyError as exc:
+        raise ProfileFormatError(f"profile lacks the key {exc}") from exc
+    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ProfileFormatError(f"profile has an invalid value ({exc})") from exc
 
 
 def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
@@ -336,6 +382,19 @@ def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
 
 
 def load_profile(store_dir, device_id: str) -> UserProfile:
+    """Read ``{device_id}.profile.json`` from the store.
+
+    Raises TimelocError when the device has no profile there, and
+    ProfileFormatError when the file is not a readable profile.
+    """
     path = os.path.join(store_dir, f"{device_id}.profile.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_json(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise TimelocError(
+            f"no profile for device {device_id!r} in store {str(store_dir)!r}"
+        ) from None
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"profile {path} is not UTF-8 ({exc.reason})") from exc
+    return profile_from_json(text)

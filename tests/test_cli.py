@@ -89,6 +89,28 @@ class TestProfileAndPredict:
         )
         assert rc == 1
 
+    def test_missing_profile_is_an_error(self, tmp_path, capsys):
+        store = tmp_path / "empty"
+        rc = run(
+            "predict", "--store", store, "--device", "d4",
+            "--bssid", "0e:0e:0e:0e:0e:0e", "--tdr", "50",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no profile for device 'd4' in store ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["{", "{}", '{"window": 5}'])
+    def test_malformed_profile_is_an_error(self, tmp_path, capsys, text):
+        (tmp_path / "d5.profile.json").write_text(text)
+        rc = run(
+            "predict", "--store", tmp_path, "--device", "d5",
+            "--bssid", "0e:0e:0e:0e:0e:0e", "--tdr", "50",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: profile ") and "Traceback" not in err
+
     def test_nn_prediction_from_trace_directory(self, dataset_dir, capsys):
         from timeloc.cli import _load_days
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from timeloc import simulator as sim
 from timeloc.door_detect import (
     RSSI_VAR_THRESHOLD_DB2,
+    _standing_at,
     ap_count_peak,
     detect_door_events,
     is_standing,
@@ -249,3 +250,29 @@ def door_like_traces(draw):
 @given(door_like_traces())
 def test_matches_reference_on_generated_traces(t):
     assert [e.ts for e in detect_door_events(t, bss(99))] == reference_door_ts(t, bss(99))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30), max_size=40))
+def test_integer_peak_test_matches_float_means(values):
+    counts = [(SLICE + 3 * i, v) for i, v in enumerate(values)]
+    if len(counts) < 9:
+        with pytest.raises(InsufficientData):
+            ap_count_peak(counts)
+    else:
+        assert ap_count_peak(counts) == _reference_peaks(counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    offsets=st.lists(
+        st.one_of(st.sampled_from([-2, -1, 0, 1, 2]), st.integers(-6, 6)), max_size=12
+    ),
+    mags=st.lists(st.sampled_from([9.8, 9.9, 11.0]), min_size=12, max_size=12),
+    at=st.integers(-3, 3),
+)
+def test_bisected_accel_window_matches_linear_filter(offsets, mags, at):
+    """Samples at +-1 and +-2 s (inside and outside the 1.5 s half-window),
+    repeated timestamps included."""
+    t = trace([], [accel(SLICE + 100 + off, m) for off, m in zip(sorted(offsets), mags)])
+    assert _standing_at(t, SLICE + 100 + at) == _reference_standing_at(t, SLICE + 100 + at)

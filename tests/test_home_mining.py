@@ -1,7 +1,9 @@
 import random
-from datetime import timedelta
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeloc.errors import NoNightData
 from timeloc.home_mining import (
@@ -11,10 +13,9 @@ from timeloc.home_mining import (
     day_vote,
     nightly_dwell,
     tally_votes,
-    total_dwell,
     vote_home_ap,
 )
-from timeloc.trace_model import day_slice_start
+from timeloc.trace_model import DAY_S, day_slice_start, seconds_of_day
 from util import DAY, NIGHT_END, NIGHT_START, bss, scan, trace
 
 
@@ -153,7 +154,10 @@ class TestVoteHomeAp:
         # when one AP dominates every night, the vote agrees with the
         # accumulated-time view across all days
         days = [_night_trace(DAY + timedelta(days=i), bss(1)) for i in range(5)]
-        totals = total_dwell(days)
+        totals = {}
+        for t in days:
+            for b, s in nightly_dwell(t).dwell.items():
+                totals[b] = totals.get(b, 0) + s
         assert max(totals, key=totals.get) == vote_home_ap(days).winner
 
 
@@ -181,6 +185,59 @@ class TestDayVotes:
             tally_votes([day_vote(daytime)])
         night = _night_trace(DAY + timedelta(days=1), bss(3))
         assert tally_votes([day_vote(daytime), day_vote(night)]) == vote_home_ap([daytime, night])
+
+
+# ---------------------------------------------------------------------------
+# reference: the dwell rule before the night scans were found by bisection.
+# Every scan of the day is tested against the 21:00-06:00 window.
+
+
+def reference_nightly_dwell(t):
+    def in_night(ts):
+        sod = seconds_of_day(ts)
+        return sod >= NIGHT_START_SOD or sod < NIGHT_END_SOD
+
+    night = [s for s in t.scans if in_night(s.ts)]
+    dwell = {}
+    for cur, nxt in zip(night, night[1:]):
+        credit = min(nxt.ts - cur.ts, GAP_CAP_S)
+        if credit <= 0:
+            continue
+        for o in cur.aps:
+            dwell[o.bssid] = dwell.get(o.bssid, 0) + credit
+    return dwell
+
+
+# Seconds after the slice start (12:00): both slice edges, 20:59:59, 21:00:00,
+# 05:59:59 and 06:00:00.
+_NIGHT_EDGES = (0, 1, 32_399, 32_400, 32_401, 64_799, 64_800, 64_801, DAY_S - 1)
+
+
+@st.composite
+def edge_heavy_days(draw):
+    """Day traces whose scans crowd the night and slice edges, some sharing
+    a timestamp, on a slice before the epoch or after it."""
+    day = draw(st.sampled_from([DAY, date(1969, 12, 31), date(2031, 7, 4)]))
+    offsets = draw(
+        st.lists(
+            st.one_of(st.sampled_from(_NIGHT_EDGES), st.integers(0, DAY_S - 1)),
+            max_size=25,
+        )
+    )
+    start = day_slice_start(day)
+    scans = [
+        scan(start + off, {bss(k): -50 for k in draw(st.sets(st.integers(1, 4), max_size=3))})
+        for off in sorted(offsets)
+    ]
+    return trace(scans, day=day)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_heavy_days())
+def test_nightly_dwell_matches_reference(t):
+    got = nightly_dwell(t)
+    assert got.day_id == t.day_id
+    assert got.dwell == reference_nightly_dwell(t)
 
 
 def test_night_window_constants():

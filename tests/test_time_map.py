@@ -1,10 +1,22 @@
+import json
+import math
 import random
 from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeloc import simulator as sim
-from timeloc.errors import ColdStart, NoArrival, OrderingError, TraceValidationError, UnknownBssid
+from timeloc.errors import (
+    ColdStart,
+    NoArrival,
+    OrderingError,
+    ProfileFormatError,
+    TimelocError,
+    TraceValidationError,
+    UnknownBssid,
+)
 from timeloc.time_map import (
     ApLabel,
     DayMap,
@@ -13,6 +25,7 @@ from timeloc.time_map import (
     build_profile_from_maps,
     empty_profile,
     homeward_leg,
+    load_profile,
     predict_tl,
     profile_from_json,
     profile_to_json,
@@ -338,3 +351,159 @@ class TestSaveProfileIsAtomic:
         save_profile(new, tmp_path, "dev")
         assert load_profile(tmp_path, "dev") == new
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dev.profile.json"]
+
+
+# ---------------------------------------------------------------------------
+# reference: the profile document as it was built before the direct writer,
+# then handed to the indenting json encoder.
+
+
+def reference_profile_json(profile):
+    doc = {
+        "home_bssid": str(profile.home_bssid),
+        "built_at": profile.built_at.isoformat(),
+        "window": [
+            {
+                "day_id": dm.day_id.isoformat(),
+                "signature_s": dm.signature_s,
+                "entries": {
+                    str(b): [lab.tl_seconds, lab.tdr_seconds]
+                    for b, lab in sorted(dm.entries.items())
+                },
+            }
+            for dm in profile.window
+        ],
+        "fallback": {
+            str(b): [lab.tl_seconds, lab.tdr_seconds]
+            for b, lab in sorted(profile.fallback.items())
+        },
+    }
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+_SIGNATURES = (0.0, -0.0, 2.5, 60.5, 1e16, 1.5e-7, math.nan, math.inf, -math.inf)
+_labels = st.builds(ApLabel, st.integers(0, 10**6), st.integers(0, 10**6))
+_bssids = st.integers(0, 40).map(bss)
+
+
+def _day_maps(keys, signatures, max_size=5):
+    @st.composite
+    def build(draw):
+        offsets = draw(st.lists(st.integers(0, 60), unique=True, max_size=max_size))
+        return [
+            DayMap(
+                DAY + timedelta(days=off),
+                draw(st.dictionaries(keys, _labels, max_size=4)),
+                draw(signatures),
+            )
+            for off in sorted(offsets)
+        ]
+
+    return build()
+
+
+def _profiles(keys, signatures):
+    return st.builds(
+        UserProfile,
+        home_bssid=_bssids,
+        window=_day_maps(keys, signatures).map(tuple),
+        fallback=st.dictionaries(keys, _labels, max_size=4),
+        built_at=st.dates(),
+    )
+
+
+_any_signature = st.one_of(st.sampled_from(_SIGNATURES), st.floats(), st.integers(0, 10**4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profiles(st.one_of(_bssids, st.text(max_size=6)), _any_signature))
+def test_profile_writer_matches_json_dumps(profile):
+    """Empty windows and maps, -0.0, x.5, 1e16, NaN and the infinities, and
+    keys that need escaping: the text is the indenting encoder's, byte for byte."""
+    assert profile_to_json(profile) == reference_profile_json(profile)
+
+
+_finite_signature = st.one_of(
+    st.sampled_from(_SIGNATURES[:6]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profiles(_bssids, _finite_signature))
+def test_finite_profile_survives_a_json_round_trip(profile):
+    assert profile_from_json(profile_to_json(profile)) == profile
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_profile_from_maps_ignores_their_order(data):
+    maps = data.draw(_day_maps(_bssids, st.floats(allow_nan=False), max_size=10))
+    shuffled = data.draw(st.permutations(maps))
+    assert build_profile_from_maps(HOME, shuffled) == build_profile_from_maps(HOME, maps)
+
+
+class TestMalformedProfile:
+    def _doc(self):
+        return json.loads(profile_to_json(build_profile_from_maps(HOME, _window_maps(8))))
+
+    @pytest.mark.parametrize("text", ["", "{", "not json", '{"home_bssid": }'])
+    def test_invalid_json(self, text):
+        with pytest.raises(ProfileFormatError, match="not valid JSON"):
+            profile_from_json(text)
+
+    @pytest.mark.parametrize("key", ["home_bssid", "built_at", "window", "fallback"])
+    def test_missing_key(self, key):
+        doc = self._doc()
+        del doc[key]
+        with pytest.raises(ProfileFormatError, match=f"lacks the key '{key}'"):
+            profile_from_json(json.dumps(doc))
+
+    def test_missing_key_inside_a_window_day(self):
+        doc = self._doc()
+        del doc["window"][3]["signature_s"]
+        with pytest.raises(ProfileFormatError, match="lacks the key 'signature_s'"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((), []),
+            ((), None),
+            (("window",), 5),
+            (("window",), {"a": 1}),
+            (("fallback",), [1, 2]),
+            (("built_at",), 20240101),
+            (("built_at",), "yesterday"),
+            (("window", 0, "entries"), []),
+            (("window", 0, "signature_s"), "fast"),
+            (("window", 0, "entries", str(HOME)), [1]),
+            (("window", 0, "entries", str(HOME)), ["a", "b"]),
+            (("window", 0, "entries", str(HOME)), [-1, 0]),
+        ],
+    )
+    def test_invalid_value(self, path, value):
+        doc = self._doc()
+        if path:
+            parent = doc
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = value
+        else:
+            doc = value
+        with pytest.raises(ProfileFormatError, match="invalid value"):
+            profile_from_json(json.dumps(doc))
+
+    def test_bad_bssid_is_still_a_validation_error(self):
+        doc = self._doc()
+        doc["home_bssid"] = "nope"
+        with pytest.raises(TraceValidationError, match="invalid BSSID"):
+            profile_from_json(json.dumps(doc))
+
+    def test_missing_file_names_device_and_store(self, tmp_path):
+        with pytest.raises(TimelocError, match=f"no profile for device 'ghost' in store '{tmp_path}'"):
+            load_profile(tmp_path, "ghost")
+
+    def test_file_that_is_not_utf8(self, tmp_path):
+        (tmp_path / "dev.profile.json").write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ProfileFormatError, match="not UTF-8"):
+            load_profile(tmp_path, "dev")
