@@ -37,7 +37,7 @@ from .trace_model import (
     serialize_scan_records,
     slice_into_days,
 )
-from .home_mining import HomeVote, NightlyDwell, nightly_dwell, vote_home_ap
+from .home_mining import HomeVote, nightly_dwell, vote_home_ap
 from .time_map import (
     ApLabel,
     DayMap,
@@ -49,7 +49,7 @@ from .time_map import (
 )
 from .door_detect import DoorEvent, detect_door_events
 from .sensing_fsm import FsmState, SensingStats, fsm_step, in_gps_region, run_fsm_day
-from .nn_baseline import Fingerprint, HistoryPoint, env_similarity, filter_env, nn_predict
+from .nn_baseline import HistoryPoint, env_similarity, filter_env, nn_predict
 from .simulator import (
     ApPlacement,
     DayOracle,
@@ -60,6 +60,6 @@ from .simulator import (
     synth_dataset,
     synth_day,
 )
-from .eval_harness import ErrorSample, EvalDataset, EvalReport, cdf, evaluate, sweep_rssi_filter
+from .eval_harness import EvalDataset, EvalReport, cdf, evaluate, sweep_rssi_filter
 
 __version__ = "0.1.0"

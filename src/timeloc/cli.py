@@ -76,7 +76,11 @@ def _parse_ground_truth_csv(text: str) -> list[GroundTruth]:
 
 
 def _load_days(traces_dir: str) -> list[DayTrace]:
-    records = load_trace_file(os.path.join(traces_dir, "trace.jsonl"))
+    path = os.path.join(traces_dir, "trace.jsonl")
+    try:
+        records = load_trace_file(path)
+    except FileNotFoundError:
+        raise TimelocError(f"no trace file {path}") from None
     accel_path = os.path.join(traces_dir, "accel.jsonl")
     accel = load_accel_file(accel_path) if os.path.exists(accel_path) else []
     return slice_into_days(records, accel)
@@ -84,8 +88,12 @@ def _load_days(traces_dir: str) -> list[DayTrace]:
 
 def _load_truths(traces_dir: str) -> list[GroundTruth]:
     path = os.path.join(traces_dir, "ground_truth.csv")
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_ground_truth_csv(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise TimelocError(f"no ground truth file {path}") from None
+    return _parse_ground_truth_csv(text)
 
 
 def _parse_threshold(text: str) -> int | None:
@@ -177,8 +185,8 @@ def _cmd_predict(args) -> int:
         print(f"tl_s={p.tl_seconds},source={p.source},bssid={p.matched_bssid},lookups={p.lookups}")
         return 0
     # nearest-neighbor: locate the query scan, build history from the window
-    if args.ts is None:
-        raise TimelocError("nn prediction needs --ts")
+    if args.traces is None or args.ts is None:
+        raise TimelocError("nn prediction needs --traces and --ts")
     days = _load_days(args.traces)
     day = next((d for d in days if d.scans and d.scans[0].ts <= args.ts <= d.scans[-1].ts), None)
     if day is None:

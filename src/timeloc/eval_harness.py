@@ -19,7 +19,9 @@ per evaluated day and method.
 Every predictor, built-in or not, has the same three members: ``name``,
 ``start_day(days, home, threshold)``, called once per evaluated day with
 the window's EvalDay records, and ``predict(q)``, which returns
-``(predicted_tl_s, probe_cost)`` or None to skip the query.
+``(predicted_tl_s, probe_cost)`` or None to skip the query.  The records
+and the query scans are already filtered at ``threshold``, the RSSI level
+of the evaluation, so a predictor need not filter them again.
 """
 
 from __future__ import annotations
@@ -53,16 +55,6 @@ from .time_map import (
 )
 from .trace_model import Bssid, DayTrace, ScanRecord, filter_trace
 
-COLD_START_DAYS = WINDOW_DAYS
-
-
-@dataclass(frozen=True, slots=True)
-class ErrorSample:
-    day_id: date
-    query_ts: int
-    signed_error_s: int
-    method: str
-
 
 @dataclass(frozen=True, slots=True)
 class EvalReport:
@@ -91,18 +83,17 @@ class QueryPoint:
 class EvalDay:
     """One day's artifacts at one RSSI level, each computed on first use.
 
-    ``trace`` is the day filtered at ``level``.  ``vote()`` is the day's
-    nightly vote; ``day_map(home)`` (None when home is never seen),
+    ``trace`` is the day filtered at that level, once.  ``vote()`` is the
+    day's nightly vote; ``day_map(home)`` (None when home is never seen),
     ``history(home)`` and the query points are per home BSSID (the query
     points also per arrival instant).  Records are shared by every
     evaluation of their dataset, so a predictor must not change them.
     """
 
-    __slots__ = ("trace", "level", "_vote", "_maps", "_history", "_queries")
+    __slots__ = ("trace", "_vote", "_maps", "_history", "_queries")
 
-    def __init__(self, trace: DayTrace, level: int | None):
+    def __init__(self, trace: DayTrace):
         self.trace = trace
-        self.level = level
         self._vote: DayVote | None = None
         self._maps: dict[Bssid, DayMap | None] = {}
         self._history: dict[Bssid, list[HistoryPoint]] = {}
@@ -128,7 +119,7 @@ class EvalDay:
     def history(self, home: Bssid) -> list[HistoryPoint]:
         points = self._history.get(home)
         if points is None:
-            points = self._history[home] = nn_baseline.day_history(self.trace, home, self.level)
+            points = self._history[home] = nn_baseline.day_history(self.trace, home, None)
         return points
 
     def queries(self, home: Bssid, arrival_ts: int) -> tuple[QueryPoint, ...]:
@@ -164,7 +155,7 @@ class EvalDataset:
         days = self._store.get(level)
         if days is None:
             ordered = sorted(self.traces, key=lambda t: t.day_id)
-            days = self._store[level] = [EvalDay(filter_trace(t, level), level) for t in ordered]
+            days = self._store[level] = [EvalDay(filter_trace(t, level)) for t in ordered]
         return days
 
 
@@ -232,18 +223,15 @@ class NnPredictor:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._history: list[HistoryPoint] = []
-        self._threshold = None
 
     def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
         self._history = [p for d in days for p in d.history(home)]
-        self._threshold = threshold
 
     def predict(self, q: QueryPoint) -> tuple[int, int] | None:
-        fingerprint = filter_env(q.scan, self._threshold)
         try:
             p, comparisons = nn_predict(
                 self._history,
-                fingerprint,
+                filter_env(q.scan, None),
                 seed=query_seed(self.seed, q.day_id, q.query_ts, q.bssid),
             )
         except NoHistory:
@@ -291,18 +279,18 @@ def evaluate(
         raise InsufficientHistory("empty dataset")
     first_day = days[0].day_id
     span = (days[-1].day_id - first_day).days + 1
-    if span <= COLD_START_DAYS:
+    if span <= WINDOW_DAYS:
         raise InsufficientHistory(
-            f"dataset spans {span} day(s); need more than {COLD_START_DAYS}"
+            f"dataset spans {span} day(s); need more than {WINDOW_DAYS}"
         )
 
     predictor = _resolve_predictor(method, seed)
 
-    samples: list[ErrorSample] = []
+    errors: list[int] = []
     probes: list[int] = []
     for day in days:
         age = (day.day_id - first_day).days
-        if age < COLD_START_DAYS:
+        if age < WINDOW_DAYS:
             continue  # history only: no predictions in the first week
         window = [d for d in days if 0 < (day.day_id - d.day_id).days <= WINDOW_DAYS]
         if not window:
@@ -320,31 +308,24 @@ def evaluate(
             if answer is None:
                 continue
             predicted, cost = answer
-            samples.append(
-                ErrorSample(
-                    day_id=q.day_id,
-                    query_ts=q.query_ts,
-                    signed_error_s=predicted - q.actual_tl_s,
-                    method=predictor.name,
-                )
-            )
+            errors.append(predicted - q.actual_tl_s)
             probes.append(cost)
 
-    samples.sort(key=lambda s: (s.day_id, s.query_ts))
-    return _build_report(predictor.name, samples, probes)
+    return _build_report(predictor.name, errors, probes)
 
 
-def _build_report(name: str, samples: list[ErrorSample], probes: list[int]) -> EvalReport:
-    if not samples:
+def _build_report(name: str, errors: list[int], probes: list[int]) -> EvalReport:
+    """Aggregate signed errors and probe costs; no statistic depends on order."""
+    if not errors:
         return EvalReport(name, 0, 0.0, 0.0, 0.0, 0, (), 0.0)
-    abs_errors = [abs(s.signed_error_s) for s in samples]
-    n = len(samples)
+    abs_errors = [abs(e) for e in errors]
+    n = len(errors)
     return EvalReport(
         method=name,
         n=n,
         median_abs_s=float(statistics.median(abs_errors)),
         pct_within_100s=sum(1 for e in abs_errors if e <= 100) / n,
-        early_fraction=sum(1 for s in samples if s.signed_error_s <= 0) / n,
+        early_fraction=sum(1 for e in errors if e <= 0) / n,
         max_abs_s=max(abs_errors),
         cdf=tuple(cdf(abs_errors)),
         probe_cost=sum(probes) / len(probes),

@@ -33,14 +33,6 @@ _scan_ts = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
-class NightlyDwell:
-    """Per-BSSID reachable seconds inside one day's 21:00-06:00 window."""
-
-    day_id: date
-    dwell: Mapping[Bssid, int]
-
-
-@dataclass(frozen=True, slots=True)
 class HomeVote:
     """Outcome of the daily vote: winner, per-BSSID vote tally, confidence.
 
@@ -54,8 +46,8 @@ class HomeVote:
     tie_days: tuple[date, ...] = ()
 
 
-def nightly_dwell(trace: DayTrace) -> NightlyDwell:
-    """Accumulate reachable seconds per BSSID over the night window.
+def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
+    """Reachable seconds per BSSID inside the day's 21:00-06:00 window.
 
     Presence at scan t_i credits the gap to the next night scan t_{i+1},
     capped at GAP_CAP_S.  BSSIDs never seen at night are absent from the map.
@@ -74,7 +66,7 @@ def nightly_dwell(trace: DayTrace) -> NightlyDwell:
             continue
         for o in cur.aps:
             dwell[o.bssid] = dwell.get(o.bssid, 0) + credit
-    return NightlyDwell(trace.day_id, dwell)
+    return dwell
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,7 +84,7 @@ class DayVote:
 
 def day_vote(trace: DayTrace) -> DayVote:
     """The BSSID with the most nightly dwell on this day (smallest on ties)."""
-    dwell = nightly_dwell(trace).dwell
+    dwell = nightly_dwell(trace)
     if not dwell:
         return DayVote(trace.day_id, None)
     top = max(dwell.values())

@@ -19,16 +19,10 @@ from .trace_model import Bssid, DayTrace, ScanRecord
 
 
 @dataclass(frozen=True, slots=True)
-class Fingerprint:
-    """BSSIDs surviving the RSSI filter at one scan instant."""
-
-    bssids: frozenset[Bssid]
-    ts: int
-
-
-@dataclass(frozen=True, slots=True)
 class HistoryPoint:
-    fingerprint: Fingerprint
+    """The BSSIDs surviving the RSSI filter at one scan, and its seconds-to-home."""
+
+    fingerprint: frozenset[Bssid]
     tl_seconds: int
 
     def __post_init__(self) -> None:
@@ -36,19 +30,17 @@ class HistoryPoint:
             raise ValueError("history tl must be >= 0")
 
 
-def filter_env(scan: ScanRecord, threshold_dbm: int | None) -> Fingerprint:
+def filter_env(scan: ScanRecord, threshold_dbm: int | None) -> frozenset[Bssid]:
     """Fingerprint of a scan: BSSIDs at or above the threshold (None keeps all)."""
     if threshold_dbm is None:
-        kept = frozenset(o.bssid for o in scan.aps)
-    else:
-        kept = frozenset(o.bssid for o in scan.aps if o.rssi_dbm >= threshold_dbm)
-    return Fingerprint(bssids=kept, ts=scan.ts)
+        return frozenset(o.bssid for o in scan.aps)
+    return frozenset(o.bssid for o in scan.aps if o.rssi_dbm >= threshold_dbm)
 
 
-def env_similarity(a: Fingerprint, b: Fingerprint) -> float:
+def env_similarity(a: frozenset[Bssid], b: frozenset[Bssid]) -> float:
     """Jaccard index of the two BSSID sets; two empty sets score 0."""
-    inter = len(a.bssids & b.bssids)
-    union = len(a.bssids) + len(b.bssids) - inter
+    inter = len(a & b)
+    union = len(a) + len(b) - inter
     return inter / union if union else 0.0
 
 
@@ -65,7 +57,7 @@ def day_history(trace: DayTrace, home: Bssid, threshold_dbm: int | None) -> list
     points = []
     for s in leg:
         fp = filter_env(s, threshold_dbm)
-        if fp.bssids:
+        if fp:
             points.append(HistoryPoint(fingerprint=fp, tl_seconds=arrival_ts - s.ts))
     return points
 
@@ -84,7 +76,7 @@ def build_history(
 
 def nn_predict(
     history: list[HistoryPoint],
-    query: Fingerprint,
+    query: frozenset[Bssid],
     seed: int = 0,
 ) -> tuple[Prediction, int]:
     """Scan all history points and return the best match's label.
@@ -96,13 +88,12 @@ def nn_predict(
     """
     if not history:
         raise NoHistory("cannot predict from an empty history")
-    q = query.bssids
-    nq = len(q)
+    nq = len(query)
     best_sim = -1.0
     tied: list[HistoryPoint] = []
     for point in history:
-        b = point.fingerprint.bssids
-        inter = len(q & b)
+        b = point.fingerprint
+        inter = len(query & b)
         union = nq + len(b) - inter
         sim = inter / union if union else 0.0
         if sim > best_sim:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
 from .errors import ConfigurationError
+from .home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
 from .trace_model import (
     DAY_S,
     EARTH_RADIUS_M,
@@ -45,9 +46,6 @@ BASE_SPEED_MPS = 1.4  # walking pace that converts route seconds to meters
 RAMP_DEPTH_DB = 35.0  # trapezoid edge attenuation below the plateau
 RAMP_FRAC = 0.25
 M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
-
-NIGHT_START_OFFSET_S = 75_600 - NOON_SOD            # 21:00, relative to slice start
-NIGHT_END_OFFSET_S = (21_600 - NOON_SOD) % DAY_S    # 06:00 next morning
 
 _NEIGHBOR_BSSID_BASE = 0x2000_00
 _SPIKE_BSSID_BASE = 0x3000_00
@@ -313,8 +311,8 @@ class DayOracle:
         self.slice_end = start + DAY_S
         night = plan.night
         self.morning_depart_ts = start + (night.morning_depart_sod - NOON_SOD) % DAY_S
-        self._night_start_ts = start + NIGHT_START_OFFSET_S
-        self._night_end_ts = start + NIGHT_END_OFFSET_S
+        self._night_start_ts = start + NIGHT_OPEN_S
+        self._night_end_ts = start + NIGHT_CLOSE_S
 
         duration = route.route_duration_s
         if plan.stay_home:
@@ -583,9 +581,7 @@ def make_chain_route(
     peak_rssi_dbm: int = -50,
     *,
     weak_bridge: bool = True,
-    home_bssid: Bssid | None = None,
     home_fix: GpsFix = DEFAULT_HOME_FIX,
-    bssid_base: int = 0x1000_00,
 ) -> RouteSpec:
     """Overlapping AP chain ending in a persistent home AP.
 
@@ -595,13 +591,13 @@ def make_chain_route(
     """
     if ap_count < 2:
         raise ConfigurationError("need at least 2 route APs")
-    home_bssid = home_bssid or bssid_from_int(0x1F_FF00)
+    home_bssid = bssid_from_int(0x1F_FF00)
     step = (duration_s - coverage_s) / (ap_count - 1)
     placements = []
     for i in range(ap_count):
         enter = round(i * step / 5) * 5
         exit_ = min(enter + coverage_s, duration_s)
-        placements.append(ApPlacement(bssid_from_int(bssid_base + i), enter, exit_, peak_rssi_dbm))
+        placements.append(ApPlacement(bssid_from_int(0x1000_00 + i), enter, exit_, peak_rssi_dbm))
     if weak_bridge and ap_count >= 8:
         mid = ap_count // 2
         bridge = placements[mid]

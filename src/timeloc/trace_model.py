@@ -177,10 +177,6 @@ def day_id_for_ts(ts: int) -> date:
     return datetime.fromtimestamp(ts - NOON_SOD, tz=timezone.utc).date()
 
 
-def seconds_of_day(ts: int) -> int:
-    return ts % DAY_S
-
-
 def slice_into_days(
     records: Sequence[ScanRecord],
     accel: Sequence[AccelSample] = (),

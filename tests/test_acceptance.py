@@ -16,7 +16,7 @@ from timeloc.door_detect import detect_door_events
 from timeloc.errors import ColdStart, NoArrival
 from timeloc.eval_harness import EvalDataset, evaluate, sweep_rssi_filter
 from timeloc.home_mining import vote_home_ap
-from timeloc.nn_baseline import Fingerprint, HistoryPoint, nn_predict
+from timeloc.nn_baseline import HistoryPoint, nn_predict
 from timeloc.sensing_fsm import StateTag, baseline_scan_count, drive_day
 from timeloc.time_map import (
     ApLabel,
@@ -114,10 +114,10 @@ def test_c04_probe_cost_contrast():
         profile = build_profile_from_maps(home, maps)
         lookups = predict_tl(profile, ap, 60).lookups
         history = [
-            HistoryPoint(Fingerprint(frozenset({ap}), ts=i), tl_seconds=i)
+            HistoryPoint(frozenset({ap}), tl_seconds=i)
             for i in range(size)
         ]
-        _, comparisons = nn_predict(history, Fingerprint(frozenset({ap}), ts=0), seed=1)
+        _, comparisons = nn_predict(history, frozenset({ap}), seed=1)
         ok = ok and lookups == 2 and comparisons == size
         details.append(f"{size}: tls={lookups} nn={comparisons}")
     report(4, "probe-cost contrast", ok, "; ".join(details))

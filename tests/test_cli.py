@@ -4,7 +4,7 @@ import pytest
 
 from timeloc import home_mining
 from timeloc.cli import _load_days, main
-from timeloc.trace_model import day_slice_start, seconds_of_day, serialize_scan_records
+from timeloc.trace_model import DAY_S, day_slice_start, serialize_scan_records
 
 
 def run(*argv):
@@ -139,7 +139,7 @@ def door_ts(capsys, *argv) -> list[int]:
 
 
 def _is_night(ts: int) -> bool:
-    sod = seconds_of_day(ts)
+    sod = ts % DAY_S
     return sod >= home_mining.NIGHT_START_SOD or sod < home_mining.NIGHT_END_SOD
 
 
@@ -238,6 +238,41 @@ class TestEvaluateAndSweep:
         assert run("sweep", "--traces", dataset_dir, "--out", out, "--levels", "all,-70") == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # two levels x two methods
+
+
+class TestMissingInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine-home"],
+            ["build-profile", "--device", "d", "--store", "{tmp}"],
+            ["detect-door"],
+            ["evaluate", "--out", "{tmp}/out"],
+            ["sweep", "--out", "{tmp}/out"],
+            ["predict", "--method", "nn", "--ts", "5"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_missing_trace_file_is_an_error(self, argv, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert run(*(a.format(tmp=tmp_path) for a in argv), "--traces", empty) == 1
+        assert capsys.readouterr().err == f"error: no trace file {empty / 'trace.jsonl'}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_missing_ground_truth_is_an_error(self, command, dataset_dir, tmp_path, capsys):
+        traces = tmp_path / "no_truth"
+        traces.mkdir()
+        (traces / "trace.jsonl").write_bytes((dataset_dir / "trace.jsonl").read_bytes())
+        assert run(command, "--traces", traces, "--out", tmp_path / "out") == 1
+        truth = traces / "ground_truth.csv"
+        assert capsys.readouterr().err == f"error: no ground truth file {truth}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--ts", "5"], ["--traces", "t"], []], ids=["ts", "traces", "none"])
+    def test_nn_prediction_needs_traces_and_ts(self, argv, capsys):
+        assert run("predict", "--method", "nn", *argv) == 1
+        assert capsys.readouterr().err == "error: nn prediction needs --traces and --ts\n"
 
 
 class TestUsage:

@@ -14,8 +14,6 @@ import pytest
 from timeloc import home_mining, simulator as sim, time_map
 from timeloc.errors import ColdStart, NoArrival, NoHistory, NoNightData, UnknownBssid
 from timeloc.eval_harness import (
-    COLD_START_DAYS,
-    ErrorSample,
     EvalDataset,
     EvalDay,
     NnPredictor,
@@ -27,7 +25,7 @@ from timeloc.eval_harness import (
 )
 from timeloc.home_mining import vote_home_ap
 from timeloc.nn_baseline import build_history, filter_env, nn_predict, query_seed
-from timeloc.time_map import UserProfile, build_day_map, predict_tl
+from timeloc.time_map import WINDOW_DAYS, UserProfile, build_day_map, predict_tl
 from timeloc.trace_model import filter_trace
 
 
@@ -35,11 +33,11 @@ def reference_evaluate(method, traces, truths, level, seed=0):
     traces = sorted(traces, key=lambda t: t.day_id)
     filtered = [filter_trace(t, level) for t in traces]
     first_day = filtered[0].day_id
-    samples, probes = [], []
+    errors, probes = [], []
     for trace in filtered:
-        if (trace.day_id - first_day).days < COLD_START_DAYS:
+        if (trace.day_id - first_day).days < WINDOW_DAYS:
             continue
-        window = [t for t in filtered if 0 < (trace.day_id - t.day_id).days <= COLD_START_DAYS]
+        window = [t for t in filtered if 0 < (trace.day_id - t.day_id).days <= WINDOW_DAYS]
         try:
             home = vote_home_ap(window).winner
         except NoNightData:
@@ -54,7 +52,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
                     maps.append(build_day_map(t, home))
                 except NoArrival:
                     pass
-            maps = tuple(maps[-COLD_START_DAYS:])
+            maps = tuple(maps[-WINDOW_DAYS:])
             profile = UserProfile(home, maps, {}, maps[-1].day_id if maps else date.min)
         else:
             history = build_history(window, home, level)
@@ -69,10 +67,9 @@ def reference_evaluate(method, traces, truths, level, seed=0):
                     answer = (p.tl_seconds, n)
             except (ColdStart, UnknownBssid, NoHistory):
                 continue
-            samples.append(ErrorSample(q.day_id, q.query_ts, answer[0] - q.actual_tl_s, method))
+            errors.append(answer[0] - q.actual_tl_s)
             probes.append(answer[1])
-    samples.sort(key=lambda s: (s.day_id, s.query_ts))
-    return _build_report(method, samples, probes)
+    return _build_report(method, errors, probes)
 
 
 @pytest.fixture(scope="module")
@@ -167,8 +164,8 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
     first = dataset.traces[0].day_id
     for days, home, threshold in seen:
         assert threshold == -70
-        assert len(days) == COLD_START_DAYS
-        assert (days[-1] - first).days >= COLD_START_DAYS - 1
+        assert len(days) == WINDOW_DAYS
+        assert (days[-1] - first).days >= WINDOW_DAYS - 1
 
 
 def test_custom_predictor_shares_the_day_records(mixture, monkeypatch):

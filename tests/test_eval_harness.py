@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.errors import InsufficientHistory
 from timeloc.eval_harness import (
     EvalDataset,
+    _build_report,
     ap_loss_queries,
     cdf,
     evaluate,
@@ -172,3 +175,19 @@ class TestSweep:
         lines = text.strip().splitlines()
         assert lines[0].startswith("method,level,")
         assert len(lines) == 1 + len(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-5000, 5000), st.integers(0, 1000)), max_size=40),
+    st.data(),
+)
+def test_report_ignores_the_order_of_its_samples(pairs, data):
+    # evaluate collects (signed error, probe cost) pairs in day and query
+    # order and never sorts them; no statistic of the report may depend on it.
+    shuffled = data.draw(st.permutations(pairs))
+
+    def report(ps):
+        return _build_report("m", [e for e, _ in ps], [p for _, p in ps])
+
+    assert report(shuffled) == report(pairs)

@@ -15,7 +15,7 @@ from timeloc.home_mining import (
     tally_votes,
     vote_home_ap,
 )
-from timeloc.trace_model import DAY_S, day_slice_start, seconds_of_day
+from timeloc.trace_model import DAY_S, day_slice_start
 from util import DAY, NIGHT_END, NIGHT_START, bss, scan, trace
 
 
@@ -34,13 +34,13 @@ class TestNightlyDwell:
         # scans at 21:00, 21:01, ..., 05:59 -> 540 scans, 539 gaps of 60 s
         scans = [scan(ts, {bss(1): -50}) for ts in range(NIGHT_START, NIGHT_END, 60)]
         t = trace(scans)
-        assert nightly_dwell(t).dwell[bss(1)] == 539 * 60 == 32_340
+        assert nightly_dwell(t)[bss(1)] == 539 * 60 == 32_340
 
     def test_outside_window_is_absent(self):
         # 20:00-20:30 only
         start = NIGHT_START - 3600
         scans = [scan(ts, {bss(1): -50}) for ts in range(start, start + 1800, 60)]
-        assert bss(1) not in nightly_dwell(trace(scans)).dwell
+        assert bss(1) not in nightly_dwell(trace(scans))
 
     def test_gap_sum_rule_with_cap(self):
         # five night scans at 21:00/21:01/22:00/22:01/23:00; AP in scans 1,2,4
@@ -54,7 +54,7 @@ class TestNightlyDwell:
         # hand evaluation of the rule: 60 + cap(3540) + 0 + cap(3540)
         expected = 60 + GAP_CAP_S + 0 + GAP_CAP_S
         assert reference_dwell(scans, bss(1)) == expected == 3660
-        assert nightly_dwell(trace(scans)).dwell[bss(1)] == expected
+        assert nightly_dwell(trace(scans))[bss(1)] == expected
 
     def test_gap_sum_rule_short_final_gap(self):
         # same shape but the last gap is one minute: 60 + cap + 60
@@ -67,12 +67,12 @@ class TestNightlyDwell:
         ]
         expected = 60 + GAP_CAP_S + 60
         assert reference_dwell(scans, bss(1)) == expected == 1920
-        assert nightly_dwell(trace(scans)).dwell[bss(1)] == expected
+        assert nightly_dwell(trace(scans))[bss(1)] == expected
 
     def test_scan_exactly_at_six_is_excluded(self):
         scans = [scan(NIGHT_END - 60, {bss(1): -50}), scan(NIGHT_END, {bss(1): -50})]
         # the 06:00 scan is outside the window, so no pair remains
-        assert nightly_dwell(trace(scans)).dwell == {}
+        assert nightly_dwell(trace(scans)) == {}
 
     def test_monotone_under_added_scan(self):
         rng = random.Random(3)
@@ -82,13 +82,13 @@ class TestNightlyDwell:
                 scan(ts, {bss(1): -50} if rng.random() < 0.5 else {bss(2): -50})
                 for ts in times
             ]
-            base = nightly_dwell(trace(scans)).dwell.get(bss(1), 0)
+            base = nightly_dwell(trace(scans)).get(bss(1), 0)
             extra_ts = rng.randrange(NIGHT_START, NIGHT_END)
             augmented = sorted(scans + [scan(extra_ts, {bss(1): -50})], key=lambda s: s.ts)
             # duplicate timestamps are fine for the rule; rebuild unique
             if len({s.ts for s in augmented}) != len(augmented):
                 continue
-            got = nightly_dwell(trace(augmented)).dwell.get(bss(1), 0)
+            got = nightly_dwell(trace(augmented)).get(bss(1), 0)
             assert got >= base
 
 
@@ -156,7 +156,7 @@ class TestVoteHomeAp:
         days = [_night_trace(DAY + timedelta(days=i), bss(1)) for i in range(5)]
         totals = {}
         for t in days:
-            for b, s in nightly_dwell(t).dwell.items():
+            for b, s in nightly_dwell(t).items():
                 totals[b] = totals.get(b, 0) + s
         assert max(totals, key=totals.get) == vote_home_ap(days).winner
 
@@ -194,7 +194,7 @@ class TestDayVotes:
 
 def reference_nightly_dwell(t):
     def in_night(ts):
-        sod = seconds_of_day(ts)
+        sod = ts % DAY_S
         return sod >= NIGHT_START_SOD or sod < NIGHT_END_SOD
 
     night = [s for s in t.scans if in_night(s.ts)]
@@ -235,9 +235,7 @@ def edge_heavy_days(draw):
 @settings(max_examples=300, deadline=None)
 @given(edge_heavy_days())
 def test_nightly_dwell_matches_reference(t):
-    got = nightly_dwell(t)
-    assert got.day_id == t.day_id
-    assert got.dwell == reference_nightly_dwell(t)
+    assert nightly_dwell(t) == reference_nightly_dwell(t)
 
 
 def test_night_window_constants():

@@ -1,12 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timeloc.errors import NoHistory
 from timeloc.nn_baseline import (
-    Fingerprint,
     HistoryPoint,
     build_history,
     day_history,
@@ -14,33 +13,34 @@ from timeloc.nn_baseline import (
     filter_env,
     nn_predict,
 )
-from util import B, SLICE, bss, scan
+from timeloc.trace_model import filter_trace
+from util import B, SLICE, bss, scan, trace
 
 
-def fp(*bssids, ts=0):
-    return Fingerprint(bssids=frozenset(bssids), ts=ts)
+def fp(*bssids):
+    return frozenset(bssids)
 
 
 class TestFilterEnv:
     def test_threshold_boundary_is_inclusive(self):
         s = scan(SLICE, {B("aa:00:00:00:00:01"): -60, B("aa:00:00:00:00:02"): -75, B("aa:00:00:00:00:03"): -70})
-        kept = filter_env(s, -70).bssids
+        kept = filter_env(s, -70)
         assert kept == {B("aa:00:00:00:00:01"), B("aa:00:00:00:00:03")}
 
     def test_low_threshold_keeps_all(self):
         s = scan(SLICE, {bss(1): -119, bss(2): -45})
-        assert filter_env(s, -120).bssids == {bss(1), bss(2)}
-        assert filter_env(s, None).bssids == {bss(1), bss(2)}
+        assert filter_env(s, -120) == {bss(1), bss(2)}
+        assert filter_env(s, None) == {bss(1), bss(2)}
 
     def test_total_rejection_yields_empty(self):
         s = scan(SLICE, {bss(1): -90, bss(2): -85})
-        assert filter_env(s, -70).bssids == frozenset()
+        assert filter_env(s, -70) == frozenset()
 
     def test_raising_threshold_never_grows_fingerprint(self):
         rng = random.Random(2)
         for _ in range(100):
             s = scan(SLICE, {bss(i): rng.randint(-100, -30) for i in range(8)})
-            sizes = [len(filter_env(s, t).bssids) for t in (-100, -80, -60, -40)]
+            sizes = [len(filter_env(s, t)) for t in (-100, -80, -60, -40)]
             assert sizes == sorted(sizes, reverse=True)
 
 
@@ -64,10 +64,10 @@ class TestEnvSimilarity:
             b = fp(*{bss(rng.randint(0, 5)) for _ in range(rng.randint(0, 4))})
             sab = env_similarity(a, b)
             assert sab == env_similarity(b, a)
-            if a.bssids and a.bssids == b.bssids:
+            if a and a == b:
                 assert sab == 1.0
             else:
-                assert sab < 1.0 or (not a.bssids and not b.bssids)
+                assert sab < 1.0 or (not a and not b)
 
 
 class TestNnPredict:
@@ -135,7 +135,7 @@ class TestBuildHistory:
         history = build_history([trace], route.home_bssid, -70)
         assert history
         assert all(h.tl_seconds >= 0 for h in history)
-        assert all(h.fingerprint.bssids for h in history)
+        assert all(h.fingerprint for h in history)
 
     def test_history_is_the_concatenation_of_day_histories(self):
         from timeloc import simulator as sim
@@ -155,3 +155,31 @@ class TestBuildHistory:
         unfiltered = build_history([trace], route.home_bssid, None)
         filtered = build_history([trace], route.home_bssid, -70)
         assert len(unfiltered) > len(filtered)
+
+
+@st.composite
+def commute_days(draw):
+    """Time-ordered scans over a small AP pool holding the home AP, bss(0).
+
+    Gaps are either scan-sized or longer than an absence, so a day can
+    have zero, one or several homeward legs.
+    """
+    gaps = draw(st.lists(st.one_of(st.integers(1, 120), st.integers(3000, 5000)), max_size=30))
+    scans = []
+    ts = SLICE
+    for gap in gaps:
+        ts += gap
+        ids = draw(st.sets(st.integers(0, 5), max_size=4))
+        scans.append(scan(ts, {bss(i): draw(st.integers(-100, -30)) for i in ids}))
+    return trace(scans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commute_days(), st.integers(-101, -29))
+def test_a_filtered_trace_needs_no_second_filter(t, level):
+    # The evaluation filters each day once and then builds history and
+    # query fingerprints with None; that must equal filtering again at level.
+    filtered = filter_trace(t, level)
+    assert day_history(filtered, bss(0), level) == day_history(filtered, bss(0), None)
+    for s in filtered.scans:
+        assert filter_env(s, level) == filter_env(s, None)

@@ -126,8 +126,8 @@ class TestSynthDataset:
         old, new = scenario.route.home_bssid, scenario.relocation.new_home_bssid
         from timeloc.home_mining import nightly_dwell
 
-        before = nightly_dwell(traces[1]).dwell
-        after = nightly_dwell(traces[4]).dwell
+        before = nightly_dwell(traces[1])
+        after = nightly_dwell(traces[4])
         assert old in before and new not in before
         assert new in after and old not in after
 
