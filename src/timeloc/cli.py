@@ -57,21 +57,24 @@ def _ground_truth_csv(truths) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_ground_truth_csv(text: str) -> list[GroundTruth]:
+def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
     truths = []
-    for line in text.splitlines()[1:]:
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         if not line.strip():
             continue
-        day_id, arrival, door, mode = line.split(",")
-        name, factor = mode.split(":")
-        truths.append(
-            GroundTruth(
-                day_id=date.fromisoformat(day_id),
-                arrival_ts=int(arrival),
-                door_ts=int(door),
-                mode=TransportMode(name, float(factor)),
+        try:
+            day_id, arrival, door, mode = line.split(",")
+            name, factor = mode.split(":")
+            truths.append(
+                GroundTruth(
+                    day_id=date.fromisoformat(day_id),
+                    arrival_ts=int(arrival),
+                    door_ts=int(door),
+                    mode=TransportMode(name, float(factor)),
+                )
             )
-        )
+        except (ValueError, TimelocError) as exc:
+            raise TimelocError(f"{path} line {lineno}: malformed ground truth ({exc})") from exc
     return truths
 
 
@@ -93,7 +96,7 @@ def _load_truths(traces_dir: str) -> list[GroundTruth]:
             text = fh.read()
     except FileNotFoundError:
         raise TimelocError(f"no ground truth file {path}") from None
-    return _parse_ground_truth_csv(text)
+    return _parse_ground_truth_csv(text, path)
 
 
 def _parse_threshold(text: str) -> int | None:
@@ -102,6 +105,13 @@ def _parse_threshold(text: str) -> int | None:
 
 def _parse_levels(text: str) -> list[int | None]:
     return [_parse_threshold(x.strip()) for x in text.split(",") if x.strip()]
+
+
+def _parse_day(text: str) -> date:
+    try:
+        return date.fromisoformat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid date (YYYY-MM-DD): {text!r}") from None
 
 
 def _window_length(minimum: int):
@@ -226,9 +236,8 @@ def _window_homes(days: list[DayTrace]) -> dict[date, Bssid]:
 
 def _cmd_detect_door(args) -> int:
     days = all_days = _load_days(args.traces)
-    if args.day:
-        wanted = date.fromisoformat(args.day)
-        days = [d for d in days if d.day_id == wanted]
+    if args.day is not None:
+        days = [d for d in days if d.day_id == args.day]
         if not days:
             raise TimelocError(f"no trace for day {args.day}")
     if args.home:
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
-    p.add_argument("--day", default=None, help="restrict to one day (YYYY-MM-DD)")
+    p.add_argument("--day", type=_parse_day, default=None, help="restrict to one day (YYYY-MM-DD)")
     p.add_argument("--home", default=None, help="home BSSID override")
     p.add_argument("--out", default=None, help="also write the events CSV here")
 

@@ -22,6 +22,7 @@ import configparser
 import math
 import random
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
@@ -50,6 +51,7 @@ M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 _NEIGHBOR_BSSID_BASE = 0x2000_00
 _SPIKE_BSSID_BASE = 0x3000_00
 _NEW_HOME_BSSID = 0x1F_FF01
+_ROUTE, _HOME, _NEIGHBOR, _SPIKE = range(4)  # observation source kinds
 _M64 = (1 << 64) - 1
 
 
@@ -315,12 +317,14 @@ class DayOracle:
         self._night_end_ts = start + NIGHT_CLOSE_S
 
         duration = route.route_duration_s
+        # Every observation source is visible on one half-open interval
+        # [start, end): (kind, bssid, start, end, level), in draw order.
+        sources: list[tuple] = []
         if plan.stay_home:
             self.depart_ts = None
             self.arrival_ts = start
             self.door_ts = start
             self._home_window = (start, self.slice_end)
-            self._route_windows: list[tuple[Bssid, int, int, int]] = []
             self._gps_windows: list[tuple[int, int]] = []
             self._connected_window = (start, self.slice_end)
             self._walk_window = None
@@ -336,7 +340,6 @@ class DayOracle:
             )
             self._home_window = (home_enter, home_fade)
 
-            windows = []
             md = self.morning_depart_ts
             for p in route.aps:
                 if p.bssid == route.home_bssid:
@@ -346,9 +349,8 @@ class DayOracle:
                     md + round((duration - min(p.exit_offset_s, duration)) / f),
                     md + round((duration - p.enter_offset_s) / f),
                 )
-                windows.append((p.bssid, ev[0], ev[1], p.peak_rssi_dbm))
-                windows.append((p.bssid, mo[0], mo[1], p.peak_rssi_dbm))
-            self._route_windows = windows
+                sources.append((_ROUTE, p.bssid, *ev, p.peak_rssi_dbm))
+                sources.append((_ROUTE, p.bssid, *mo, p.peak_rssi_dbm))
             self._gps_windows = [
                 (depart, self.arrival_ts),
                 (md, md + round(duration / f)),
@@ -356,23 +358,38 @@ class DayOracle:
             self._connected_window = (self.door_ts + 20, md)
             self._walk_window = (self.arrival_ts - 60, self.door_ts + 30)
 
-        self._home_peak = home_pl.peak_rssi_dbm
         self._speed_mps = BASE_SPEED_MPS * f
 
+        sources.append((_HOME, self.home_bssid, *self._home_window, float(home_pl.peak_rssi_dbm)))
         nrng = random.Random(_mix(plan.seed, "night"))
         span = self._night_end_ts - self._night_start_ts
-        self._neighbors = []
         for i in range(night.neighbor_count):
             dwell = min(night.neighbor_dwell_s, span)
             begin = self._night_start_ts + nrng.randint(0, span - dwell)
-            self._neighbors.append((bssid_from_int(_NEIGHBOR_BSSID_BASE + i), begin, begin + dwell))
-        self._spikes = [bssid_from_int(_SPIKE_BSSID_BASE + i) for i in range(3)]
+            sources.append((_NEIGHBOR, bssid_from_int(_NEIGHBOR_BSSID_BASE + i), begin, begin + dwell, -65.0))
+        if not plan.stay_home:
+            spike_end = self.door_ts + COMMUTE_SCAN_PERIOD_S
+            for i in range(3):
+                sources.append((_SPIKE, bssid_from_int(_SPIKE_BSSID_BASE + i), self.door_ts, spike_end, -67.0))
+        sources = [src for src in sources if src[2] < src[3]]
+
+        # The visibility timeline: segment i is [edges[i-1], edges[i]) and
+        # holds the sources active there, still in draw order; segments 0
+        # and len(edges) lie outside every interval.
+        edges = sorted({t for src in sources for t in (src[2], src[3])})
+        segments: list[list] = [[] for _ in range(len(edges) + 1)]
+        for src in sources:
+            for i in range(bisect_left(edges, src[2]) + 1, bisect_left(edges, src[3]) + 1):
+                segments[i].append(src)
+        self._edges = edges
+        self._segments = [tuple(seg) for seg in segments]
 
     # -- observation helpers --------------------------------------------
     #
     # One keyed draw stream per whole second, shared by every AP observed at
-    # that instant.  The draw order inside a scan is a pure function of ts,
-    # so any consumer sampling the same second sees the identical set.
+    # that instant.  The draw order inside a scan is the fixed source order
+    # (route windows, home, neighbors, spikes), so any consumer sampling the
+    # same second sees the identical set.
 
     def _stream_base(self, stream: int, ts: int) -> int:
         return _sm64(self._seed_key * _GOLD + ts * _STEP + stream)
@@ -396,15 +413,22 @@ class DayOracle:
         return peak - RAMP_DEPTH_DB * edge
 
     def aps_at(self, ts: int) -> tuple[ApObservation, ...]:
+        active = self._segments[bisect_right(self._edges, ts)]
+        if not active:
+            return ()
         base_key = self._stream_base(1, ts)
         sigma = self._noise.rssi_sigma_db
         p_drop = self._noise.dropout_prob
         draw = 0
         obs: dict[Bssid, int] = {}
-
-        def observe(bssid: Bssid, level: float, can_drop: bool) -> None:
-            nonlocal draw
-            value = level
+        for kind, bssid, start, end, value in active:
+            can_drop = kind != _SPIKE  # the planted spike never drops out
+            if kind == _ROUTE:
+                value = self._trapezoid(value, start, end, ts)
+            elif kind == _HOME:
+                if self.door_ts <= ts < self.door_ts + 10:
+                    value -= 8.0  # door-crossing RSSI dip
+                can_drop = not self._protected(bssid, ts)
             if sigma:
                 value += _gauss(base_key, draw, sigma)
                 draw += 2
@@ -412,28 +436,8 @@ class DayOracle:
                 u = _unit(base_key, draw)
                 draw += 1
                 if u < p_drop:
-                    return
+                    continue
             obs[bssid] = max(-120, min(0, round(value)))
-
-        for bssid, start, end, peak in self._route_windows:
-            if start <= ts < end:
-                observe(bssid, self._trapezoid(peak, start, end, ts), True)
-
-        h_start, h_end = self._home_window
-        if h_start <= ts < h_end:
-            level = float(self._home_peak)
-            if self.door_ts <= ts < self.door_ts + 10:
-                level -= 8.0  # door-crossing RSSI dip
-            observe(self.home_bssid, level, not self._protected(self.home_bssid, ts))
-
-        for bssid, begin, end in self._neighbors:
-            if begin <= ts < end:
-                observe(bssid, -65.0, True)
-
-        if not self.plan.stay_home and self.door_ts <= ts < self.door_ts + COMMUTE_SCAN_PERIOD_S:
-            for bssid in self._spikes:
-                observe(bssid, -67.0, False)  # the planted spike never drops out
-
         return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))
 
     def gps_available(self, ts: int) -> bool:

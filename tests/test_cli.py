@@ -129,6 +129,10 @@ class TestDetectDoor:
         assert len(lines) > 1
         assert all(line.isdigit() for line in lines[1:])
 
+    def test_valid_day_without_a_trace_is_an_error(self, dataset_dir, capsys):
+        assert run("detect-door", "--traces", dataset_dir, "--day", "1999-01-01") == 1
+        assert capsys.readouterr().err == "error: no trace for day 1999-01-01\n"
+
 
 def door_ts(capsys, *argv) -> list[int]:
     capsys.readouterr()
@@ -275,6 +279,34 @@ class TestMissingInput:
         assert capsys.readouterr().err == "error: nn prediction needs --traces and --ts\n"
 
 
+class TestMalformedGroundTruth:
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "2024-01-01,5",
+            "2024-13-01,5,10,walk:1.0000",
+            "2024-01-01,5.5,10,walk:1.0000",
+            "2024-01-01,5,10,walk",
+            "2024-01-01,5,10,walk:fast",
+        ],
+        ids=["two-columns", "bad-date", "float-arrival", "mode-without-colon", "bad-factor"],
+    )
+    def test_malformed_row_names_file_and_line(self, row, command, dataset_dir, tmp_path, capsys):
+        traces = tmp_path / "bad_truth"
+        traces.mkdir()
+        (traces / "trace.jsonl").write_bytes((dataset_dir / "trace.jsonl").read_bytes())
+        lines = (dataset_dir / "ground_truth.csv").read_text().splitlines()
+        lines[3] = row
+        truth = traces / "ground_truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        assert run(command, "--traces", traces, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {truth} line 4: malformed ground truth (")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestUsage:
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -318,6 +350,7 @@ class TestUsage:
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "6"],
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "x"],
             ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--window-days", "0"],
+            ["detect-door", "--traces", "t", "--day", "notadate"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

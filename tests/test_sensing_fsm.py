@@ -238,6 +238,27 @@ class TestDayRun:
         assert run.stats.accel_samples == len(run.trace.accel)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(["simple", "mining", "mixture", "relocation"]),
+    seed=st.integers(0, 2**32 - 1),
+    day=st.integers(0, 40),
+    gps_enabled=st.booleans(),
+    stay_home=st.booleans(),
+)
+def test_sensed_trace_is_a_subview_of_the_full_rate_trace(preset, seed, day, gps_enabled, stay_home):
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
+    plan = replace(plan, gps_enabled=gps_enabled, stay_home=stay_home)
+    oracle = sim.DayOracle(plan)
+    sensed = drive_day(oracle).trace
+    full, _ = sim.synth_plan_day(plan)
+    full_at = {s.ts: s for s in full.scans}
+    for s in sensed.scans:
+        assert s.aps == oracle.aps_at(s.ts)
+        if s.ts in full_at:
+            assert s == full_at[s.ts]
+
+
 def test_stay_home_day_sleeps_at_thirty_minute_cadence():
     plan = replace(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42), stay_home=True)
     oracle = sim.DayOracle(plan)

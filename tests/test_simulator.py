@@ -1,12 +1,16 @@
 import math
+import random
 from dataclasses import replace
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
-from timeloc.trace_model import Bssid, serialize_scan_records
+from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
+from timeloc.trace_model import DAY_S, NOON_SOD, ApObservation, Bssid, serialize_scan_records
 
 
 def noiseless_day(route, mode=sim.WALK, seed=0, **kw):
@@ -199,3 +203,121 @@ def test_resolve_scenario_preset_and_unknown():
     assert sim.resolve_scenario("simple", n_days=9).n_days == 9
     with pytest.raises(ConfigurationError):
         sim.resolve_scenario("nonsense-preset")
+
+
+# ---------------------------------------------------------------------------
+# the visibility timeline against a per-window reference
+
+
+def reference_windows(oracle):
+    """Each source's [start, end) interval, derived from the plan on its own."""
+    plan = oracle.plan
+    route = plan.route
+    f = plan.mode.speed_factor
+    duration = route.route_duration_s
+    home_pl = route.home_placement()
+    start = plan.slice_start
+    md = start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
+    routes = []
+    if plan.stay_home:
+        home = (start, start + DAY_S)
+    else:
+        depart = plan.depart_ts
+        home = (
+            depart + round(home_pl.enter_offset_s / f) + plan.detour_s,
+            md + round((duration - home_pl.enter_offset_s) / f),
+        )
+        for p in route.aps:
+            if p.bssid == route.home_bssid:
+                continue
+            routes.append(
+                (p.bssid, depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f), p.peak_rssi_dbm)
+            )
+            routes.append(
+                (
+                    p.bssid,
+                    md + round((duration - min(p.exit_offset_s, duration)) / f),
+                    md + round((duration - p.enter_offset_s) / f),
+                    p.peak_rssi_dbm,
+                )
+            )
+    nrng = random.Random(sim._mix(plan.seed, "night"))
+    span = NIGHT_CLOSE_S - NIGHT_OPEN_S
+    neighbors = []
+    for i in range(plan.night.neighbor_count):
+        dwell = min(plan.night.neighbor_dwell_s, span)
+        begin = start + NIGHT_OPEN_S + nrng.randint(0, span - dwell)
+        neighbors.append((sim.bssid_from_int(0x2000_00 + i), begin, begin + dwell))
+    spikes = [sim.bssid_from_int(0x3000_00 + i) for i in range(3)]
+    return routes, home, neighbors, spikes
+
+
+def reference_aps_at(oracle, windows, ts):
+    """Test every source's window at ts, in draw order."""
+    routes, (h_start, h_end), neighbors, spikes = windows
+    base_key = oracle._stream_base(1, ts)
+    sigma = oracle.plan.noise.rssi_sigma_db
+    p_drop = oracle.plan.noise.dropout_prob
+    draw = 0
+    obs = {}
+
+    def observe(bssid, level, can_drop):
+        nonlocal draw
+        value = level
+        if sigma:
+            value += sim._gauss(base_key, draw, sigma)
+            draw += 2
+        if can_drop and p_drop:
+            u = sim._unit(base_key, draw)
+            draw += 1
+            if u < p_drop:
+                return
+        obs[bssid] = max(-120, min(0, round(value)))
+
+    for bssid, start, end, peak in routes:
+        if start <= ts < end:
+            observe(bssid, oracle._trapezoid(peak, start, end, ts), True)
+    if h_start <= ts < h_end:
+        level = float(oracle.plan.route.home_placement().peak_rssi_dbm)
+        if oracle.door_ts <= ts < oracle.door_ts + 10:
+            level -= 8.0
+        observe(oracle.home_bssid, level, not oracle._protected(oracle.home_bssid, ts))
+    for bssid, begin, end in neighbors:
+        if begin <= ts < end:
+            observe(bssid, -65.0, True)
+    if not oracle.plan.stay_home and oracle.door_ts <= ts < oracle.door_ts + sim.COMMUTE_SCAN_PERIOD_S:
+        for bssid in spikes:
+            observe(bssid, -67.0, False)
+    return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))
+
+
+NOISE_VARIANTS = {
+    "preset": lambda n: n,
+    "no-sigma": lambda n: replace(n, rssi_sigma_db=0.0),
+    "no-dropout": lambda n: replace(n, dropout_prob=0.0),
+    "noiseless": lambda n: sim.NoiseParams(),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    preset=st.sampled_from(["simple", "mining", "mixture", "relocation"]),
+    seed=st.integers(0, 2**32 - 1),
+    day=st.integers(0, 40),
+    noise=st.sampled_from(sorted(NOISE_VARIANTS)),
+    stay_home=st.booleans(),
+    offsets=st.lists(st.integers(0, DAY_S - 1), max_size=20),
+)
+def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, stay_home, offsets):
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
+    plan = replace(plan, noise=NOISE_VARIANTS[noise](plan.noise), stay_home=stay_home)
+    oracle = sim.DayOracle(plan)
+    windows = reference_windows(oracle)
+    routes, home, neighbors, _ = windows
+    edges = {t for w in routes for t in w[1:3]} | set(home) | {t for w in neighbors for t in w[1:]}
+    probes = {t + d for t in edges for d in (-1, 0, 1)}
+    probes |= set(range(oracle.door_ts - 1, oracle.door_ts + 12))
+    probes |= {oracle.arrival_ts, oracle.slice_start - 1, oracle.slice_end, oracle.slice_end + 3600}
+    probes |= {oracle.slice_start + off for off in offsets}
+    for ts in sorted(probes):
+        assert oracle.aps_at(ts) == reference_aps_at(oracle, windows, ts), ts
