@@ -49,7 +49,7 @@ from .time_map import (
 )
 from .door_detect import DoorEvent, detect_door_events
 from .sensing_fsm import FsmState, SensingStats, fsm_step, in_gps_region, run_fsm_day
-from .nn_baseline import HistoryPoint, env_similarity, filter_env, nn_predict
+from .nn_baseline import HistoryPoint, NnHistory, env_similarity, filter_env, nn_predict
 from .simulator import (
     ApPlacement,
     DayOracle,

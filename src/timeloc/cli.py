@@ -114,17 +114,17 @@ def _parse_day(text: str) -> date:
         raise argparse.ArgumentTypeError(f"invalid date (YYYY-MM-DD): {text!r}") from None
 
 
-def _window_length(minimum: int):
-    """An argparse type: a window length in days, at least ``minimum``."""
+def _int_at_least(minimum: int):
+    """An argparse type: an int of at least ``minimum``."""
 
     def parse(text: str) -> int:
         try:
-            days = int(text)
+            value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if days < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {days}")
-        return days
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
     return parse
 
@@ -340,18 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
     p.add_argument("--device", required=True, help="device id naming the profile file")
     p.add_argument("--store", default=_default_store(), help=f"profile store (or ${PROFILE_STORE_ENV})")
-    p.add_argument("--window-days", type=_window_length(week), default=week, help="sliding window length")
+    p.add_argument("--window-days", type=_int_at_least(week), default=week, help="sliding window length")
 
     p = add("predict", _cmd_predict, "predict seconds-to-home")
     p.add_argument("--method", choices=("tls", "nn"), default="tls", help="prediction method")
     p.add_argument("--store", default=_default_store(), help=f"profile store (or ${PROFILE_STORE_ENV})")
     p.add_argument("--device", default="device", help="profile device id")
     p.add_argument("--bssid", default=None, help="just-lost AP (tls)")
-    p.add_argument("--tdr", type=int, default=None, help="observed reachable seconds (tls)")
+    p.add_argument("--tdr", type=_int_at_least(0), default=None, help="observed reachable seconds (tls)")
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
     p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level (nn)")
-    p.add_argument("--window-days", type=_window_length(1), default=week, help="sliding window length (nn)")
+    p.add_argument("--window-days", type=_int_at_least(1), default=week, help="sliding window length (nn)")
     p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")

@@ -42,7 +42,7 @@ from .errors import (
     UnknownBssid,
 )
 from .home_mining import DayVote
-from .nn_baseline import HistoryPoint, filter_env, nn_predict, query_seed
+from .nn_baseline import HistoryPoint, NnHistory, filter_env, nn_predict, query_seed
 from .simulator import GroundTruth
 from .time_map import (
     SCAN_PERIOD_S,
@@ -222,10 +222,10 @@ class NnPredictor:
 
     def __init__(self, seed: int = 0):
         self.seed = seed
-        self._history: list[HistoryPoint] = []
+        self._history = NnHistory()
 
     def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
-        self._history = [p for d in days for p in d.history(home)]
+        self._history = NnHistory(p for d in days for p in d.history(home))
 
     def predict(self, q: QueryPoint) -> tuple[int, int] | None:
         try:

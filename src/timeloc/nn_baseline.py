@@ -1,10 +1,13 @@
 """Nearest-neighbor benchmark: match AP environments to historical instants.
 
 Every history point is the set of BSSIDs above an RSSI threshold at one
-scan, labelled with the seconds that remained until arrival.  A query scans
-the whole history (linear cost, by design) and returns the label of the
-most similar point; exact similarity ties are resolved by a seeded random
-choice.
+scan, labelled with the seconds that remained until arrival.  A query
+returns the label of the most similar point; exact similarity ties are
+resolved by a seeded random choice.  The reported cost is the paper's
+linear scan, one comparison per history point.  The code scores each
+distinct fingerprint once instead: a window's history is indexed by
+fingerprint once (``NnHistory``), and a point's similarity is that of its
+fingerprint, so the answer is the one the per-point scan gives.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Sequence
 
 from .errors import NoArrival, NoHistory
 from .time_map import Prediction, homeward_leg
@@ -74,39 +79,64 @@ def build_history(
     return points
 
 
+class NnHistory(tuple):
+    """History points in their original order, indexed by fingerprint.
+
+    ``groups`` pairs each distinct fingerprint, in first-seen order, with
+    the ascending positions of its points.  Build one per window and pass
+    it to every query of that window.
+    """
+
+    groups: tuple[tuple[frozenset[Bssid], tuple[int, ...]], ...]
+
+    def __new__(cls, points: Iterable[HistoryPoint] = ()):
+        self = super().__new__(cls, points)
+        positions: dict[frozenset[Bssid], list[int]] = {}
+        for i, point in enumerate(self):
+            found = positions.get(point.fingerprint)
+            if found is None:
+                positions[point.fingerprint] = [i]
+            else:
+                found.append(i)
+        self.groups = tuple((fp, tuple(pos)) for fp, pos in positions.items())
+        return self
+
+
 def nn_predict(
-    history: list[HistoryPoint],
+    history: Sequence[HistoryPoint],
     query: frozenset[Bssid],
     seed: int = 0,
 ) -> tuple[Prediction, int]:
-    """Scan all history points and return the best match's label.
+    """Return the label of the history point most similar to ``query``.
 
-    The comparison count always equals the history size.  Ties at the top
-    similarity are broken by a uniform random draw from ``seed``, so the
-    same seed always picks the same point.  Similarity is the Jaccard index
-    of ``env_similarity``, inlined here because this loop is the hot path.
+    The comparison count always equals the history size, the cost of the
+    paper's linear scan, although each distinct fingerprint is scored only
+    once.  Ties at the top similarity are broken by a uniform random draw
+    from ``seed`` over the tied points in history order, so the same seed
+    always picks the same point.  Similarity is the Jaccard index of
+    ``env_similarity``, inlined here because this loop is the hot path.  A
+    history that is not an ``NnHistory`` is indexed on entry.
     """
+    if not isinstance(history, NnHistory):
+        history = NnHistory(history)
     if not history:
         raise NoHistory("cannot predict from an empty history")
     nq = len(query)
     best_sim = -1.0
-    tied: list[HistoryPoint] = []
-    for point in history:
-        b = point.fingerprint
-        inter = len(query & b)
-        union = nq + len(b) - inter
+    best: list[tuple[int, ...]] = []
+    for fingerprint, positions in history.groups:
+        inter = len(query & fingerprint)
+        union = nq + len(fingerprint) - inter
         sim = inter / union if union else 0.0
         if sim > best_sim:
             best_sim = sim
-            tied = [point]
+            best = [positions]
         elif sim == best_sim:
-            tied.append(point)
-    if len(tied) == 1:
-        choice = tied[0]
-    else:
-        choice = random.Random(seed).choice(tied)
+            best.append(positions)
+    tied = best[0] if len(best) == 1 else sorted(chain.from_iterable(best))
+    position = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
     prediction = Prediction(
-        tl_seconds=choice.tl_seconds,
+        tl_seconds=history[position].tl_seconds,
         source="nn",
         matched_bssid=None,
         lookups=len(history),

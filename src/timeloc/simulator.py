@@ -267,7 +267,10 @@ def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> D
     if scenario.relocation is not None and day_index >= scenario.relocation.move_day:
         route = _swap_home(route, scenario.relocation.new_home_bssid)
 
-    day_id = scenario.start_day + timedelta(days=day_index)
+    try:
+        day_id = scenario.start_day + timedelta(days=day_index)
+    except OverflowError:
+        raise ConfigurationError(f"day index {day_index} falls outside the supported dates") from None
     slice_start = day_slice_start(day_id)
     depart_ts = slice_start + (scenario.depart_sod - NOON_SOD) % DAY_S + depart_jitter
     return DayPlan(

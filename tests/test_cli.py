@@ -1,3 +1,4 @@
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,18 @@ class TestFsmRun:
         assert (a / "stats.csv").read_text().splitlines()[0] == "wifi_scans,gps_reads,accel_samples,wakeups"
         assert read_tree(a) == read_tree(b)
 
+    def test_day_index_outside_the_calendar_is_an_error(self, tmp_path, capsys):
+        last = (date.max - date(2024, 1, 1)).days  # the simple preset starts 2024-01-01
+        for day in (999999999, last + 1, -(date(2024, 1, 1) - date.min).days - 1):
+            assert run("fsm-run", "--scenario", "simple", "--day", day, "--out", tmp_path / "x") == 1
+            assert capsys.readouterr().err == f"error: day index {day} falls outside the supported dates\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_first_and_last_calendar_days_still_run(self, tmp_path):
+        last = (date.max - date(2024, 1, 1)).days
+        for day in (-(date(2024, 1, 1) - date.min).days, -5, last):
+            assert run("fsm-run", "--scenario", "simple", "--day", day, "--out", tmp_path / str(day)) == 0
+
 
 class TestEvaluateAndSweep:
     def test_evaluate_writes_reports(self, dataset_dir, tmp_path):
@@ -351,6 +364,7 @@ class TestUsage:
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "x"],
             ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--window-days", "0"],
             ["detect-door", "--traces", "t", "--day", "notadate"],
+            ["predict", "--bssid", "02:00:00:00:00:01", "--tdr", "-5"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeloc.errors import NoHistory
 from timeloc.nn_baseline import (
     HistoryPoint,
+    NnHistory,
     build_history,
     day_history,
     env_similarity,
@@ -124,6 +125,71 @@ class TestNnPredict:
         prediction, comparisons = nn_predict(history, query, seed=seed)
         assert prediction.tl_seconds == expected.tl_seconds
         assert comparisons == len(history)
+
+
+def per_point_scan(history, query, seed):
+    """The linear scan nn_predict replaced: one similarity per history point.
+
+    Kept as the reference for the per-fingerprint scoring.  Returns the
+    picked point's label and the comparison count.
+    """
+    nq = len(query)
+    best_sim = -1.0
+    tied = []
+    for point in history:
+        b = point.fingerprint
+        inter = len(query & b)
+        union = nq + len(b) - inter
+        sim = inter / union if union else 0.0
+        if sim > best_sim:
+            best_sim = sim
+            tied = [point]
+        elif sim == best_sim:
+            tied.append(point)
+    choice = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
+    return choice.tl_seconds, len(history)
+
+
+def points(*id_sets):
+    """History points labelled with their position, so a label names the point picked."""
+    return [HistoryPoint(fp(*map(bss, ids)), i) for i, ids in enumerate(id_sets)]
+
+
+@st.composite
+def repeated_histories(draw):
+    """Histories drawn from a small pool of fingerprints over six BSSIDs.
+
+    Points repeat pool entries heavily, and a pool entry may be empty.
+    """
+    pool = draw(st.lists(st.frozensets(st.integers(0, 5), max_size=4), min_size=1, max_size=6))
+    return points(*draw(st.lists(st.sampled_from(pool), min_size=1, max_size=60)))
+
+
+class TestNnHistory:
+    @settings(max_examples=300, deadline=None)
+    @given(repeated_histories(), st.frozensets(st.integers(0, 5), max_size=4), st.integers(0, 2**32 - 1))
+    # different fingerprints with equal ratios: {0} and {0, 1, 2, 3} both score 1/2
+    @example(points({0}, {2}, {0, 1, 2, 3}, {0}, {0, 1, 2, 3}), frozenset({0, 1}), 5)
+    # empty fingerprints against an empty query: every union is 0
+    @example(points(set(), set(), {1}, set()), frozenset(), 11)
+    # two groups tied at 1/2, interleaved in history order
+    @example(points({0, 2}, {0, 3}, {0, 3}, {0, 2}, {4}, {0, 2}), frozenset({0}), 2**32 - 1)
+    def test_matches_the_per_point_scan(self, history, query_ids, seed):
+        query = fp(*map(bss, query_ids))
+        expected = per_point_scan(history, query, seed)
+        for given_history in (NnHistory(history), history):
+            prediction, comparisons = nn_predict(given_history, query, seed=seed)
+            assert (prediction.tl_seconds, comparisons) == expected
+            assert prediction.lookups == len(history)
+
+    @given(repeated_histories())
+    def test_groups_index_every_point_once(self, history):
+        index = NnHistory(history)
+        assert index == tuple(history)
+        fingerprints = [f for f, _ in index.groups]
+        assert fingerprints == list(dict.fromkeys(p.fingerprint for p in history))
+        for f, positions in index.groups:
+            assert list(positions) == [i for i, p in enumerate(history) if p.fingerprint == f]
 
 
 class TestBuildHistory:
