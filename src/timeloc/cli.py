@@ -15,7 +15,7 @@ import sys
 from datetime import date
 
 from . import door_detect, eval_harness, home_mining, sensing_fsm, simulator, time_map
-from .errors import NoNightData, TimelocError
+from .errors import NoArrival, NoNightData, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
     Bssid,
@@ -172,7 +172,7 @@ def _cmd_build_profile(args) -> int:
         window_traces = days[max(0, i - args.window_days + 1) : i + 1]
         try:
             new_map = time_map.build_day_map(day, profile.home_bssid)
-        except TimelocError:
+        except NoArrival:
             new_map = None
         profile = time_map.update_profile(
             profile, new_map, window_traces, window_days=args.window_days

@@ -45,12 +45,11 @@ from .home_mining import DayVote
 from .nn_baseline import HistoryPoint, NnHistory, filter_env, nn_predict, query_seed
 from .simulator import GroundTruth
 from .time_map import (
-    SCAN_PERIOD_S,
     WINDOW_DAYS,
     DayMap,
     UserProfile,
     build_profile_from_maps,
-    leg_sightings,
+    leg_losses,
     predict_tl,
 )
 from .trace_model import Bssid, DayTrace, ScanRecord, filter_trace
@@ -160,25 +159,21 @@ class EvalDataset:
 
 
 def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[QueryPoint]:
-    """Query points for one day: each route AP's loss-observation instant."""
+    """Query points for one day: each observed route-AP loss before arrival.
+
+    The query is issued at the first leg scan after the AP's last sighting.
+    """
     try:
-        leg, home_ts, first_seen, last_seen = leg_sightings(trace, home)
+        leg, _, losses = leg_losses(trace, home)
     except NoArrival:
         return []
     leg_ts = [s.ts for s in leg]
-    final_bssids = leg[-1].bssids()
 
     queries = []
-    for b, first in first_seen.items():
-        if b == home or b in final_bssids:
+    for b, (first, last, lost) in losses.items():
+        if lost is None:
             continue
-        lost = last_seen[b] + SCAN_PERIOD_S
-        if lost > home_ts:
-            continue
-        idx = bisect_right(leg_ts, last_seen[b])
-        if idx >= len(leg):
-            continue
-        scan = leg[idx]
+        scan = leg[bisect_right(leg_ts, last)]
         if scan.ts >= arrival_ts:
             continue
         queries.append(

@@ -34,16 +34,11 @@ _scan_ts = attrgetter("ts")
 
 @dataclass(frozen=True, slots=True)
 class HomeVote:
-    """Outcome of the daily vote: winner, per-BSSID vote tally, confidence.
-
-    ``tie_days`` lists days whose argmax was ambiguous and got the
-    lexicographic tie-break.
-    """
+    """Outcome of the daily vote: winner, per-BSSID vote tally, confidence."""
 
     winner: Bssid
     tally: Mapping[Bssid, int]
     confidence: float
-    tie_days: tuple[date, ...] = ()
 
 
 def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
@@ -71,15 +66,10 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
 
 @dataclass(frozen=True, slots=True)
 class DayVote:
-    """One day's ballot: its dwell argmax, or None for a day without dwell.
-
-    ``tied`` marks a day whose argmax was ambiguous and went to the
-    lexicographically smallest BSSID.
-    """
+    """One day's ballot: its dwell argmax, or None for a day without dwell."""
 
     day_id: date
     vote: Bssid | None
-    tied: bool = False
 
 
 def day_vote(trace: DayTrace) -> DayVote:
@@ -88,8 +78,7 @@ def day_vote(trace: DayTrace) -> DayVote:
     if not dwell:
         return DayVote(trace.day_id, None)
     top = max(dwell.values())
-    leaders = sorted(b for b, s in dwell.items() if s == top)
-    return DayVote(trace.day_id, leaders[0], len(leaders) > 1)
+    return DayVote(trace.day_id, min(b for b, s in dwell.items() if s == top))
 
 
 def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
@@ -98,13 +87,10 @@ def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
     Days without a vote are skipped.  Raises NoNightData when no day voted.
     """
     tally: dict[Bssid, int] = {}
-    tie_days: list[date] = []
     voting_days = 0
     for v in votes:
         if v.vote is None:
             continue
-        if v.tied:
-            tie_days.append(v.day_id)
         tally[v.vote] = tally.get(v.vote, 0) + 1
         voting_days += 1
     if voting_days == 0:
@@ -115,7 +101,6 @@ def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
         winner=winner,
         tally=tally,
         confidence=tally[winner] / voting_days,
-        tie_days=tuple(tie_days),
     )
 
 
@@ -123,7 +108,6 @@ def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:
     """Elect the home AP: per-day dwell argmax votes, modal vote wins.
 
     Ties (within a day or overall) break toward the lexicographically
-    smallest BSSID; per-day ties are reported in ``tie_days``.  Raises
-    NoNightData when no day has any nightly dwell.
+    smallest BSSID.  Raises NoNightData when no day has any nightly dwell.
     """
     return tally_votes(day_vote(t) for t in traces)

@@ -109,13 +109,17 @@ def homeward_leg(trace: DayTrace, home: Bssid) -> tuple[tuple[ScanRecord, ...], 
     return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
 
 
-def leg_sightings(
+def leg_losses(
     trace: DayTrace, home: Bssid
-) -> tuple[tuple[ScanRecord, ...], int, dict[Bssid, int], dict[Bssid, int]]:
+) -> tuple[tuple[ScanRecord, ...], int, dict[Bssid, tuple[int, int, int | None]]]:
     """The homeward leg, its home-detection instant, and each leg AP's
-    first and last sighting (scan timestamps), keyed in first-seen order.
+    (first sighting, last sighting, observed loss), keyed in first-seen order.
 
-    Raises NoArrival when home is never seen.
+    A loss is only observable at scan granularity: one scan period after the
+    last sighting.  It is None when that instant falls after home detection,
+    which covers every AP still in the detection scan (the home AP always
+    is), since that scan is its last sighting.  Raises NoArrival when home
+    is never seen.
     """
     leg, home_ts = homeward_leg(trace, home)
     first_seen: dict[Bssid, int] = {}
@@ -124,27 +128,25 @@ def leg_sightings(
         for o in s.aps:
             first_seen.setdefault(o.bssid, s.ts)
             last_seen[o.bssid] = s.ts
-    return leg, home_ts, first_seen, last_seen
+    losses = {}
+    for b, first in first_seen.items():
+        lost = last_seen[b] + SCAN_PERIOD_S
+        losses[b] = (first, last_seen[b], lost if lost <= home_ts else None)
+    return leg, home_ts, losses
 
 
 def build_day_map(trace: DayTrace, home: Bssid) -> DayMap:
     """Label every AP seen on the homeward leg.
 
-    For AP m:  loss time = last sighting + one scan period (loss is only
-    observable at scan granularity), capped at the home-detection instant;
-    tdr = loss - first sighting; tl = home detection - loss.  An AP still
-    visible when home is detected gets tl 0 and its tdr runs to the
-    detection instant.  The home AP itself always carries tl 0.
+    For AP m:  tdr = loss - first sighting; tl = home detection - loss,
+    where an AP without an observed loss (see ``leg_losses``) is lost at the
+    home-detection instant and so gets tl 0.
     """
-    leg, home_ts, first_seen, last_seen = leg_sightings(trace, home)
-    final_bssids = leg[-1].bssids()
-
+    _, home_ts, losses = leg_losses(trace, home)
     entries: dict[Bssid, ApLabel] = {}
-    for b, first in first_seen.items():
-        if b in final_bssids:
+    for b, (first, _, lost) in losses.items():
+        if lost is None:
             lost = home_ts
-        else:
-            lost = min(last_seen[b] + SCAN_PERIOD_S, home_ts)
         entries[b] = ApLabel(tl_seconds=home_ts - lost, tdr_seconds=lost - first)
 
     route_tdrs = [lab.tdr_seconds for lab in entries.values() if lab.tl_seconds > 0]
@@ -320,6 +322,22 @@ def profile_to_json(profile: UserProfile) -> str:
     )
 
 
+def _label_from_json(value) -> ApLabel:
+    """An ApLabel from its document form, an array of exactly two integers."""
+    if type(value) is list and len(value) == 2:
+        tl, tdr = value
+        if type(tl) is int and type(tdr) is int:
+            return ApLabel(tl, tdr)
+    raise ValueError(f"a label must be an array of two integers, not {value!r}")
+
+
+def _number_from_json(value) -> float:
+    """A float from a JSON number; strings and booleans are refused."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, not {value!r}")
+    return float(value)
+
+
 def profile_from_json(text: str) -> UserProfile:
     """Read a profile document.
 
@@ -336,16 +354,12 @@ def profile_from_json(text: str) -> UserProfile:
         window = tuple(
             DayMap(
                 day_id=date.fromisoformat(d["day_id"]),
-                entries={
-                    bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in d["entries"].items()
-                },
-                signature_s=float(d["signature_s"]),
+                entries={bssids[b]: _label_from_json(v) for b, v in d["entries"].items()},
+                signature_s=_number_from_json(d["signature_s"]),
             )
             for d in doc["window"]
         )
-        fallback = {
-            bssids[b]: ApLabel(int(v[0]), int(v[1])) for b, v in doc["fallback"].items()
-        }
+        fallback = {bssids[b]: _label_from_json(v) for b, v in doc["fallback"].items()}
         return UserProfile(
             home_bssid=Bssid(doc["home_bssid"]),
             window=window,
@@ -358,15 +372,27 @@ def profile_from_json(text: str) -> UserProfile:
         raise ProfileFormatError(f"profile has an invalid value ({exc})") from exc
 
 
+def _profile_path(store_dir, device_id: str) -> str:
+    """The store file of one device: ``{device_id}.profile.json``.
+
+    Raises TimelocError for an empty id or one holding a path separator,
+    which would name a file outside the store or in a directory under it.
+    """
+    if not device_id or os.sep in device_id or (os.altsep and os.altsep in device_id):
+        raise TimelocError(f"invalid device id {device_id!r}: it must be a plain file name")
+    return os.path.join(store_dir, f"{device_id}.profile.json")
+
+
 def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
     """Write ``{device_id}.profile.json`` under the store; returns the path.
 
     The document goes to a temporary file in the store, is flushed to disk
     and then renamed over the old one, so a crash or failed write leaves
-    the previous profile intact.
+    the previous profile intact.  Raises TimelocError for a device id that
+    is not a plain file name, before anything is written.
     """
+    path = _profile_path(store_dir, device_id)
     os.makedirs(store_dir, exist_ok=True)
-    path = os.path.join(store_dir, f"{device_id}.profile.json")
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -384,10 +410,11 @@ def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
 def load_profile(store_dir, device_id: str) -> UserProfile:
     """Read ``{device_id}.profile.json`` from the store.
 
-    Raises TimelocError when the device has no profile there, and
-    ProfileFormatError when the file is not a readable profile.
+    Raises TimelocError for a device id that is not a plain file name or
+    has no profile there, and ProfileFormatError when the file is not a
+    readable profile.
     """
-    path = os.path.join(store_dir, f"{device_id}.profile.json")
+    path = _profile_path(store_dir, device_id)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from timeloc import home_mining
+from timeloc import home_mining, time_map
 from timeloc.cli import _load_days, main
-from timeloc.trace_model import DAY_S, day_slice_start, serialize_scan_records
+from timeloc.errors import NoArrival
+from timeloc.trace_model import DAY_S, Bssid, day_slice_start, serialize_scan_records
 
 
 def run(*argv):
@@ -25,6 +26,15 @@ def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("dataset")
     assert run("simulate", "--scenario", "simple", "--days", "10", "--seed", "5", "--out", out) == 0
     return out
+
+
+@pytest.fixture(scope="module")
+def relocated(tmp_path_factory):
+    """20 relocation days, seed 5: the user moves before the night of day 11."""
+    out = tmp_path_factory.mktemp("relocation")
+    argv = ("simulate", "--scenario", "relocation", "--days", "20", "--seed", "5", "--out", out)
+    assert run(*argv) == 0
+    return out, _load_days(str(out))
 
 
 class TestSimulate:
@@ -112,6 +122,42 @@ class TestProfileAndPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: profile ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("device", ["", "../escaped", "a/b"])
+    def test_device_id_must_be_a_plain_file_name(self, dataset_dir, tmp_path, capsys, device):
+        store = tmp_path / "store"
+        rc = run("build-profile", "--traces", dataset_dir, "--device", device, "--store", store)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid device id") and "Traceback" not in err
+        rc = run(
+            "predict", "--store", store, "--device", device,
+            "--bssid", "0e:0e:0e:0e:0e:0e", "--tdr", "50",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid device id") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_days_without_the_current_home_fold_in_as_no_map(self, relocated, tmp_path):
+        data, days = relocated
+        store = tmp_path / "store"
+        assert run("build-profile", "--traces", data, "--device", "moved", "--store", store) == 0
+        week = time_map.WINDOW_DAYS
+        profile = time_map.empty_profile(
+            home_mining.vote_home_ap(days[:week]).winner, days[0].day_id
+        )
+        no_map = 0
+        for i, day in enumerate(days):
+            try:
+                new_map = time_map.build_day_map(day, profile.home_bssid)
+            except NoArrival:
+                new_map = None
+                no_map += 1
+            profile = time_map.update_profile(profile, new_map, days[max(0, i - week + 1) : i + 1])
+        assert no_map > 0
+        assert profile.home_bssid == Bssid("02:00:00:1f:ff:01")
+        assert time_map.load_profile(store, "moved") == profile
+
     def test_nn_prediction_from_trace_directory(self, dataset_dir, capsys):
         from timeloc.cli import _load_days
 
@@ -149,16 +195,7 @@ def _is_night(ts: int) -> bool:
 
 
 class TestDetectDoorAfterRelocation:
-    """20 relocation days, seed 5: the user moves before the night of day 11."""
-
     NEW_HOME = "02:00:00:1f:ff:01"
-
-    @pytest.fixture(scope="class")
-    def relocated(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("relocation")
-        argv = ("simulate", "--scenario", "relocation", "--days", "20", "--seed", "5", "--out", out)
-        assert run(*argv) == 0
-        return out, _load_days(str(out))
 
     def test_each_day_uses_the_home_of_its_window(self, relocated, capsys):
         data, days = relocated

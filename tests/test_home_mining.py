@@ -143,12 +143,11 @@ class TestVoteHomeAp:
         assert forward.winner == backward.winner
         assert forward.tally == backward.tally
 
-    def test_tie_day_flagged_and_lexicographic(self):
+    def test_tie_day_goes_to_smallest_bssid(self):
         ts = day_slice_start(DAY) + 32_400
         tied = trace([scan(ts, {bss(2): -50, bss(1): -55}), scan(ts + 600, {bss(2): -50, bss(1): -55})])
         vote = vote_home_ap([tied])
         assert vote.winner == bss(1)  # equal dwell, smaller BSSID wins
-        assert vote.tie_days == (DAY,)
 
     def test_winner_matches_accumulated_dwell_argmax(self):
         # when one AP dominates every night, the vote agrees with the
@@ -175,7 +174,7 @@ class TestDayVotes:
         ts = day_slice_start(DAY) + 32_400
         tied = trace([scan(ts, {bss(2): -50, bss(1): -55}), scan(ts + 600, {bss(2): -50, bss(1): -55})])
         ballot = day_vote(tied)
-        assert (ballot.day_id, ballot.vote, ballot.tied) == (DAY, bss(1), True)
+        assert (ballot.day_id, ballot.vote) == (DAY, bss(1))
         assert vote_home_ap([tied]) == tally_votes([ballot])
 
     def test_day_without_dwell_casts_no_vote(self):
@@ -236,6 +235,19 @@ def edge_heavy_days(draw):
 @given(edge_heavy_days())
 def test_nightly_dwell_matches_reference(t):
     assert nightly_dwell(t) == reference_nightly_dwell(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_heavy_days())
+def test_day_vote_is_the_smallest_top_dwell_bssid(t):
+    dwell = reference_nightly_dwell(t)
+    ballot = day_vote(t)
+    assert ballot.day_id == t.day_id
+    if not dwell:
+        assert ballot.vote is None
+    else:
+        top = max(dwell.values())
+        assert ballot.vote == sorted(b for b, s in dwell.items() if s == top)[0]
 
 
 def test_night_window_constants():

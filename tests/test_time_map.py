@@ -1,13 +1,16 @@
 import json
 import math
 import random
+from bisect import bisect_right
 from datetime import timedelta
+from statistics import median
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeloc import simulator as sim
+from timeloc.eval_harness import QueryPoint, ap_loss_queries
 from timeloc.errors import (
     ColdStart,
     NoArrival,
@@ -18,6 +21,8 @@ from timeloc.errors import (
     UnknownBssid,
 )
 from timeloc.time_map import (
+    HOME_AWAY_MIN_S,
+    SCAN_PERIOD_S,
     ApLabel,
     DayMap,
     UserProfile,
@@ -25,6 +30,7 @@ from timeloc.time_map import (
     build_profile_from_maps,
     empty_profile,
     homeward_leg,
+    leg_losses,
     load_profile,
     predict_tl,
     profile_from_json,
@@ -130,6 +136,181 @@ class TestBuildDayMap:
                 lost_ts = detect_ts - lab.tl_seconds
                 # losing the AP tl seconds before arrival partitions the leg
                 assert lost_ts + lab.tl_seconds == truth.arrival_ts
+
+
+# ---------------------------------------------------------------------------
+# reference: the loss rule as build_day_map and ap_loss_queries each stated
+# it before leg_losses, copied verbatim from those bodies.
+
+
+def reference_leg_sightings(trace, home):
+    leg, home_ts = homeward_leg(trace, home)
+    first_seen = {}
+    last_seen = {}
+    for s in leg:
+        for o in s.aps:
+            first_seen.setdefault(o.bssid, s.ts)
+            last_seen[o.bssid] = s.ts
+    return leg, home_ts, first_seen, last_seen
+
+
+def reference_build_day_map(trace, home):
+    leg, home_ts, first_seen, last_seen = reference_leg_sightings(trace, home)
+    final_bssids = leg[-1].bssids()
+
+    entries = {}
+    for b, first in first_seen.items():
+        if b in final_bssids:
+            lost = home_ts
+        else:
+            lost = min(last_seen[b] + SCAN_PERIOD_S, home_ts)
+        entries[b] = ApLabel(tl_seconds=home_ts - lost, tdr_seconds=lost - first)
+
+    route_tdrs = [lab.tdr_seconds for lab in entries.values() if lab.tl_seconds > 0]
+    signature = float(median(route_tdrs)) if route_tdrs else 0.0
+    return DayMap(day_id=trace.day_id, entries=entries, signature_s=signature)
+
+
+def reference_ap_loss_queries(trace, home, arrival_ts):
+    try:
+        leg, home_ts, first_seen, last_seen = reference_leg_sightings(trace, home)
+    except NoArrival:
+        return []
+    leg_ts = [s.ts for s in leg]
+    final_bssids = leg[-1].bssids()
+
+    queries = []
+    for b, first in first_seen.items():
+        if b == home or b in final_bssids:
+            continue
+        lost = last_seen[b] + SCAN_PERIOD_S
+        if lost > home_ts:
+            continue
+        idx = bisect_right(leg_ts, last_seen[b])
+        if idx >= len(leg):
+            continue
+        scan = leg[idx]
+        if scan.ts >= arrival_ts:
+            continue
+        queries.append(
+            QueryPoint(
+                day_id=trace.day_id,
+                query_ts=scan.ts,
+                bssid=b,
+                observed_tdr_s=lost - first,
+                scan=scan,
+                actual_tl_s=arrival_ts - scan.ts,
+            )
+        )
+    queries.sort(key=lambda q: (q.query_ts, q.bssid))
+    return queries
+
+
+# Gaps between scans: mostly repeated timestamps and gaps around the scan
+# period, sometimes a home absence just under, at or over HOME_AWAY_MIN_S.
+_LEG_GAPS = st.sampled_from(
+    tuple(range(2 * SCAN_PERIOD_S + 2)) * 3
+    + (HOME_AWAY_MIN_S - 1, HOME_AWAY_MIN_S, HOME_AWAY_MIN_S + 1)
+)
+_ROUTE_APS = (bss(1), bss(2), bss(3), bss(4))
+
+
+@st.composite
+def leg_days(draw):
+    """A day trace with an arrival instant near its scans.
+
+    Each route AP is visible over one run of consecutive scans.  Home is
+    visible in the last few scans, missing some, and in a few earlier ones,
+    so it may be seen several times, with absences on both sides of
+    HOME_AWAY_MIN_S; on some days it is never seen.
+    """
+    # At most 20 gaps of at most HOME_AWAY_MIN_S + 1 stay inside the slice.
+    gaps = draw(st.lists(_LEG_GAPS, min_size=6, max_size=20))
+    offset = draw(st.integers(0, 3600))
+    stamps = [SLICE + offset + sum(gaps[: i + 1]) for i in range(len(gaps))]
+    n = len(stamps)
+    index = st.integers(0, n - 1)
+    runs = {b: sorted(draw(st.tuples(index, index))) for b in _ROUTE_APS}
+    home = set()
+    if draw(st.integers(0, 5)):
+        home_from = n - draw(st.integers(1, min(n - 1, 8)))
+        home = set(range(home_from, n)) - draw(st.sets(index, max_size=2))
+        if home_from and draw(st.booleans()):
+            home |= draw(st.sets(st.integers(0, home_from - 1), min_size=1, max_size=2))
+    scans = []
+    for i, ts in enumerate(stamps):
+        aps = {b: -50 for b, (lo, hi) in runs.items() if lo <= i <= hi}
+        if i in home:
+            aps[HOME] = -45
+        scans.append(scan(ts, aps))
+    near_end = stamps[n - draw(st.integers(1, min(n, 10)))]
+    arrival = near_end + draw(st.integers(-SCAN_PERIOD_S, SCAN_PERIOD_S))
+    return trace(scans), arrival
+
+
+# Home detected at 20 with the route AP last seen at 15, so its loss is
+# observed exactly at detection: a query with tl 0.
+_LOSS_AT_DETECTION = (
+    trace([scan(SLICE, {bss(1): -50}), scan(SLICE + 15, {bss(1): -50}),
+           scan(SLICE + 18, {}), scan(SLICE + 20, {HOME: -45})]),
+    SLICE + 25,
+)
+
+
+class TestLegLossProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    @example(_LOSS_AT_DETECTION)
+    def test_day_map_and_queries_match_the_sighting_rule(self, day):
+        t, arrival = day
+        try:
+            expected = reference_build_day_map(t, HOME)
+        except NoArrival:
+            with pytest.raises(NoArrival):
+                build_day_map(t, HOME)
+        else:
+            assert build_day_map(t, HOME) == expected
+        assert ap_loss_queries(t, HOME, arrival) == reference_ap_loss_queries(t, HOME, arrival)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    @example(_LOSS_AT_DETECTION)
+    def test_labels_partition_the_leg(self, day):
+        t, _ = day
+        try:
+            leg, home_ts = homeward_leg(t, HOME)
+        except NoArrival:
+            return
+        dm = build_day_map(t, HOME)
+        first = {}
+        for s in leg:
+            for o in s.aps:
+                first.setdefault(o.bssid, s.ts)
+        assert list(dm.entries) == list(first)
+        for b, lab in dm.entries.items():
+            assert first[b] + lab.tdr_seconds + lab.tl_seconds == home_ts
+        for b in leg[-1].bssids():
+            assert dm.entries[b].tl_seconds == 0
+        route_tdrs = [lab.tdr_seconds for lab in dm.entries.values() if lab.tl_seconds > 0]
+        assert dm.signature_s == (median(route_tdrs) if route_tdrs else 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    @example(_LOSS_AT_DETECTION)
+    def test_each_query_follows_its_last_sighting(self, day):
+        t, arrival = day
+        queries = ap_loss_queries(t, HOME, arrival)
+        if not queries:
+            return
+        leg, _, losses = leg_losses(t, HOME)
+        dm = build_day_map(t, HOME)
+        for q in queries:
+            last = max(s.ts for s in leg if q.bssid in s.bssids())
+            assert q.scan == next(s for s in leg if s.ts > last)
+            assert q.query_ts == q.scan.ts < arrival
+            assert q.actual_tl_s == arrival - q.scan.ts
+            assert q.observed_tdr_s == dm.entries[q.bssid].tdr_seconds
+            assert losses[q.bssid][1:] == (last, last + SCAN_PERIOD_S)
 
 
 def _window_maps(n=7, bssid=bss(1), tl=340, tdr=60):
@@ -479,6 +660,15 @@ class TestMalformedProfile:
             (("window", 0, "entries", str(HOME)), [1]),
             (("window", 0, "entries", str(HOME)), ["a", "b"]),
             (("window", 0, "entries", str(HOME)), [-1, 0]),
+            (("window", 0, "entries", str(HOME)), "95"),
+            (("window", 0, "entries", str(HOME)), [1.9, 2, 3]),
+            (("window", 0, "entries", str(HOME)), [1.0, 2]),
+            (("window", 0, "entries", str(HOME)), [True, False]),
+            (("window", 0, "entries", str(HOME)), ["1", "2"]),
+            (("fallback", str(bss(1))), [1, True]),
+            (("window", 0, "signature_s"), "1.5"),
+            (("window", 0, "signature_s"), True),
+            (("window", 0, "signature_s"), None),
         ],
     )
     def test_invalid_value(self, path, value):
