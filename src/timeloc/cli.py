@@ -9,13 +9,12 @@ fsm-run, evaluate, sweep.  All outputs are deterministic for a fixed
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from datetime import date
 
 from . import door_detect, eval_harness, home_mining, sensing_fsm, simulator, time_map
-from .errors import NoArrival, NoNightData, TimelocError
+from .errors import NoArrival, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
     Bssid,
@@ -166,17 +165,18 @@ def _cmd_build_profile(args) -> int:
     days = _load_days(args.traces)
     if not days:
         raise TimelocError("no days found in the trace directory")
-    home = home_mining.vote_home_ap(days[: args.window_days]).winner
+    votes = [home_mining.day_vote(d) for d in days]
+    home = home_mining.tally_votes(votes[: args.window_days]).winner
     profile = time_map.empty_profile(home, days[0].day_id)
-    for i, day in enumerate(days):
-        window_traces = days[max(0, i - args.window_days + 1) : i + 1]
+    for i, (day, voted) in enumerate(zip(days, home_mining.window_homes(votes, args.window_days))):
         try:
-            new_map = time_map.build_day_map(day, profile.home_bssid)
+            new_map = time_map.build_day_map(day, home)
         except NoArrival:
             new_map = None
-        profile = time_map.update_profile(
-            profile, new_map, window_traces, window_days=args.window_days
-        )
+        if voted is not None:  # a window without nightly data keeps the home
+            home = voted
+        window_traces = days[max(0, i - args.window_days + 1) : i + 1]
+        profile = time_map.fold_day(profile, new_map, home, window_traces, args.window_days)
     path = time_map.save_profile(profile, args.store, args.device)
     print(
         f"profile for {args.device}: home {profile.home_bssid}, "
@@ -217,38 +217,20 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _window_homes(days: list[DayTrace]) -> dict[date, Bssid]:
-    """Each day's home AP: the vote over the WINDOW_DAYS read days ending at it.
-
-    Every day is voted once.  A day whose window has no nightly data gets no
-    home; raises NoNightData when no day has any.
-    """
-    votes = [home_mining.day_vote(d) for d in days]
-    homes = {}
-    for i, day in enumerate(days):
-        window = votes[max(0, i - time_map.WINDOW_DAYS + 1) : i + 1]
-        with contextlib.suppress(NoNightData):
-            homes[day.day_id] = home_mining.tally_votes(window).winner
-    if not homes:
-        home_mining.tally_votes(votes)  # raises NoNightData
-    return homes
-
-
 def _cmd_detect_door(args) -> int:
-    days = all_days = _load_days(args.traces)
-    if args.day is not None:
-        days = [d for d in days if d.day_id == args.day]
-        if not days:
-            raise TimelocError(f"no trace for day {args.day}")
+    days = _load_days(args.traces)
+    if args.day is not None and all(d.day_id != args.day for d in days):
+        raise TimelocError(f"no trace for day {args.day}")
     if args.home:
-        home = Bssid(args.home)
-        homes = {d.day_id: home for d in days}
+        homes = [Bssid(args.home)] * len(days)
     else:
-        homes = _window_homes(all_days)
+        votes = [home_mining.day_vote(d) for d in days]
+        home_mining.tally_votes(votes)  # raises NoNightData when no day has any
+        homes = home_mining.window_homes(votes, time_map.WINDOW_DAYS)
     lines = ["ts"]
-    for day in days:
-        if day.day_id in homes:
-            events = door_detect.detect_door_events(day, homes[day.day_id])
+    for day, home in zip(days, homes):
+        if home is not None and args.day in (None, day.day_id):
+            events = door_detect.detect_door_events(day, home)
             lines.extend(str(event.ts) for event in events)
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -41,7 +41,6 @@ from .errors import (
     NoNightData,
     UnknownBssid,
 )
-from .home_mining import DayVote
 from .nn_baseline import HistoryPoint, NnHistory, filter_env, nn_predict, query_seed
 from .simulator import GroundTruth
 from .time_map import (
@@ -80,20 +79,20 @@ class QueryPoint:
 
 
 class EvalDay:
-    """One day's artifacts at one RSSI level, each computed on first use.
+    """One day's artifacts at one RSSI level.
 
-    ``trace`` is the day filtered at that level, once.  ``vote()`` is the
-    day's nightly vote; ``day_map(home)`` (None when home is never seen),
-    ``history(home)`` and the query points are per home BSSID (the query
-    points also per arrival instant).  Records are shared by every
-    evaluation of their dataset, so a predictor must not change them.
+    ``trace`` is the day filtered at that level and ``vote()`` its nightly
+    ballot, both made with the record; ``day_map(home)`` (None when home is
+    never seen), ``history(home)`` and the query points are made on first
+    use, per home BSSID (queries also per arrival).  A predictor must not
+    change a record: every evaluation of its dataset shares it.
     """
 
     __slots__ = ("trace", "_vote", "_maps", "_history", "_queries")
 
     def __init__(self, trace: DayTrace):
         self.trace = trace
-        self._vote: DayVote | None = None
+        self._vote = home_mining.day_vote(trace)
         self._maps: dict[Bssid, DayMap | None] = {}
         self._history: dict[Bssid, list[HistoryPoint]] = {}
         self._queries: dict[tuple[Bssid, int], tuple[QueryPoint, ...]] = {}
@@ -102,9 +101,7 @@ class EvalDay:
     def day_id(self) -> date:
         return self.trace.day_id
 
-    def vote(self) -> DayVote:
-        if self._vote is None:
-            self._vote = home_mining.day_vote(self.trace)
+    def vote(self) -> Bssid | None:
         return self._vote
 
     def day_map(self, home: Bssid) -> DayMap | None:

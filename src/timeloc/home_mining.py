@@ -1,20 +1,22 @@
 """Home-AP mining by nightly-dwell voting.
 
 Each day accumulates, per BSSID, the seconds it stayed reachable between
-21:00 and 06:00; the day's top BSSID casts one vote, and the modal vote
-across days is declared the home AP.  ``day_vote`` casts one day's ballot
-and ``tally_votes`` counts ballots, so a caller that keeps per-day ballots
-(the evaluation harness) can re-tally a sliding window without recomputing
-any day's dwell.
+21:00 and 06:00; the day's top BSSID casts one vote (``day_vote``), and the
+modal vote across days (``tally_votes``) is declared the home AP.
+
+Two rules for the home on day d stay apart on purpose.  A prediction on d
+uses the W calendar days before d and never d's own night, which comes
+after the arrival it predicts (``evaluate``, ``predict --method nn``).  A
+fold uses the W read days ending at d (``window_homes``: build-profile and
+detect-door; ``update_profile``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NoNightData
 from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start
@@ -64,24 +66,16 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
     return dwell
 
 
-@dataclass(frozen=True, slots=True)
-class DayVote:
-    """One day's ballot: its dwell argmax, or None for a day without dwell."""
-
-    day_id: date
-    vote: Bssid | None
-
-
-def day_vote(trace: DayTrace) -> DayVote:
-    """The BSSID with the most nightly dwell on this day (smallest on ties)."""
+def day_vote(trace: DayTrace) -> Bssid | None:
+    """The BSSID with the most nightly dwell on this day (smallest on ties), or None."""
     dwell = nightly_dwell(trace)
     if not dwell:
-        return DayVote(trace.day_id, None)
+        return None
     top = max(dwell.values())
-    return DayVote(trace.day_id, min(b for b, s in dwell.items() if s == top))
+    return min(b for b, s in dwell.items() if s == top)
 
 
-def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
+def tally_votes(votes: Iterable[Bssid | None]) -> HomeVote:
     """Modal vote over days; overall ties break toward the smallest BSSID.
 
     Days without a vote are skipped.  Raises NoNightData when no day voted.
@@ -89,9 +83,9 @@ def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
     tally: dict[Bssid, int] = {}
     voting_days = 0
     for v in votes:
-        if v.vote is None:
+        if v is None:
             continue
-        tally[v.vote] = tally.get(v.vote, 0) + 1
+        tally[v] = tally.get(v, 0) + 1
         voting_days += 1
     if voting_days == 0:
         raise NoNightData("no scans inside the 21:00-06:00 window on any day")
@@ -102,6 +96,18 @@ def tally_votes(votes: Iterable[DayVote]) -> HomeVote:
         tally=tally,
         confidence=tally[winner] / voting_days,
     )
+
+
+def window_homes(votes: Sequence[Bssid | None], length: int) -> list[Bssid | None]:
+    """Each day's home: the modal vote of the ``length`` read days ending at
+    it, or None where none of them voted.  ``votes`` are in day order."""
+    homes = []
+    for i in range(len(votes)):
+        try:
+            homes.append(tally_votes(votes[max(0, i - length + 1) : i + 1]).winner)
+        except NoNightData:
+            homes.append(None)
+    return homes
 
 
 def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:

@@ -158,22 +158,23 @@ def empty_profile(home: Bssid, built_at: date) -> UserProfile:
     return UserProfile(home_bssid=home, window=(), fallback={}, built_at=built_at)
 
 
-def update_profile(
+def fold_day(
     profile: UserProfile,
     new_day: DayMap | None,
-    all_window_traces: Sequence[DayTrace],
+    home: Bssid,
+    window_traces: Sequence[DayTrace],
     window_days: int = WINDOW_DAYS,
 ) -> UserProfile:
-    """Fold one day into the profile: append, evict, re-vote, maybe rebuild.
+    """Fold one day into the profile under ``home``: append, evict, maybe rebuild.
 
     The new DayMap is appended; when the window overflows, the oldest map is
     evicted and its labels merged into the fallback (newer label wins per
-    BSSID).  Home voting then re-runs over ``all_window_traces``; if the
-    winner changes, every window day is rebuilt against the new home BSSID
-    from those traces, and days where the new home was never detected drop
-    out.  ``new_day`` may be None for a day that produced no map against the
-    current home (typically right after a relocation); its trace still
-    participates in the vote.  Raises ValueError if ``window_days`` < 1.
+    BSSID).  If ``home`` is not the profile's, the window is rebuilt against
+    it from the newest ``window_days`` of ``window_traces``, days where it
+    was never detected drop out, and the fallback starts over.  ``new_day``
+    may be None for a day that produced no map against the current home
+    (typically right after a relocation).  Raises ValueError if
+    ``window_days`` < 1.
     """
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
@@ -191,17 +192,11 @@ def update_profile(
             for b, lab in evicted.entries.items():
                 fallback[b] = lab
 
-    home = profile.home_bssid
-    vote = None
-    if all_window_traces:
-        with contextlib.suppress(NoNightData):
-            vote = vote_home_ap(all_window_traces)
-    if vote is not None and vote.winner != home:
-        home = vote.winner
+    if home != profile.home_bssid:
         # Labels anchored to the old home are meaningless now: rebuild the
         # window from the traces and start the fallback over.
         rebuilt = []
-        for t in sorted(all_window_traces, key=lambda t: t.day_id)[-window_days:]:
+        for t in sorted(window_traces, key=lambda t: t.day_id)[-window_days:]:
             try:
                 rebuilt.append(build_day_map(t, home))
             except NoArrival:
@@ -210,7 +205,7 @@ def update_profile(
         fallback = {}
 
     built_at = window[-1].day_id if window else (
-        max(t.day_id for t in all_window_traces) if all_window_traces else profile.built_at
+        max(t.day_id for t in window_traces) if window_traces else profile.built_at
     )
     return UserProfile(
         home_bssid=home,
@@ -220,12 +215,25 @@ def update_profile(
     )
 
 
+def update_profile(
+    profile: UserProfile,
+    new_day: DayMap | None,
+    all_window_traces: Sequence[DayTrace],
+    window_days: int = WINDOW_DAYS,
+) -> UserProfile:
+    """``fold_day`` under the home voted over the traces, or the profile's if none voted."""
+    home = profile.home_bssid
+    with contextlib.suppress(NoNightData):
+        home = vote_home_ap(all_window_traces).winner
+    return fold_day(profile, new_day, home, all_window_traces, window_days)
+
+
 def build_profile_from_maps(home: Bssid, maps: Iterable[DayMap]) -> UserProfile:
     """Profile from a bag of DayMaps, independent of insertion order."""
     ordered = sorted(maps, key=lambda m: m.day_id)
     profile = empty_profile(home, ordered[0].day_id if ordered else date.min)
     for m in ordered:
-        profile = update_profile(profile, m, ())
+        profile = fold_day(profile, m, home, ())
     return profile
 
 
@@ -389,10 +397,14 @@ def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
     The document goes to a temporary file in the store, is flushed to disk
     and then renamed over the old one, so a crash or failed write leaves
     the previous profile intact.  Raises TimelocError for a device id that
-    is not a plain file name, before anything is written.
+    is not a plain file name, or a store that is not a directory, before
+    anything is written.
     """
     path = _profile_path(store_dir, device_id)
-    os.makedirs(store_dir, exist_ok=True)
+    try:
+        os.makedirs(store_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise TimelocError(f"profile store {str(store_dir)!r} is not a directory") from None
     tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -411,8 +423,8 @@ def load_profile(store_dir, device_id: str) -> UserProfile:
     """Read ``{device_id}.profile.json`` from the store.
 
     Raises TimelocError for a device id that is not a plain file name or
-    has no profile there, and ProfileFormatError when the file is not a
-    readable profile.
+    has no profile there and for a store that is not a directory, and
+    ProfileFormatError when the file is not a readable profile.
     """
     path = _profile_path(store_dir, device_id)
     try:
@@ -422,6 +434,8 @@ def load_profile(store_dir, device_id: str) -> UserProfile:
         raise TimelocError(
             f"no profile for device {device_id!r} in store {str(store_dir)!r}"
         ) from None
+    except NotADirectoryError:
+        raise TimelocError(f"profile store {str(store_dir)!r} is not a directory") from None
     except UnicodeDecodeError as exc:
         raise ProfileFormatError(f"profile {path} is not UTF-8 ({exc.reason})") from exc
     return profile_from_json(text)

@@ -138,11 +138,12 @@ class TestProfileAndPredict:
         assert err.startswith("error: invalid device id") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_days_without_the_current_home_fold_in_as_no_map(self, relocated, tmp_path):
+    @pytest.mark.parametrize("week", [7, 9])
+    def test_days_without_the_current_home_fold_in_as_no_map(self, relocated, tmp_path, week):
         data, days = relocated
         store = tmp_path / "store"
-        assert run("build-profile", "--traces", data, "--device", "moved", "--store", store) == 0
-        week = time_map.WINDOW_DAYS
+        argv = ("build-profile", "--traces", data, "--device", "moved", "--store", store)
+        assert run(*argv, "--window-days", week) == 0
         profile = time_map.empty_profile(
             home_mining.vote_home_ap(days[:week]).winner, days[0].day_id
         )
@@ -153,10 +154,28 @@ class TestProfileAndPredict:
             except NoArrival:
                 new_map = None
                 no_map += 1
-            profile = time_map.update_profile(profile, new_map, days[max(0, i - week + 1) : i + 1])
+            window = days[max(0, i - week + 1) : i + 1]
+            profile = time_map.update_profile(profile, new_map, window, window_days=week)
         assert no_map > 0
         assert profile.home_bssid == Bssid("02:00:00:1f:ff:01")
         assert time_map.load_profile(store, "moved") == profile
+
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+    def test_store_that_is_not_a_directory_is_an_error(self, dataset_dir, tmp_path, capsys, inside):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a store\n")
+        store = blocker / "sub" if inside else blocker
+        expected = f"error: profile store {str(store)!r} is not a directory\n"
+        assert run("build-profile", "--traces", dataset_dir, "--device", "d", "--store", store) == 1
+        assert capsys.readouterr() == ("", expected)
+        rc = run(
+            "predict", "--store", store, "--device", "d",
+            "--bssid", "0e:0e:0e:0e:0e:0e", "--tdr", "50",
+        )
+        assert rc == 1
+        assert capsys.readouterr() == ("", expected)
+        assert list(tmp_path.iterdir()) == [blocker]
+        assert blocker.read_text() == "not a store\n"
 
     def test_nn_prediction_from_trace_directory(self, dataset_dir, capsys):
         from timeloc.cli import _load_days

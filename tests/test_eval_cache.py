@@ -215,7 +215,7 @@ def test_query_tdr_equals_day_map_tdr(request, name, level):
     points = 0
     for trace in traces:
         trace = filter_trace(trace, level)
-        home = home_mining.day_vote(trace).vote
+        home = home_mining.day_vote(trace)
         if home is None:
             continue
         for q in ap_loss_queries(trace, home, arrivals[trace.day_id]):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from datetime import date, timedelta
 
 import pytest
@@ -14,6 +15,7 @@ from timeloc.home_mining import (
     nightly_dwell,
     tally_votes,
     vote_home_ap,
+    window_homes,
 )
 from timeloc.trace_model import DAY_S, day_slice_start
 from util import DAY, NIGHT_END, NIGHT_START, bss, scan, trace
@@ -174,12 +176,12 @@ class TestDayVotes:
         ts = day_slice_start(DAY) + 32_400
         tied = trace([scan(ts, {bss(2): -50, bss(1): -55}), scan(ts + 600, {bss(2): -50, bss(1): -55})])
         ballot = day_vote(tied)
-        assert (ballot.day_id, ballot.vote) == (DAY, bss(1))
+        assert ballot == bss(1)
         assert vote_home_ap([tied]) == tally_votes([ballot])
 
     def test_day_without_dwell_casts_no_vote(self):
         daytime = trace([scan(day_slice_start(DAY) + 3600, {bss(1): -50})])
-        assert day_vote(daytime).vote is None
+        assert day_vote(daytime) is None
         with pytest.raises(NoNightData):
             tally_votes([day_vote(daytime)])
         night = _night_trace(DAY + timedelta(days=1), bss(3))
@@ -242,12 +244,38 @@ def test_nightly_dwell_matches_reference(t):
 def test_day_vote_is_the_smallest_top_dwell_bssid(t):
     dwell = reference_nightly_dwell(t)
     ballot = day_vote(t)
-    assert ballot.day_id == t.day_id
     if not dwell:
-        assert ballot.vote is None
+        assert ballot is None
     else:
         top = max(dwell.values())
-        assert ballot.vote == sorted(b for b, s in dwell.items() if s == top)[0]
+        assert ballot == sorted(b for b, s in dwell.items() if s == top)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(edge_heavy_days(), max_size=10), st.integers(1, 9))
+def test_window_homes_votes_the_read_days_ending_at_each_day(days, length):
+    homes = window_homes([day_vote(t) for t in days], length)
+    assert len(homes) == len(days)
+    for i, home in enumerate(homes):
+        try:
+            assert home == vote_home_ap(days[max(0, i - length + 1) : i + 1]).winner
+        except NoNightData:
+            assert home is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.integers(1, 4).map(bss)), max_size=12))
+def test_tally_breaks_ties_toward_the_smallest_bssid(ballots):
+    counts = Counter(b for b in ballots if b is not None)
+    if not counts:
+        with pytest.raises(NoNightData):
+            tally_votes(ballots)
+        return
+    vote = tally_votes(ballots)
+    top = max(counts.values())
+    assert vote.winner == min(b for b, n in counts.items() if n == top)
+    assert vote.tally == counts
+    assert vote.confidence == counts[vote.winner] / sum(counts.values())
 
 
 def test_night_window_constants():

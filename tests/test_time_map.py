@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -14,21 +15,25 @@ from timeloc.eval_harness import QueryPoint, ap_loss_queries
 from timeloc.errors import (
     ColdStart,
     NoArrival,
+    NoNightData,
     OrderingError,
     ProfileFormatError,
     TimelocError,
     TraceValidationError,
     UnknownBssid,
 )
+from timeloc.home_mining import day_vote, vote_home_ap, window_homes
 from timeloc.time_map import (
     HOME_AWAY_MIN_S,
     SCAN_PERIOD_S,
+    WINDOW_DAYS,
     ApLabel,
     DayMap,
     UserProfile,
     build_day_map,
     build_profile_from_maps,
     empty_profile,
+    fold_day,
     homeward_leg,
     leg_losses,
     load_profile,
@@ -37,6 +42,7 @@ from timeloc.time_map import (
     profile_to_json,
     update_profile,
 )
+from timeloc.trace_model import day_slice_start
 from util import B, DAY, SLICE, bss, scan, trace
 
 HOME = B("aa:00:00:00:00:ff")
@@ -394,6 +400,131 @@ class TestUpdateProfile:
         shuffled = maps[:]
         rng.shuffle(shuffled)
         assert build_profile_from_maps(HOME, shuffled) == build_profile_from_maps(HOME, maps)
+
+
+# ---------------------------------------------------------------------------
+# reference: update_profile as it was before the fold was split from the
+# window vote, copied verbatim from that body.
+
+
+def reference_update_profile(profile, new_day, all_window_traces, window_days=WINDOW_DAYS):
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
+    window = list(profile.window)
+    fallback = dict(profile.fallback)
+
+    if new_day is not None:
+        if window and new_day.day_id <= window[-1].day_id:
+            raise OrderingError(
+                f"day {new_day.day_id} not later than window tail {window[-1].day_id}"
+            )
+        window.append(new_day)
+        while len(window) > window_days:
+            evicted = window.pop(0)
+            for b, lab in evicted.entries.items():
+                fallback[b] = lab
+
+    home = profile.home_bssid
+    vote = None
+    if all_window_traces:
+        with contextlib.suppress(NoNightData):
+            vote = vote_home_ap(all_window_traces)
+    if vote is not None and vote.winner != home:
+        home = vote.winner
+        # Labels anchored to the old home are meaningless now: rebuild the
+        # window from the traces and start the fallback over.
+        rebuilt = []
+        for t in sorted(all_window_traces, key=lambda t: t.day_id)[-window_days:]:
+            try:
+                rebuilt.append(build_day_map(t, home))
+            except NoArrival:
+                continue
+        window = rebuilt
+        fallback = {}
+
+    built_at = window[-1].day_id if window else (
+        max(t.day_id for t in all_window_traces) if all_window_traces else profile.built_at
+    )
+    return UserProfile(
+        home_bssid=home,
+        window=tuple(window),
+        fallback=fallback,
+        built_at=built_at,
+    )
+
+
+OLD_HOME, NEW_HOME = B("aa:00:00:00:00:01"), B("aa:00:00:00:00:02")
+
+
+@st.composite
+def folded_days(draw):
+    """Consecutive day traces of a user who moves from OLD_HOME to NEW_HOME.
+
+    A day has a homeward leg past the route APs and, most days, an arrival
+    at its home, which then stays visible until the night.  Its night scans,
+    when it has any, see one AP: mostly the day's home, sometimes the other
+    one.  So some days have no arrival, some no night data, and the window
+    vote flips once the new home holds enough nights.
+    """
+    n = draw(st.integers(1, 14))
+    move = draw(st.integers(0, n))
+    days = []
+    for i in range(n):
+        day = DAY + timedelta(days=i)
+        home, other = (OLD_HOME, NEW_HOME) if i < move else (NEW_HOME, OLD_HOME)
+        start = day_slice_start(day) + 4 * 3600  # 16:00
+        scans = [
+            scan(start + 30 * k, {b: -50 for b in draw(st.sets(st.sampled_from(_ROUTE_APS)))})
+            for k in range(draw(st.integers(1, 6)))
+        ]
+        if draw(st.integers(0, 4)):  # most days arrive home
+            arrive = scans[-1].ts + 30
+            scans += [scan(ts, {home: -45}) for ts in range(arrive, start + 5 * 3600, 1200)]
+        night = draw(st.sampled_from([home, home, home, other, None]))
+        if night is not None:
+            count = draw(st.integers(1, 6))  # one night scan alone gives no dwell
+            scans += [scan(start + 5 * 3600 + 1200 * k, {night: -45}) for k in range(count)]
+        days.append(trace(scans, day=day))
+    return days
+
+
+def _map_or_none(t, home):
+    try:
+        return build_day_map(t, home)
+    except NoArrival:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(folded_days(), st.integers(1, 9), st.integers(0, 12), st.sampled_from([OLD_HOME, NEW_HOME]))
+def test_update_profile_matches_reference(days, window_days, lookback, start_home):
+    """Folding as build-profile does, with the window traces of the last
+    ``lookback`` days (none when 0, so more or fewer than ``window_days``)."""
+    profile = empty_profile(start_home, days[0].day_id)
+    for i, t in enumerate(days):
+        new_map = _map_or_none(t, profile.home_bssid)
+        window = days[max(0, i - lookback + 1) : i + 1] if lookback else ()
+        expected = reference_update_profile(profile, new_map, window, window_days)
+        assert update_profile(profile, new_map, window, window_days) == expected
+        if new_map is not None and expected.window:
+            with pytest.raises(OrderingError):
+                update_profile(expected, expected.window[-1], window, window_days)
+        profile = expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(folded_days(), st.integers(1, 9), st.sampled_from([OLD_HOME, NEW_HOME]))
+def test_folding_under_window_homes_matches_update_profile(days, window_days, start_home):
+    """build-profile's loop: one ballot per day, each day's home from
+    window_homes (kept where None), folded with fold_day."""
+    homes = window_homes([day_vote(t) for t in days], window_days)
+    voted = folded = empty_profile(start_home, days[0].day_id)
+    for i, (t, home) in enumerate(zip(days, homes)):
+        window = days[max(0, i - window_days + 1) : i + 1]
+        voted = update_profile(voted, _map_or_none(t, voted.home_bssid), window, window_days)
+        home = folded.home_bssid if home is None else home
+        folded = fold_day(folded, _map_or_none(t, folded.home_bssid), home, window, window_days)
+        assert folded == voted
 
 
 class TestPredict:
