@@ -77,14 +77,21 @@ def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
     return truths
 
 
-def _load_days(traces_dir: str) -> list[DayTrace]:
+def _load_days(traces_dir: str, *, with_accel: bool = False) -> list[DayTrace]:
+    """The directory's trace as noon-to-noon days.
+
+    ``accel.jsonl`` is read only when ``with_accel`` is set, as detect-door,
+    the one command that reads ``DayTrace.accel``, sets it.  Without it every
+    day's ``accel`` is empty and a day with accelerometer samples but no
+    scans is not read at all.
+    """
     path = os.path.join(traces_dir, "trace.jsonl")
     try:
         records = load_trace_file(path)
     except FileNotFoundError:
         raise TimelocError(f"no trace file {path}") from None
     accel_path = os.path.join(traces_dir, "accel.jsonl")
-    accel = load_accel_file(accel_path) if os.path.exists(accel_path) else []
+    accel = load_accel_file(accel_path) if with_accel and os.path.exists(accel_path) else []
     return slice_into_days(records, accel)
 
 
@@ -166,9 +173,13 @@ def _cmd_build_profile(args) -> int:
     if not days:
         raise TimelocError("no days found in the trace directory")
     votes = [home_mining.day_vote(d) for d in days]
-    home = home_mining.tally_votes(votes[: args.window_days]).winner
+    home_mining.tally_votes(votes)  # raises NoNightData when no day has any
+    homes = home_mining.window_homes(votes, args.window_days)
+    # Start from the first full window that votes.  Some day votes, and it
+    # lies in the first full window or ends a later one, so one does.
+    home = next(h for h in homes[min(args.window_days, len(days)) - 1 :] if h is not None)
     profile = time_map.empty_profile(home, days[0].day_id)
-    for i, (day, voted) in enumerate(zip(days, home_mining.window_homes(votes, args.window_days))):
+    for i, (day, voted) in enumerate(zip(days, homes)):
         try:
             new_map = time_map.build_day_map(day, home)
         except NoArrival:
@@ -218,7 +229,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_detect_door(args) -> int:
-    days = _load_days(args.traces)
+    days = _load_days(args.traces, with_accel=True)
     if args.day is not None and all(d.day_id != args.day for d in days):
         raise TimelocError(f"no trace for day {args.day}")
     if args.home:

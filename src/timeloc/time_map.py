@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -30,7 +29,7 @@ from .errors import (
     UnknownBssid,
 )
 from .home_mining import vote_home_ap
-from .trace_model import Bssid, DayTrace, ScanRecord, _SeenBssids
+from .trace_model import Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids
 
 # Nominal in-region scan cadence; an AP's loss is only observable one scan
 # period after its last sighting.
@@ -95,17 +94,14 @@ def homeward_leg(trace: DayTrace, home: Bssid) -> tuple[tuple[ScanRecord, ...], 
     Raises NoArrival when home is never seen at all.
     """
     scans = trace.scans
-    detect_idx = None
-    leg_start_idx = 0
-    prev_sight: int | None = None
-    for i, s in enumerate(scans):
-        if any(o.bssid == home for o in s.aps):
-            if prev_sight is None or s.ts - scans[prev_sight].ts >= HOME_AWAY_MIN_S:
-                detect_idx = i
-                leg_start_idx = 0 if prev_sight is None else prev_sight + 1
-            prev_sight = i
-    if detect_idx is None:
+    # A scan lists each BSSID at most once, so this is one index per sighting.
+    sightings = [i for i, s in enumerate(scans) for o in s.aps if o.bssid == home]
+    if not sightings:
         raise NoArrival(f"home {home} not detected on {trace.day_id}")
+    detect_idx, leg_start_idx = sightings[0], 0
+    for prev, i in zip(sightings, sightings[1:]):
+        if scans[i].ts - scans[prev].ts >= HOME_AWAY_MIN_S:
+            detect_idx, leg_start_idx = i, prev + 1
     return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
 
 
@@ -283,17 +279,6 @@ def predict_tl(profile: UserProfile, bssid: Bssid, observed_tdr_s: int) -> Predi
 
 # ---------------------------------------------------------------------------
 # persistence: one JSON document per device in a profile-store directory
-
-def _json_float(x: float) -> str:
-    """A number as ``json.dumps`` writes it, NaN and the infinities included."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return repr(x)
-
 
 def _labels_json(labels: Mapping[Bssid, ApLabel], indent: str) -> str:
     """A BSSID -> [tl_seconds, tdr_seconds] object whose closing brace sits at ``indent``."""

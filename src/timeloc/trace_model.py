@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable, Sequence
 
 from .errors import OrderingError, TraceParseError, TraceValidationError
@@ -325,17 +326,39 @@ def parse_trace_file(stream) -> list[ScanRecord]:
     return _parse_jsonl(stream, "record", lambda obj: _record_from_obj(obj, observations))
 
 
+def _json_float(x: float) -> str:
+    """A number as ``json.dumps`` writes it, NaN and the infinities included."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
+
+
+def _jsonl(lines: list[str]) -> bytes:
+    """The lines as a JSONL document: UTF-8, each ending in LF; ``b""`` for none."""
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+
 def serialize_scan_records(records: Iterable[ScanRecord]) -> bytes:
+    """The records as JSONL, one compact line per record.
+
+    Each line is exactly what ``json.dumps(obj, separators=(",", ":"))``
+    writes for the record's object, built directly because that runs the
+    encoder once per line.  An empty input gives ``b""``.
+    """
     lines = []
     for r in records:
-        obj = {
-            "ts": r.ts,
-            "gps": None if r.gps is None else {"lat": r.gps.lat_deg, "lon": r.gps.lon_deg},
-            "conn": None if r.connected is None else str(r.connected),
-            "aps": [{"bssid": str(o.bssid), "rssi": o.rssi_dbm} for o in r.aps],
-        }
-        lines.append(json.dumps(obj, separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+        fix = r.gps
+        gps = "null" if fix is None else (
+            f'{{"lat":{_json_float(fix.lat_deg)},"lon":{_json_float(fix.lon_deg)}}}'
+        )
+        conn = "null" if r.connected is None else _json_str(r.connected)
+        aps = ",".join([f'{{"bssid":{_json_str(o.bssid)},"rssi":{o.rssi_dbm}}}' for o in r.aps])
+        lines.append(f'{{"ts":{r.ts},"gps":{gps},"conn":{conn},"aps":[{aps}]}}')
+    return _jsonl(lines)
 
 
 def parse_accel_file(stream) -> list[AccelSample]:
@@ -344,11 +367,8 @@ def parse_accel_file(stream) -> list[AccelSample]:
 
 
 def serialize_accel_samples(samples: Iterable[AccelSample]) -> bytes:
-    lines = [
-        json.dumps({"ts": a.ts, "mag": a.magnitude_mps2}, separators=(",", ":"))
-        for a in samples
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    """The samples as JSONL, written as ``serialize_scan_records`` writes records."""
+    return _jsonl([f'{{"ts":{a.ts},"mag":{_json_float(a.magnitude_mps2)}}}' for a in samples])
 
 
 def load_trace_file(path) -> list[ScanRecord]:

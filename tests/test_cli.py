@@ -6,7 +6,14 @@ import pytest
 from timeloc import home_mining, time_map
 from timeloc.cli import _load_days, main
 from timeloc.errors import NoArrival
-from timeloc.trace_model import DAY_S, Bssid, day_slice_start, serialize_scan_records
+from timeloc.trace_model import (
+    DAY_S,
+    Bssid,
+    day_slice_start,
+    parse_accel_file,
+    serialize_accel_samples,
+    serialize_scan_records,
+)
 
 
 def run(*argv):
@@ -66,6 +73,22 @@ class TestMineHome:
         first = capsys.readouterr().out
         run("mine-home", "--traces", dataset_dir)
         assert capsys.readouterr().out == first
+
+
+def _folded_profile(days, home, week):
+    """The profile ``update_profile`` folds over ``days`` from ``home``, and
+    how many days gave no map against the home of the day before."""
+    profile = time_map.empty_profile(home, days[0].day_id)
+    no_map = 0
+    for i, day in enumerate(days):
+        try:
+            new_map = time_map.build_day_map(day, profile.home_bssid)
+        except NoArrival:
+            new_map = None
+            no_map += 1
+        window = days[max(0, i - week + 1) : i + 1]
+        profile = time_map.update_profile(profile, new_map, window, window_days=week)
+    return profile, no_map
 
 
 class TestProfileAndPredict:
@@ -144,21 +167,33 @@ class TestProfileAndPredict:
         store = tmp_path / "store"
         argv = ("build-profile", "--traces", data, "--device", "moved", "--store", store)
         assert run(*argv, "--window-days", week) == 0
-        profile = time_map.empty_profile(
-            home_mining.vote_home_ap(days[:week]).winner, days[0].day_id
-        )
-        no_map = 0
-        for i, day in enumerate(days):
-            try:
-                new_map = time_map.build_day_map(day, profile.home_bssid)
-            except NoArrival:
-                new_map = None
-                no_map += 1
-            window = days[max(0, i - week + 1) : i + 1]
-            profile = time_map.update_profile(profile, new_map, window, window_days=week)
+        profile, no_map = _folded_profile(days, home_mining.vote_home_ap(days[:week]).winner, week)
         assert no_map > 0
         assert profile.home_bssid == Bssid("02:00:00:1f:ff:01")
         assert time_map.load_profile(store, "moved") == profile
+
+    @pytest.mark.parametrize("week", [7, 9])
+    def test_a_first_week_without_night_scans_starts_at_the_first_voting_window(
+        self, relocated, tmp_path, week
+    ):
+        data, days = relocated
+        scans = [s for i, d in enumerate(days) for s in d.scans if i >= 8 or not _is_night(s.ts)]
+        (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(scans))
+        trimmed = _load_days(str(tmp_path))
+        assert [home_mining.day_vote(d) for d in trimmed[:8]] == [None] * 8
+        store = tmp_path / "store"
+        argv = ("build-profile", "--traces", tmp_path, "--device", "d", "--store", store)
+        assert run(*argv, "--window-days", week) == 0
+        windows = (trimmed[i - week + 1 : i + 1] for i in range(week - 1, len(trimmed)))
+        start = next(
+            home_mining.vote_home_ap(w).winner
+            for w in windows
+            if any(home_mining.day_vote(d) for d in w)
+        )
+        assert start == home_mining.day_vote(trimmed[8])
+        profile, _ = _folded_profile(trimmed, start, week)
+        assert profile.home_bssid == Bssid("02:00:00:1f:ff:01")
+        assert time_map.load_profile(store, "d") == profile
 
     @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
     def test_store_that_is_not_a_directory_is_an_error(self, dataset_dir, tmp_path, capsys, inside):
@@ -251,6 +286,104 @@ class TestDetectDoorAfterRelocation:
         (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(first_day))
         assert run("detect-door", "--traces", tmp_path) == 1
         assert "21:00-06:00" in capsys.readouterr().err
+
+
+def _dataset_with_accel(src: Path, dst: Path, accel: bytes) -> Path:
+    dst.mkdir()
+    for name in ("trace.jsonl", "ground_truth.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+    (dst / "accel.jsonl").write_bytes(accel)
+    return dst
+
+
+def _spoiled(accel: bytes, how: str) -> bytes:
+    lines = accel.splitlines(keepends=True)
+    if how == "malformed":
+        lines[2] = b'{"ts":\n'
+    else:
+        lines.reverse()
+    return b"".join(lines)
+
+
+# every command that reads a trace directory but not its accel.jsonl
+_ACCEL_BLIND = {
+    "mine-home": lambda d, ts: ("mine-home", "--traces", d, "--out", d / "out" / "tally.csv"),
+    "build-profile": lambda d, ts: ("build-profile", "--traces", d, "--device", "d", "--store", d / "out"),
+    "evaluate": lambda d, ts: ("evaluate", "--traces", d, "--out", d / "out"),
+    "sweep": lambda d, ts: ("sweep", "--traces", d, "--out", d / "out"),
+    "predict-nn": lambda d, ts: ("predict", "--method", "nn", "--traces", d, "--ts", ts),
+}
+
+
+class TestOnlyDetectDoorReadsAccel:
+    @pytest.mark.parametrize("how", ["malformed", "unsorted"])
+    @pytest.mark.parametrize("command", sorted(_ACCEL_BLIND))
+    def test_a_bad_accel_file_changes_nothing(self, dataset_dir, tmp_path, capsys, command, how):
+        accel = (dataset_dir / "accel.jsonl").read_bytes()
+        ts = _load_days(str(dataset_dir))[-1].scans[40].ts
+        results = []
+        for name, data in (("good", accel), ("bad", _spoiled(accel, how))):
+            d = _dataset_with_accel(dataset_dir, tmp_path / name, data)
+            capsys.readouterr()
+            assert run(*_ACCEL_BLIND[command](d, ts)) == 0
+            out, err = capsys.readouterr()
+            results.append((out.replace(str(d), "<dir>"), err, read_tree(d / "out")))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize(
+        "how, error",
+        [("malformed", "error: line 3: invalid JSON ("), ("unsorted", "error: accel samples not sorted")],
+    )
+    def test_detect_door_refuses_a_bad_accel_file(self, dataset_dir, tmp_path, capsys, how, error):
+        accel = _spoiled((dataset_dir / "accel.jsonl").read_bytes(), how)
+        d = _dataset_with_accel(dataset_dir, tmp_path / "bad", accel)
+        assert run("detect-door", "--traces", d, "--out", d / "door.csv") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(error)
+        assert not (d / "door.csv").exists()
+
+    def test_a_day_with_accel_but_no_scans(self, relocated, tmp_path, capsys):
+        """It is not a read day for build-profile's window, and is one for
+        detect-door's.  With the old home renamed above the new one, a tied
+        window votes the new home, so detect-door's count shows: the window
+        of day 14 holds 3 old-home nights, 3 new-home ones and the day
+        without scans, while 7 read days hold 4 old-home nights."""
+        data, _ = relocated
+        days = _load_days(str(data), with_accel=True)
+        gone = days[10]
+        kept = days[:10] + days[11:]
+        scans = serialize_scan_records([s for d in kept for s in d.scans])
+        scans = scans.replace(b"02:00:00:1f:ff:00", b"02:00:00:1f:ff:02")
+        accel = (data / "accel.jsonl").read_bytes()
+        start = day_slice_start(gone.day_id)
+        kept_accel = [a for a in parse_accel_file(accel) if not start <= a.ts < start + DAY_S]
+        accel_only = _dataset_with_accel(data, tmp_path / "accel_only", accel)
+        dropped = _dataset_with_accel(data, tmp_path / "dropped", serialize_accel_samples(kept_accel))
+        for d in (accel_only, dropped):
+            (d / "trace.jsonl").write_bytes(scans)
+
+        assert gone.day_id not in [d.day_id for d in _load_days(str(accel_only))]
+        read = _load_days(str(accel_only), with_accel=True)
+        assert [d.day_id for d in read] == [d.day_id for d in days]
+        assert read[10].scans == () and read[10].accel == gone.accel
+
+        profiles = []
+        for d in (accel_only, dropped):
+            assert run("build-profile", "--traces", d, "--device", "d", "--store", d / "store") == 0
+            profiles.append((d / "store" / "d.profile.json").read_bytes())
+        assert profiles[0] == profiles[1]
+
+        day = gone.day_id.isoformat()
+        assert door_ts(capsys, "--traces", accel_only, "--day", day) == []
+        assert run("detect-door", "--traces", dropped, "--day", day) == 1
+        assert capsys.readouterr().err == f"error: no trace for day {day}\n"
+        counted = door_ts(capsys, "--traces", accel_only)
+        skipped = door_ts(capsys, "--traces", dropped)
+        day14 = day_slice_start(days[13].day_id)
+        new_home = door_ts(capsys, "--traces", dropped, "--home", "02:00:00:1f:ff:01")
+        extra = [ts for ts in new_home if day14 <= ts < day14 + DAY_S]
+        assert len(extra) == 1
+        assert sorted(skipped + extra) == counted
 
 
 class TestFsmRun:

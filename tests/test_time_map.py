@@ -319,6 +319,63 @@ class TestLegLossProperties:
             assert losses[q.bssid][1:] == (last, last + SCAN_PERIOD_S)
 
 
+def reference_homeward_leg(trace, home):
+    """``homeward_leg`` as one walk over the scans, testing each for home."""
+    scans = trace.scans
+    detect_idx = None
+    leg_start_idx = 0
+    prev_sight = None
+    for i, s in enumerate(scans):
+        if any(o.bssid == home for o in s.aps):
+            if prev_sight is None or s.ts - scans[prev_sight].ts >= HOME_AWAY_MIN_S:
+                detect_idx = i
+                leg_start_idx = 0 if prev_sight is None else prev_sight + 1
+            prev_sight = i
+    if detect_idx is None:
+        raise NoArrival(f"home {home} not detected on {trace.day_id}")
+    return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
+
+
+class TestHomewardLegProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    def test_matches_reference(self, day):
+        t, _ = day
+        try:
+            expected = reference_homeward_leg(t, HOME)
+        except NoArrival:
+            with pytest.raises(NoArrival):
+                homeward_leg(t, HOME)
+        else:
+            assert homeward_leg(t, HOME) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    def test_anchor_is_the_last_sighting_after_an_absence(self, day):
+        """Home is in the leg's last scan only; the leg starts at the first
+        scan or right after a sighting at least HOME_AWAY_MIN_S earlier; no
+        later sighting follows such an absence.  NoArrival exactly when home
+        is never seen."""
+        t, _ = day
+        scans = t.scans
+        seen = [i for i, s in enumerate(scans) if HOME in s.bssids()]
+        if not seen:
+            with pytest.raises(NoArrival):
+                homeward_leg(t, HOME)
+            return
+        leg, home_ts = homeward_leg(t, HOME)
+        start = next(i for i, s in enumerate(scans) if s is leg[0])
+        anchor = start + len(leg) - 1
+        assert scans[start : anchor + 1] == leg
+        assert anchor in seen and scans[anchor].ts == home_ts
+        assert not any(HOME in s.bssids() for s in leg[:-1])
+        if start:
+            assert start - 1 in seen
+            assert home_ts - scans[start - 1].ts >= HOME_AWAY_MIN_S
+        later = [scans[i].ts for i in seen if i >= anchor]
+        assert all(b - a < HOME_AWAY_MIN_S for a, b in zip(later, later[1:]))
+
+
 def _window_maps(n=7, bssid=bss(1), tl=340, tdr=60):
     maps = []
     for i in range(n):

@@ -7,7 +7,7 @@ from datetime import date
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeloc.errors import OrderingError, TraceParseError, TraceValidationError
@@ -19,6 +19,7 @@ from timeloc.trace_model import (
     Bssid,
     GpsFix,
     ScanRecord,
+    _json_float,
     day_id_for_ts,
     day_slice_start,
     filter_trace,
@@ -379,14 +380,15 @@ _finite = {"allow_nan": False, "allow_infinity": False}
 
 
 @st.composite
-def scan_records(draw):
+def scan_records(
+    draw,
+    lat=st.floats(-90, 90, **_finite),
+    lon=st.floats(-180, 180, **_finite),
+):
     octets = draw(st.lists(st.integers(0, 2**48 - 1), max_size=6, unique=True))
     bssids = [Bssid(":".join(f"{o:012x}"[i : i + 2] for i in range(0, 12, 2))) for o in octets]
     aps = tuple(ApObservation(b, draw(st.integers(-120, 0))) for b in bssids)
-    gps = draw(
-        st.none()
-        | st.builds(GpsFix, st.floats(-90, 90, **_finite), st.floats(-180, 180, **_finite))
-    )
+    gps = draw(st.none() | st.builds(GpsFix, lat, lon))
     connected = draw(st.none() | st.sampled_from(bssids)) if bssids else None
     return ScanRecord(ts=draw(st.integers(0, 2**40)), gps=gps, connected=connected, aps=aps)
 
@@ -404,6 +406,82 @@ class TestJsonlRoundTripProperties:
     )
     def test_accel_samples(self, samples):
         assert parse_accel_file(serialize_accel_samples(samples)) == samples
+
+
+def reference_serialize_scan_records(records) -> bytes:
+    """The scan writer as ``json.dumps`` of one object per line."""
+    lines = []
+    for r in records:
+        obj = {
+            "ts": r.ts,
+            "gps": None if r.gps is None else {"lat": r.gps.lat_deg, "lon": r.gps.lon_deg},
+            "conn": None if r.connected is None else str(r.connected),
+            "aps": [{"bssid": str(o.bssid), "rssi": o.rssi_dbm} for o in r.aps],
+        }
+        lines.append(json.dumps(obj, separators=(",", ":")))
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+
+def reference_serialize_accel_samples(samples) -> bytes:
+    """The accel writer as ``json.dumps`` of one object per line."""
+    lines = [
+        json.dumps({"ts": a.ts, "mag": a.magnitude_mps2}, separators=(",", ":"))
+        for a in samples
+    ]
+    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+
+
+# -0.0 and integer-valued coordinates, as floats and as ints
+_lats = st.floats(-90, 90, **_finite) | st.sampled_from([-0.0, 0, 45, -90, 90, 45.0])
+_lons = st.floats(-180, 180, **_finite) | st.sampled_from([-0.0, 0, -122, 180, -180.0])
+_magnitudes = st.one_of(
+    st.floats(min_value=0, allow_nan=False),
+    st.sampled_from([math.nan, math.inf, -0.0, 0.0, 9.81, 1e16, 1.5e-7]),
+    st.integers(0, 100),
+)
+_accel = st.lists(st.builds(AccelSample, st.integers(0, 2**40), _magnitudes), max_size=6)
+
+
+@st.composite
+def odd_bssid_records(draw):
+    """A record whose BSSIDs are arbitrary strings, which need escaping."""
+    names = draw(st.lists(st.text(max_size=6), max_size=4, unique=True))
+    aps = tuple(ApObservation(b, draw(st.integers(-120, 0))) for b in names)
+    connected = draw(st.none() | st.sampled_from(names)) if names else None
+    return ScanRecord(draw(st.integers(0, 2**40)), None, connected, aps)
+
+
+class TestWritersMatchJsonDumps:
+    def test_empty_input_is_empty_bytes(self):
+        assert serialize_scan_records([]) == b""
+        assert serialize_accel_samples(iter(())) == b""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(scan_records(_lats, _lons) | odd_bssid_records(), max_size=5))
+    def test_scan_records(self, records):
+        assert serialize_scan_records(records) == reference_serialize_scan_records(records)
+
+    @given(st.floats() | st.integers(-(10**20), 10**20))
+    @example(-math.inf)
+    def test_numbers(self, x):
+        """Any int or float, -Infinity too, though no trace value can be -Infinity."""
+        assert _json_float(x) == json.dumps(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_accel)
+    def test_accel_samples(self, samples):
+        """NaN, Infinity and -0.0 come out as the encoder writes them."""
+        assert serialize_accel_samples(samples) == reference_serialize_accel_samples(samples)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(scan_records(), max_size=5), _accel)
+    def test_parse_then_serialize_gives_the_same_bytes(self, records, samples):
+        data = serialize_scan_records(records)
+        assert serialize_scan_records(parse_trace_file(data)) == data
+        # the reader reads every magnitude as a float, so write floats
+        samples = [AccelSample(a.ts, float(a.magnitude_mps2)) for a in samples]
+        data = serialize_accel_samples(samples)
+        assert serialize_accel_samples(parse_accel_file(data)) == data
 
 
 class TestSliceIntoDays:
