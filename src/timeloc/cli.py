@@ -13,7 +13,7 @@ import os
 import sys
 from datetime import date
 
-from . import door_detect, eval_harness, home_mining, sensing_fsm, simulator, time_map
+from . import door_detect, eval_harness, home_mining, nn_baseline, sensing_fsm, simulator, time_map
 from .errors import NoArrival, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
@@ -78,12 +78,11 @@ def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
 
 
 def _load_days(traces_dir: str, *, with_accel: bool = False) -> list[DayTrace]:
-    """The directory's trace as noon-to-noon days.
+    """The directory's trace as noon-to-noon days, the slices that hold scans.
 
     ``accel.jsonl`` is read only when ``with_accel`` is set, as detect-door,
-    the one command that reads ``DayTrace.accel``, sets it.  Without it every
-    day's ``accel`` is empty and a day with accelerometer samples but no
-    scans is not read at all.
+    the one command that reads ``DayTrace.accel``, sets it; without it every
+    day's ``accel`` is empty.  It never changes which days are read.
     """
     path = os.path.join(traces_dir, "trace.jsonl")
     try:
@@ -106,11 +105,21 @@ def _load_truths(traces_dir: str) -> list[GroundTruth]:
 
 
 def _parse_threshold(text: str) -> int | None:
-    return None if text == "all" else int(text)
+    level = None if text == "all" else int(text)
+    if level is not None and not -120 <= level <= 0:  # the RSSI range ApObservation accepts
+        raise argparse.ArgumentTypeError(f"RSSI level must be within [-120, 0] dBm, got {level}")
+    return level
 
 
 def _parse_levels(text: str) -> list[int | None]:
     return [_parse_threshold(x.strip()) for x in text.split(",") if x.strip()]
+
+
+def _parse_bssid(text: str) -> Bssid:
+    try:
+        return Bssid(text)
+    except TimelocError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_day(text: str) -> date:
@@ -202,28 +211,26 @@ def _cmd_predict(args) -> int:
         if not args.bssid or args.tdr is None:
             raise TimelocError("tls prediction needs --bssid and --tdr")
         profile = time_map.load_profile(args.store, args.device)
-        p = time_map.predict_tl(profile, Bssid(args.bssid), args.tdr)
+        p = time_map.predict_tl(profile, args.bssid, args.tdr)
         print(f"tl_s={p.tl_seconds},source={p.source},bssid={p.matched_bssid},lookups={p.lookups}")
         return 0
     # nearest-neighbor: locate the query scan, build history from the window
     if args.traces is None or args.ts is None:
         raise TimelocError("nn prediction needs --traces and --ts")
     days = _load_days(args.traces)
-    day = next((d for d in days if d.scans and d.scans[0].ts <= args.ts <= d.scans[-1].ts), None)
+    day = next((d for d in days if d.scans[0].ts <= args.ts <= d.scans[-1].ts), None)
     if day is None:
         raise TimelocError(f"no day contains ts {args.ts}")
     scan = next((s for s in day.scans if s.ts == args.ts), None)
     if scan is None:
         raise TimelocError(f"no scan at ts {args.ts}")
-    window = [d for d in days if 0 < (day.day_id - d.day_id).days <= args.window_days]
+    window = home_mining.days_before(days, day.day_id, args.window_days)
     if not window:
         raise TimelocError("no history days before the query day")
     home = home_mining.vote_home_ap(window).winner
-    from .nn_baseline import build_history, filter_env, nn_predict
-
-    history = build_history(window, home, args.threshold)
-    fingerprint = filter_env(scan, args.threshold)
-    p, comparisons = nn_predict(history, fingerprint, seed=args.seed)
+    history = nn_baseline.build_history(window, home, args.threshold)
+    fingerprint = nn_baseline.filter_env(scan, args.threshold)
+    p, comparisons = nn_baseline.nn_predict(history, fingerprint, seed=args.seed)
     print(f"tl_s={p.tl_seconds},source=nn,comparisons={comparisons}")
     return 0
 
@@ -233,7 +240,7 @@ def _cmd_detect_door(args) -> int:
     if args.day is not None and all(d.day_id != args.day for d in days):
         raise TimelocError(f"no trace for day {args.day}")
     if args.home:
-        homes = [Bssid(args.home)] * len(days)
+        homes = [args.home] * len(days)
     else:
         votes = [home_mining.day_vote(d) for d in days]
         home_mining.tally_votes(votes)  # raises NoNightData when no day has any
@@ -339,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("tls", "nn"), default="tls", help="prediction method")
     p.add_argument("--store", default=_default_store(), help=f"profile store (or ${PROFILE_STORE_ENV})")
     p.add_argument("--device", default="device", help="profile device id")
-    p.add_argument("--bssid", default=None, help="just-lost AP (tls)")
+    p.add_argument("--bssid", type=_parse_bssid, default=None, help="just-lost AP (tls)")
     p.add_argument("--tdr", type=_int_at_least(0), default=None, help="observed reachable seconds (tls)")
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")
     p.add_argument("--traces", required=True, help="directory with trace.jsonl")
     p.add_argument("--day", type=_parse_day, default=None, help="restrict to one day (YYYY-MM-DD)")
-    p.add_argument("--home", default=None, help="home BSSID override")
+    p.add_argument("--home", type=_parse_bssid, default=None, help="home BSSID override")
     p.add_argument("--out", default=None, help="also write the events CSV here")
 
     p = add("fsm-run", _cmd_fsm_run, "run the duty-cycled sensing day")

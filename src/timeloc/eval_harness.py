@@ -284,7 +284,7 @@ def evaluate(
         age = (day.day_id - first_day).days
         if age < WINDOW_DAYS:
             continue  # history only: no predictions in the first week
-        window = [d for d in days if 0 < (day.day_id - d.day_id).days <= WINDOW_DAYS]
+        window = home_mining.days_before(days, day.day_id, WINDOW_DAYS)
         if not window:
             continue
         try:

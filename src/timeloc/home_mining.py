@@ -6,15 +6,16 @@ modal vote across days (``tally_votes``) is declared the home AP.
 
 Two rules for the home on day d stay apart on purpose.  A prediction on d
 uses the W calendar days before d and never d's own night, which comes
-after the arrival it predicts (``evaluate``, ``predict --method nn``).  A
-fold uses the W read days ending at d (``window_homes``: build-profile and
-detect-door; ``update_profile``).
+after the arrival it predicts (``days_before``: ``evaluate``, ``predict
+--method nn``).  A fold uses the W read days ending at d (``window_homes``:
+build-profile and detect-door; ``update_profile``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from datetime import date
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -108,6 +109,11 @@ def window_homes(votes: Sequence[Bssid | None], length: int) -> list[Bssid | Non
         except NoNightData:
             homes.append(None)
     return homes
+
+
+def days_before(days: Sequence, day_id: date, length: int) -> list:
+    """The days (anything with a ``day_id``) in the ``length`` days before ``day_id``."""
+    return [d for d in days if 0 < (day_id - d.day_id).days <= length]
 
 
 def vote_home_ap(traces: Iterable[DayTrace]) -> HomeVote:

@@ -1,7 +1,7 @@
 """Duty-cycled sensing state machine and its scan-count battery proxy.
 
-Cadence policy: an idle check every 60 s; 5 s WiFi scanning inside the
-500 m home geofence; a 120 s accelerometer burst once the home BSSID is
+Cadence policy: an idle check every 60 s; WiFi scanning every
+``SCAN_PERIOD_S`` (5 s) inside the 500 m home geofence; a 120 s accelerometer burst once the home BSSID is
 scanned; a 300 s recording window once the connection is stable; then
 sleep with 30-minute wakes.  Losing the home connection from any settled
 state drops back to the idle check.  WiFi scan results are constant within
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .trace_model import (
     DAY_S,
+    SCAN_PERIOD_S,
     AccelSample,
     ApObservation,
     Bssid,
@@ -32,7 +33,6 @@ from .trace_model import (
 
 GEOFENCE_RADIUS_M = 500.0
 IDLE_PERIOD_S = 60
-REGION_SCAN_PERIOD_S = 5
 ACCEL_BURST_S = 120
 CONNECTED_RECORD_S = 300
 SLEEP_PERIOD_S = 1800
@@ -114,12 +114,12 @@ def fsm_step(
         )
         if tag is StateTag.IDLE_CHECK:
             if inside:
-                return FsmState(StateTag.GPS_REGION_SCAN, now), actions, now + REGION_SCAN_PERIOD_S
+                return FsmState(StateTag.GPS_REGION_SCAN, now), actions, now + SCAN_PERIOD_S
             return state, actions, now + IDLE_PERIOD_S
         # region scan: fall back out only on a confident outside fix
         if env.gps_available and env.fix is not None and not inside:
             return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
-        return state, actions, now + REGION_SCAN_PERIOD_S
+        return state, actions, now + SCAN_PERIOD_S
 
     if tag is StateTag.HOME_ARRIVAL:
         elapsed = now - state.entered_at
@@ -127,7 +127,7 @@ def fsm_step(
             actions.add(Action.SAMPLE_ACCEL)
         streak = state.conn_streak
         misses = state.miss_streak
-        if elapsed % REGION_SCAN_PERIOD_S == 0:
+        if elapsed % SCAN_PERIOD_S == 0:
             actions.add(Action.SCAN_WIFI)
             connected_home = env.connected == env.home_bssid
             misses = 0 if env.home_visible() else misses + 1
@@ -136,8 +136,8 @@ def fsm_step(
                 return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
             streak = streak + 1 if connected_home else 0
         if elapsed >= ACCEL_BURST_S and streak >= STABLE_CONNECTION_SCANS:
-            return FsmState(StateTag.CONNECTED, now), actions, now + REGION_SCAN_PERIOD_S
-        wake = now + 1 if elapsed + 1 <= ACCEL_BURST_S else now + REGION_SCAN_PERIOD_S
+            return FsmState(StateTag.CONNECTED, now), actions, now + SCAN_PERIOD_S
+        wake = now + 1 if elapsed + 1 <= ACCEL_BURST_S else now + SCAN_PERIOD_S
         return FsmState(tag, state.entered_at, streak, misses), actions, wake
 
     if tag is StateTag.CONNECTED:
@@ -146,7 +146,7 @@ def fsm_step(
             return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
         if now - state.entered_at >= CONNECTED_RECORD_S:
             return FsmState(StateTag.SLEEP, now), actions, now + SLEEP_PERIOD_S
-        return state, actions, now + REGION_SCAN_PERIOD_S
+        return state, actions, now + SCAN_PERIOD_S
 
     # SLEEP
     actions.add(Action.SCAN_WIFI)
@@ -194,15 +194,8 @@ def drive_day(oracle) -> FsmDayRun:
             stats.gps_reads += 1
         if Action.SCAN_WIFI in actions:
             stats.wifi_scans += 1
-            visible = {o.bssid for o in env.visible}
-            scans.append(
-                ScanRecord(
-                    ts=now,
-                    gps=env.fix if Action.READ_GPS in actions else None,
-                    connected=env.connected if env.connected in visible else None,
-                    aps=env.visible,
-                )
-            )
+            gps = env.fix if Action.READ_GPS in actions else None
+            scans.append(ScanRecord.recorded(now, gps, env.connected, env.visible))
         if Action.SAMPLE_ACCEL in actions:
             stats.accel_samples += 1
             accel.append(AccelSample(now, oracle.accel_at(now)))
@@ -222,5 +215,5 @@ def run_fsm_day(oracle):
 
 
 def baseline_scan_count() -> int:
-    """Scan count of a naive sampler scanning every REGION_SCAN_PERIOD_S all day."""
-    return DAY_S // REGION_SCAN_PERIOD_S
+    """Scan count of a naive sampler scanning every SCAN_PERIOD_S all day."""
+    return DAY_S // SCAN_PERIOD_S

@@ -32,6 +32,7 @@ from .trace_model import (
     DAY_S,
     EARTH_RADIUS_M,
     NOON_SOD,
+    SCAN_PERIOD_S,
     AccelSample,
     ApObservation,
     Bssid,
@@ -41,7 +42,6 @@ from .trace_model import (
     day_slice_start,
 )
 
-COMMUTE_SCAN_PERIOD_S = 5
 MORNING_SCAN_PERIOD_S = 60
 BASE_SPEED_MPS = 1.4  # walking pace that converts route seconds to meters
 RAMP_DEPTH_DB = 35.0  # trapezoid edge attenuation below the plateau
@@ -335,8 +335,8 @@ class DayOracle:
             depart = plan.depart_ts
             self.depart_ts = depart
             home_enter = depart + round(home_pl.enter_offset_s / f) + plan.detour_s
-            k = -((home_enter - depart) // -COMMUTE_SCAN_PERIOD_S)  # ceil division
-            self.arrival_ts = depart + k * COMMUTE_SCAN_PERIOD_S
+            k = -((home_enter - depart) // -SCAN_PERIOD_S)  # ceil division
+            self.arrival_ts = depart + k * SCAN_PERIOD_S
             self.door_ts = self.arrival_ts + plan.door_delay_s
             home_fade = self.morning_depart_ts + round(
                 (duration - home_pl.enter_offset_s) / f
@@ -371,7 +371,7 @@ class DayOracle:
             begin = self._night_start_ts + nrng.randint(0, span - dwell)
             sources.append((_NEIGHBOR, bssid_from_int(_NEIGHBOR_BSSID_BASE + i), begin, begin + dwell, -65.0))
         if not plan.stay_home:
-            spike_end = self.door_ts + COMMUTE_SCAN_PERIOD_S
+            spike_end = self.door_ts + SCAN_PERIOD_S
             for i in range(3):
                 sources.append((_SPIKE, bssid_from_int(_SPIKE_BSSID_BASE + i), self.door_ts, spike_end, -67.0))
         sources = [src for src in sources if src[2] < src[3]]
@@ -481,7 +481,7 @@ class DayOracle:
     def scan_instants(self) -> list[int]:
         if self.plan.stay_home:
             return list(range(self.slice_start, self.slice_end, self.plan.night.scan_period_s))
-        instants = list(range(self.depart_ts, self.door_ts + 31, COMMUTE_SCAN_PERIOD_S))
+        instants = list(range(self.depart_ts, self.door_ts + 31, SCAN_PERIOD_S))
         period = self.plan.night.scan_period_s
         t = instants[-1] + period
         while t < self.morning_depart_ts:
@@ -513,19 +513,10 @@ class DayOracle:
 def synth_plan_day(plan: DayPlan) -> tuple[DayTrace, GroundTruth]:
     """Render one planned day as a full-rate DayTrace plus its ground truth."""
     oracle = DayOracle(plan)
-    scans = []
-    for ts in oracle.scan_instants():
-        aps = oracle.aps_at(ts)
-        visible = {o.bssid for o in aps}
-        conn = oracle.connected_at(ts)
-        scans.append(
-            ScanRecord(
-                ts=ts,
-                gps=oracle.gps_at(ts),
-                connected=conn if conn in visible else None,
-                aps=aps,
-            )
-        )
+    scans = [
+        ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts))
+        for ts in oracle.scan_instants()
+    ]
     accel = tuple(AccelSample(ts, oracle.accel_at(ts)) for ts in oracle.accel_instants())
     trace = DayTrace(day_id=plan.day_id, scans=tuple(scans), accel=accel)
     return trace, oracle.ground_truth()
@@ -566,13 +557,8 @@ def synth_dataset(
     scenario: ScenarioSpec, seed: int
 ) -> tuple[list[DayTrace], list[GroundTruth]]:
     """All days of a scenario, each generated from its own derived seed."""
-    traces = []
-    truths = []
-    for i in range(scenario.n_days):
-        trace, truth = synth_plan_day(make_day_plan(scenario, i, seed))
-        traces.append(trace)
-        truths.append(truth)
-    return traces, truths
+    days = [synth_plan_day(make_day_plan(scenario, i, seed)) for i in range(scenario.n_days)]
+    return [trace for trace, _ in days], [truth for _, truth in days]
 
 
 # ---------------------------------------------------------------------------

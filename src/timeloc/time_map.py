@@ -29,11 +29,8 @@ from .errors import (
     UnknownBssid,
 )
 from .home_mining import vote_home_ap
-from .trace_model import Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids
+from .trace_model import SCAN_PERIOD_S, Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids
 
-# Nominal in-region scan cadence; an AP's loss is only observable one scan
-# period after its last sighting.
-SCAN_PERIOD_S = 5
 WINDOW_DAYS = 7
 # A home re-detection only counts as "coming home" after a real absence;
 # shorter gaps are dropped scans, not departures.

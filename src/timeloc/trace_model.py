@@ -23,6 +23,10 @@ from .errors import OrderingError, TraceParseError, TraceValidationError
 
 EARTH_RADIUS_M = 6_371_000.0
 DAY_S = 86_400
+# The phone's in-region WiFi scan period: the sensing machine's cadence
+# inside the home geofence, the rendered commute's, and so the resolution of
+# every label, since a loss is observable one period after the last sighting.
+SCAN_PERIOD_S = 5
 # Day slices run from 12:00 to the next 12:00 so the 21:00-06:00 night
 # window never straddles a slice boundary.
 NOON_SOD = DAY_S // 2
@@ -120,6 +124,11 @@ class ScanRecord:
                 f"connected BSSID {self.connected} not among scanned APs at ts {self.ts}"
             )
 
+    @classmethod
+    def recorded(cls, ts: int, gps: GpsFix | None, connected: Bssid | None, aps: tuple) -> ScanRecord:
+        """The scan a phone records: a connection to an AP it does not list is dropped."""
+        return cls(ts, gps, connected if connected in {o.bssid for o in aps} else None, aps)
+
     def bssids(self) -> set[Bssid]:
         return {o.bssid for o in self.aps}
 
@@ -184,8 +193,10 @@ def slice_into_days(
 ) -> list[DayTrace]:
     """Partition time-ordered records into noon-to-noon DayTraces.
 
-    Every record lands in exactly one slice; slices come out in calendar
-    order.  Raises OrderingError if the input is not sorted by timestamp.
+    A day is a slice that holds scans: every record lands in exactly one
+    day, each accelerometer sample joins the day of its slice, and samples
+    in a slice without scans are dropped.  Days come out in calendar order.
+    Raises OrderingError if either input is not sorted by timestamp.
     """
     for seq, what in ((records, "records"), (accel, "accel samples")):
         prev = None
@@ -200,7 +211,8 @@ def slice_into_days(
     for r in records:
         by_slice.setdefault((r.ts - NOON_SOD) // DAY_S, ([], []))[0].append(r)
     for a in accel:
-        by_slice.setdefault((a.ts - NOON_SOD) // DAY_S, ([], []))[1].append(a)
+        if (k := (a.ts - NOON_SOD) // DAY_S) in by_slice:
+            by_slice[k][1].append(a)
     labels = {k: day_id_for_ts(k * DAY_S + NOON_SOD) for k in by_slice}
     return [
         DayTrace(labels[k], tuple(scans), tuple(acc))
@@ -384,18 +396,14 @@ def load_accel_file(path) -> list[AccelSample]:
 def filter_trace(trace: DayTrace, threshold_dbm: int | None) -> DayTrace:
     """Drop observations weaker than ``threshold_dbm`` (None keeps everything).
 
-    Scans whose AP list becomes empty are kept as empty records; a connected
-    flag pointing at a filtered-out AP is cleared.  A scan that loses no AP
-    is kept as the same object.
+    Scans whose AP list becomes empty are kept as empty records.  A scan that
+    loses an AP is recorded anew (``ScanRecord.recorded``); one that loses
+    none is kept as the same object.
     """
     if threshold_dbm is None:
         return trace
     scans = []
     for s in trace.scans:
         aps = tuple([o for o in s.aps if o.rssi_dbm >= threshold_dbm])
-        if len(aps) == len(s.aps):
-            scans.append(s)
-            continue
-        conn = s.connected if s.connected in {o.bssid for o in aps} else None
-        scans.append(ScanRecord(s.ts, s.gps, conn, aps))
+        scans.append(s if len(aps) == len(s.aps) else ScanRecord.recorded(s.ts, s.gps, s.connected, aps))
     return DayTrace(trace.day_id, tuple(scans), trace.accel)

@@ -343,13 +343,12 @@ class TestOnlyDetectDoorReadsAccel:
         assert not (d / "door.csv").exists()
 
     def test_a_day_with_accel_but_no_scans(self, relocated, tmp_path, capsys):
-        """It is not a read day for build-profile's window, and is one for
-        detect-door's.  With the old home renamed above the new one, a tied
-        window votes the new home, so detect-door's count shows: the window
-        of day 14 holds 3 old-home nights, 3 new-home ones and the day
-        without scans, while 7 read days hold 4 old-home nights."""
-        data, _ = relocated
-        days = _load_days(str(data), with_accel=True)
+        """It is no day for any command: build-profile and detect-door read
+        the same days as when its samples are dropped too.  With the old
+        home renamed above the new one, a window that counted it would tie
+        on day 14 (3 old-home nights, 3 new-home ones) and vote the new
+        home, while the 7 read days hold 4 old-home nights."""
+        data, days = relocated
         gone = days[10]
         kept = days[:10] + days[11:]
         scans = serialize_scan_records([s for d in kept for s in d.scans])
@@ -357,15 +356,16 @@ class TestOnlyDetectDoorReadsAccel:
         accel = (data / "accel.jsonl").read_bytes()
         start = day_slice_start(gone.day_id)
         kept_accel = [a for a in parse_accel_file(accel) if not start <= a.ts < start + DAY_S]
+        assert len(kept_accel) < len(parse_accel_file(accel))
         accel_only = _dataset_with_accel(data, tmp_path / "accel_only", accel)
         dropped = _dataset_with_accel(data, tmp_path / "dropped", serialize_accel_samples(kept_accel))
         for d in (accel_only, dropped):
             (d / "trace.jsonl").write_bytes(scans)
 
-        assert gone.day_id not in [d.day_id for d in _load_days(str(accel_only))]
-        read = _load_days(str(accel_only), with_accel=True)
-        assert [d.day_id for d in read] == [d.day_id for d in days]
-        assert read[10].scans == () and read[10].accel == gone.accel
+        kept_ids = [d.day_id for d in kept]
+        for d in (accel_only, dropped):
+            for with_accel in (False, True):
+                assert [x.day_id for x in _load_days(str(d), with_accel=with_accel)] == kept_ids
 
         profiles = []
         for d in (accel_only, dropped):
@@ -374,16 +374,10 @@ class TestOnlyDetectDoorReadsAccel:
         assert profiles[0] == profiles[1]
 
         day = gone.day_id.isoformat()
-        assert door_ts(capsys, "--traces", accel_only, "--day", day) == []
-        assert run("detect-door", "--traces", dropped, "--day", day) == 1
-        assert capsys.readouterr().err == f"error: no trace for day {day}\n"
-        counted = door_ts(capsys, "--traces", accel_only)
-        skipped = door_ts(capsys, "--traces", dropped)
-        day14 = day_slice_start(days[13].day_id)
-        new_home = door_ts(capsys, "--traces", dropped, "--home", "02:00:00:1f:ff:01")
-        extra = [ts for ts in new_home if day14 <= ts < day14 + DAY_S]
-        assert len(extra) == 1
-        assert sorted(skipped + extra) == counted
+        for d in (accel_only, dropped):
+            assert run("detect-door", "--traces", d, "--day", day) == 1
+            assert capsys.readouterr().err == f"error: no trace for day {day}\n"
+        assert door_ts(capsys, "--traces", accel_only) == door_ts(capsys, "--traces", dropped)
 
 
 class TestFsmRun:
@@ -554,6 +548,12 @@ class TestUsage:
             ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--window-days", "0"],
             ["detect-door", "--traces", "t", "--day", "notadate"],
             ["predict", "--bssid", "02:00:00:00:00:01", "--tdr", "-5"],
+            ["detect-door", "--traces", "t", "--home", "nope"],
+            ["predict", "--tdr", "5", "--bssid", "nope"],
+            ["evaluate", "--traces", "t", "--out", "o", "--threshold", "5"],
+            ["evaluate", "--traces", "t", "--out", "o", "--threshold", "-121"],
+            ["sweep", "--traces", "t", "--out", "o", "--levels", "all,1"],
+            ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--threshold", "-200"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

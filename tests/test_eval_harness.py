@@ -77,6 +77,21 @@ class TestCdf:
             assert abs(frac - value / 100.0) <= eps
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 30) | st.floats(0, 30, allow_nan=False), min_size=1, max_size=60))
+def test_cdf_steps_at_each_distinct_value(samples):
+    """Strictly increasing values, one step at each distinct sample, each
+    fraction the share of samples at or below its value, ending at 1.0."""
+    points = cdf(samples)
+    values = [v for v, _ in points]
+    assert values == sorted(set(samples))
+    assert all(a < b for a, b in zip(values, values[1:]))
+    n = len(samples)
+    for value, frac in points:
+        assert frac == sum(1 for x in samples if x <= value) / n
+    assert points[-1][1] == 1.0
+
+
 class TestEvaluate:
     def test_perfect_predictor_scores_zero(self, small_dataset):
         report = evaluate(PerfectPredictor(), small_dataset)

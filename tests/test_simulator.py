@@ -285,7 +285,7 @@ def reference_aps_at(oracle, windows, ts):
     for bssid, begin, end in neighbors:
         if begin <= ts < end:
             observe(bssid, -65.0, True)
-    if not oracle.plan.stay_home and oracle.door_ts <= ts < oracle.door_ts + sim.COMMUTE_SCAN_PERIOD_S:
+    if not oracle.plan.stay_home and oracle.door_ts <= ts < oracle.door_ts + sim.SCAN_PERIOD_S:
         for bssid in spikes:
             observe(bssid, -67.0, False)
     return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))

@@ -650,6 +650,90 @@ class TestPredict:
             assert predict_tl(profile, HOME, 0).lookups == 2
 
 
+def reference_predict_tl(profile, bssid, observed_tdr_s):
+    """``predict_tl`` as it stands: the reference its properties are checked against."""
+    if observed_tdr_s < 0:
+        raise ValueError("observed tdr must be >= 0")
+    window = profile.window
+    if not window:
+        raise ColdStart("profile has no history yet")
+    span_days = (window[-1].day_id - window[0].day_id).days + 1
+    if span_days < WINDOW_DAYS:
+        raise ColdStart(f"profile covers {span_days} day(s); need {WINDOW_DAYS}")
+    best = None
+    for dm in reversed(window):
+        lab = dm.entries.get(bssid)
+        if lab is None:
+            continue
+        dist = abs(lab.tdr_seconds - observed_tdr_s)
+        if best is None or dist < best[0]:
+            best = (dist, dm.day_id, lab)
+    if best is not None:
+        return best[2].tl_seconds, best[1].isoformat(), bssid, 2
+    lab = profile.fallback.get(bssid)
+    if lab is not None:
+        return lab.tl_seconds, "fallback", bssid, 3
+    raise UnknownBssid(str(bssid))
+
+
+# A few BSSIDs and close tdr values, so days share labels and tie often,
+# and day offsets that put the window span on both sides of a week.
+_query_bssids = st.integers(0, 4).map(bss)
+_close_labels = st.builds(ApLabel, st.integers(0, 1000), st.integers(0, 12))
+
+
+@st.composite
+def query_profiles(draw):
+    offsets = sorted(draw(st.lists(st.integers(0, 12), unique=True, max_size=8)))
+    window = tuple(
+        DayMap(DAY + timedelta(days=off), draw(st.dictionaries(_query_bssids, _close_labels, max_size=4)), 0.0)
+        for off in offsets
+    )
+    fallback = draw(st.dictionaries(_query_bssids, _close_labels, max_size=3))
+    return UserProfile(HOME, window, fallback, DAY)
+
+
+def _outcome(fn, *args):
+    try:
+        p = fn(*args)
+    except (ColdStart, UnknownBssid) as exc:
+        return type(exc)
+    return p if isinstance(p, tuple) else (p.tl_seconds, p.source, p.matched_bssid, p.lookups)
+
+
+class TestPredictProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(query_profiles(), _query_bssids, st.integers(0, 14))
+    def test_matches_reference(self, profile, bssid, tdr):
+        assert _outcome(predict_tl, profile, bssid, tdr) == _outcome(reference_predict_tl, profile, bssid, tdr)
+
+    @settings(max_examples=400, deadline=None)
+    @given(query_profiles(), _query_bssids, st.integers(0, 14))
+    def test_which_answer(self, profile, bssid, tdr):
+        """ColdStart exactly when the window is empty or spans under a week;
+        else the nearest tdr in the window wins, ties to the most recent
+        day, in 2 lookups; else the fallback in 3; else UnknownBssid."""
+        window = profile.window
+        if not window or (window[-1].day_id - window[0].day_id).days + 1 < WINDOW_DAYS:
+            with pytest.raises(ColdStart):
+                predict_tl(profile, bssid, tdr)
+            return
+        held = [dm for dm in window if bssid in dm.entries]
+        if not held and bssid not in profile.fallback:
+            with pytest.raises(UnknownBssid):
+                predict_tl(profile, bssid, tdr)
+            return
+        p = predict_tl(profile, bssid, tdr)
+        assert p.matched_bssid == bssid
+        if held:
+            nearest = min(abs(dm.entries[bssid].tdr_seconds - tdr) for dm in held)
+            newest = max(dm.day_id for dm in held if abs(dm.entries[bssid].tdr_seconds - tdr) == nearest)
+            won = next(dm for dm in held if dm.day_id == newest)
+            assert (p.source, p.tl_seconds, p.lookups) == (newest.isoformat(), won.entries[bssid].tl_seconds, 2)
+        else:
+            assert (p.source, p.tl_seconds, p.lookups) == ("fallback", profile.fallback[bssid].tl_seconds, 3)
+
+
 def test_profile_json_round_trip(tmp_path):
     from timeloc.time_map import load_profile, save_profile
 

@@ -138,6 +138,26 @@ class TestRecordInvariants:
             ScanRecord(ts=0, gps=None, connected=bss(2), aps=(ApObservation(bss(1), -50),))
 
 
+class TestRecordedScan:
+    APS = (ApObservation(bss(1), -50), ApObservation(bss(2), -60))
+
+    def test_keeps_a_listed_connection(self):
+        r = ScanRecord.recorded(7, GpsFix(1.0, 2.0), bss(2), self.APS)
+        assert r == ScanRecord(ts=7, gps=GpsFix(1.0, 2.0), connected=bss(2), aps=self.APS)
+
+    def test_drops_an_unlisted_connection(self):
+        assert ScanRecord.recorded(7, None, bss(3), self.APS).connected is None
+        assert ScanRecord.recorded(7, None, bss(1), ()).connected is None
+
+    def test_keeps_no_connection(self):
+        assert ScanRecord.recorded(7, None, None, self.APS) == ScanRecord(7, None, None, self.APS)
+
+    def test_parsing_stays_strict(self):
+        line = b'{"ts":1,"gps":null,"conn":"02:00:00:00:00:03","aps":[{"bssid":"02:00:00:00:00:01","rssi":-40}]}'
+        with pytest.raises(TraceValidationError, match="line 1: connected BSSID"):
+            parse_trace_file(line)
+
+
 class TestParseTraceFile:
     def test_empty_stream(self):
         assert parse_trace_file(b"") == []
@@ -537,9 +557,12 @@ class TestSliceIntoDays:
         assert days[0].day_id == date(1969, 12, 28)  # the slice before k = -3
 
     def test_accel_assigned_to_slices(self):
-        acc = [AccelSample(self._at(13), 9.8), AccelSample(self._at(37), 9.8)]
-        days = slice_into_days([], acc)
-        assert [len(d.accel) for d in days] == [1, 1]
+        """Samples join the day of their slice; a slice without scans is no
+        day, and its samples are dropped."""
+        acc = [AccelSample(self._at(h), 9.8) for h in (13, 14, 37, 61)]
+        days = slice_into_days([scan(self._at(14), {}), scan(self._at(62), {})], acc)
+        assert [[a.ts for a in d.accel] for d in days] == [[acc[0].ts, acc[1].ts], [acc[3].ts]]
+        assert slice_into_days([], acc) == []
 
 
 class TestHaversine:
