@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", _cmd_simulate, "generate a synthetic dataset")
     p.add_argument("--scenario", required=True, help="scenario file or preset name")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--days", type=int, default=None, help="override the scenario day count")
+    p.add_argument("--days", type=_int_at_least(1), default=None, help="override the scenario day count")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("mine-home", _cmd_mine_home, "vote for the home AP from nightly dwell")
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("fsm-run", _cmd_fsm_run, "run the duty-cycled sensing day")
     p.add_argument("--scenario", required=True, help="scenario file or preset name")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--day", type=int, default=0, help="scenario day index")
+    p.add_argument("--day", type=_int_at_least(0), default=0, help="scenario day index")
     p.add_argument("--out", required=True, help="output directory")
 
     p = add("evaluate", _cmd_evaluate, "error report for tls/nn predictions")

@@ -7,8 +7,8 @@ nightly home presence.  Each day is rendered by a DayOracle that can answer
 reproducible at full scan rate (synth_day) or through the duty-cycling
 state machine.  Everything is a pure function of (inputs, seed): per-day
 seeds are the master seed XOR the day index, and observation noise is keyed
-by (day seed, BSSID, timestamp), so days can be regenerated independently
-and in any order.
+by (day seed, timestamp, sensor) and drawn in a fixed source order, so days
+can be regenerated independently and in any order.
 
 Ground truth per day: the arrival instant (first full-rate scan containing
 the home AP) and a planted door-opening event (a one-scan spike of three
@@ -39,6 +39,8 @@ from .trace_model import (
     DayTrace,
     GpsFix,
     ScanRecord,
+    _SeenBssids,
+    _SeenObservations,
     day_slice_start,
 )
 
@@ -67,6 +69,7 @@ def _mix(*parts) -> int:
 
 _GOLD = 0x9E3779B97F4A7C15
 _STEP = 0xD1342543DE82EF95
+_TWO_PI = 2.0 * math.pi
 
 
 def _sm64(z: int) -> int:
@@ -79,16 +82,18 @@ def _sm64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _unit(base: int, i: int) -> float:
-    """i-th uniform draw in (0, 1] for a keyed stream."""
-    return ((_sm64(base + i * _GOLD) >> 11) + 1) / (2**53 + 1)
+def _draw(key: int) -> float:
+    """Uniform draw in (0, 1] from a key: the top 53 bits of ``_sm64(key)``.
 
-
-def _gauss(base: int, i: int, sigma: float) -> float:
-    """Box-Muller normal deviate consuming draws i and i+1."""
-    u1 = _unit(base, i)
-    u2 = _unit(base, i + 1)
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    Draw i of a keyed stream is ``_draw(base + i * _GOLD)``.  The hash is
+    written out here, not called, so that each draw costs one call.
+    """
+    key &= _M64
+    key ^= key >> 30
+    key = (key * 0xBF58476D1CE4E5B9) & _M64
+    key ^= key >> 27
+    key = (key * 0x94D049BB133111EB) & _M64
+    return (((key ^ (key >> 31)) >> 11) + 1) / (2**53 + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +313,8 @@ class DayOracle:
         self.home_bssid = route.home_bssid
         self.home_fix = route.home_fix
         self._noise = plan.noise
-        self._seed_key = _mix(plan.seed, "obs")
+        self._stream_key = _mix(plan.seed, "obs") * _GOLD
+        self._observations = _SeenObservations(_SeenBssids())
 
         f = plan.mode.speed_factor
         start = plan.slice_start
@@ -357,7 +363,7 @@ class DayOracle:
             self._gps_windows = [
                 (depart, self.arrival_ts),
                 (md, md + round(duration / f)),
-            ]
+            ] if plan.gps_enabled else []
             self._connected_window = (self.door_ts + 20, md)
             self._walk_window = (self.arrival_ts - 60, self.door_ts + 30)
 
@@ -395,7 +401,7 @@ class DayOracle:
     # same second sees the identical set.
 
     def _stream_base(self, stream: int, ts: int) -> int:
-        return _sm64(self._seed_key * _GOLD + ts * _STEP + stream)
+        return _sm64(self._stream_key + ts * _STEP + stream)
 
     def _protected(self, bssid: Bssid, ts: int) -> bool:
         # The plant must survive its own noise: arrival stays detectable and
@@ -419,10 +425,9 @@ class DayOracle:
         active = self._segments[bisect_right(self._edges, ts)]
         if not active:
             return ()
-        base_key = self._stream_base(1, ts)
+        key = self._stream_base(1, ts)  # the key of the next draw
         sigma = self._noise.rssi_sigma_db
         p_drop = self._noise.dropout_prob
-        draw = 0
         obs: dict[Bssid, int] = {}
         for kind, bssid, start, end, value in active:
             can_drop = kind != _SPIKE  # the planted spike never drops out
@@ -433,30 +438,33 @@ class DayOracle:
                     value -= 8.0  # door-crossing RSSI dip
                 can_drop = not self._protected(bssid, ts)
             if sigma:
-                value += _gauss(base_key, draw, sigma)
-                draw += 2
+                u1 = _draw(key)
+                key += _GOLD
+                u2 = _draw(key)
+                key += _GOLD
+                value += sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
             if can_drop and p_drop:
-                u = _unit(base_key, draw)
-                draw += 1
+                u = _draw(key)
+                key += _GOLD
                 if u < p_drop:
                     continue
             obs[bssid] = max(-120, min(0, round(value)))
-        return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))
+        seen = self._observations
+        return tuple([seen[pair] for pair in sorted(obs.items())])
 
     def gps_available(self, ts: int) -> bool:
-        if not self.plan.gps_enabled:
-            return False
         return any(start <= ts <= end for start, end in self._gps_windows)
 
     def gps_at(self, ts: int) -> GpsFix | None:
-        if not self.gps_available(ts):
+        if not self._gps_windows:
             return None
-        depart_window, morning_window = self._gps_windows
-        if depart_window[0] <= ts <= depart_window[1]:
-            home_enter = self._home_window[0]
-            dist_m = self._speed_mps * max(0, home_enter - ts)
+        (depart, arrival), (morning_depart, morning_end) = self._gps_windows
+        if depart <= ts <= arrival:
+            dist_m = self._speed_mps * max(0, self._home_window[0] - ts)
+        elif morning_depart <= ts <= morning_end:
+            dist_m = self._speed_mps * max(0, ts - morning_depart)
         else:
-            dist_m = self._speed_mps * max(0, ts - morning_window[0])
+            return None
         return GpsFix(
             self.home_fix.lat_deg + dist_m / M_PER_DEG_LAT,
             self.home_fix.lon_deg,
@@ -467,14 +475,17 @@ class DayOracle:
         return self.home_bssid if start <= ts < end else None
 
     def accel_at(self, ts: int) -> float:
-        base_key = self._stream_base(2, ts)
+        key = self._stream_base(2, ts)
         if not self.plan.stay_home and abs(ts - self.door_ts) <= 2:
-            wobble = 0.04 * _unit(base_key, 0) - 0.02
+            wobble = 0.04 * _draw(key) - 0.02
             return round(9.81 + wobble, 3)  # planted stillness
-        if self._walk_window and self._walk_window[0] <= ts <= self._walk_window[1]:
+        walking = self._walk_window and self._walk_window[0] <= ts <= self._walk_window[1]
+        sigma = 0.3 if walking else 0.01
+        noise = sigma * math.sqrt(-2.0 * math.log(_draw(key))) * math.cos(_TWO_PI * _draw(key + _GOLD))
+        if walking:
             swing = 1.8 if ts % 2 == 0 else -1.8
-            return round(max(0.0, 9.8 + swing + _gauss(base_key, 0, 0.3)), 3)
-        return round(9.81 + _gauss(base_key, 0, 0.01), 3)
+            return round(max(0.0, 9.8 + swing + noise), 3)
+        return round(9.81 + noise, 3)
 
     # -- sampling schedules ----------------------------------------------
 
@@ -759,10 +770,14 @@ def load_scenario(path) -> ScenarioSpec:
 
 
 def resolve_scenario(name_or_path, n_days: int | None = None) -> ScenarioSpec:
-    """Scenario from a file path or a preset name; optional day-count override."""
+    """Scenario from a file path or a preset name; optional day-count override.
+
+    A name is read as a scenario file only when it names a regular file, so
+    a directory called like a preset does not shadow the preset.
+    """
     import os
 
-    if isinstance(name_or_path, str) and not os.path.exists(name_or_path):
+    if isinstance(name_or_path, str) and not os.path.isfile(name_or_path):
         preset = SCENARIO_PRESETS.get(name_or_path)
         if preset is None:
             raise ConfigurationError(

@@ -390,14 +390,14 @@ class TestFsmRun:
 
     def test_day_index_outside_the_calendar_is_an_error(self, tmp_path, capsys):
         last = (date.max - date(2024, 1, 1)).days  # the simple preset starts 2024-01-01
-        for day in (999999999, last + 1, -(date(2024, 1, 1) - date.min).days - 1):
+        for day in (999999999, last + 1):
             assert run("fsm-run", "--scenario", "simple", "--day", day, "--out", tmp_path / "x") == 1
             assert capsys.readouterr().err == f"error: day index {day} falls outside the supported dates\n"
         assert not (tmp_path / "x").exists()
 
     def test_first_and_last_calendar_days_still_run(self, tmp_path):
         last = (date.max - date(2024, 1, 1)).days
-        for day in (-(date(2024, 1, 1) - date.min).days, -5, last):
+        for day in (0, last):
             assert run("fsm-run", "--scenario", "simple", "--day", day, "--out", tmp_path / str(day)) == 0
 
 
@@ -554,6 +554,10 @@ class TestUsage:
             ["evaluate", "--traces", "t", "--out", "o", "--threshold", "-121"],
             ["sweep", "--traces", "t", "--out", "o", "--levels", "all,1"],
             ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--threshold", "-200"],
+            ["simulate", "--scenario", "simple", "--out", "o", "--days", "0"],
+            ["simulate", "--scenario", "simple", "--out", "o", "--days", "-3"],
+            ["fsm-run", "--scenario", "simple", "--out", "o", "--day", "-1"],
+            ["fsm-run", "--scenario", "simple", "--out", "o", "--day", "x"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
     )

@@ -5,8 +5,10 @@ build-profile, evaluate, sweep) and the phone-replay library calls.  This
 pins the stdout and the written files of detect-door (with and without
 --home), fsm-run, mine-home and predict (tls and nn) on a 20-day
 ``relocation`` dataset (seed 5, the user moves before the night of day
-11), so a refactor that promises byte-identical outputs is held to it for
-these commands too.  A change that means to move an output re-records its
+11), fsm-run on a ``mining`` day, and the files simulate writes for that
+relocation dataset and for the first mining-fleet dataset (seed 1000), so
+a refactor that promises byte-identical outputs is held to it for these
+commands too.  A change that means to move an output re-records its
 hash here and says so.
 """
 
@@ -27,6 +29,7 @@ def _commands(data, store, out, nn_ts):
         "detect-door": ("detect-door", "--traces", data, "--out", out / "door.csv"),
         "detect-door-home": ("detect-door", "--traces", data, "--home", NEW_HOME, "--out", out / "door.csv"),
         "fsm-run": ("fsm-run", "--scenario", "relocation", "--seed", "5", "--day", "12", "--out", out),
+        "fsm-run-mining": ("fsm-run", "--scenario", "mining", "--seed", "1000", "--day", "3", "--out", out),
         "predict-tls": ("predict", "--store", store, "--device", "d", "--bssid", ROUTE_AP, "--tdr", "100"),
         "predict-nn": ("predict", "--method", "nn", "--traces", data, "--ts", nn_ts),
     }
@@ -50,6 +53,12 @@ GOLDEN = {
         "sensed.jsonl": "45fc9d26574d8c4f27fa8abccc88153a0d99179c7a7bec336ff55fe02103dc12",
         "sensed_accel.jsonl": "4d6936662e21abeffc7426035784b65a0a84d8519d51773c8212913d869a1a97",
         "stats.csv": "5be403887e9519e77daa6a7939e51db039e67fa3340d6d41798d11f3c28a551e",
+    },
+    "fsm-run-mining": {
+        "stdout": "d3c54a19a77f423e572cedd05d706d9595c5180d93cdb92b188b7ba932640dd9",
+        "sensed.jsonl": "d7f39b6667cc0ea1109e2ffd2860e65eacdd8dd1ac22f923e1fe09f9245d852b",
+        "sensed_accel.jsonl": "4840ce64e476d0e75bab15443fae16aa6fa873701d900fe04e967f3a72507b40",
+        "stats.csv": "0257f6d59978f75f83eb1413d77e5ef6a6e0dc8374cfc40192af700037667ef1",
     },
     "predict-tls": {
         "stdout": "8ca988077bfd1b10084ebc52b23a29d9b02a502980e7e98a5393e154d1f6a495",
@@ -89,3 +98,26 @@ def outputs(relocation, out, capsys, name) -> dict:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_hashes(relocation, tmp_path, capsys, name):
     assert outputs(relocation, tmp_path, capsys, name) == GOLDEN[name]
+
+
+# The rendered datasets themselves: the benchmark hashes only mining's
+# winning BSSIDs, so these hold every byte the simulator writes.
+SIMULATE_GOLDEN = {
+    ("mining", "14", "1000"): {
+        "accel.jsonl": "a5573765d6a8fa4e35da68d4a90bb7a86be54c2b2fc438b78e526a2ed26ff3b5",
+        "ground_truth.csv": "80ff4d5241698ec8e7e6c400b5a550d298226746e91d466618de6b1cc951668b",
+        "trace.jsonl": "2ceac63cd011c8c6dd61f344edbd8f52ae0c4d4d3e514749b4e010945714ea3e",
+    },
+    ("relocation", "20", "5"): {
+        "accel.jsonl": "0989e9c9fef8db205d6db1c7655734b7606e20396f55655b33db98f88ce60779",
+        "ground_truth.csv": "13314af6e83e42e573b9689c3ac0bd677f4a978e15292abd9e050ad469ff7993",
+        "trace.jsonl": "e1ec54bc5620184b60938e3099026bead5f08b4ef69b69a5ae521ae3bc152664",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario,days,seed", sorted(SIMULATE_GOLDEN))
+def test_simulate_hashes(tmp_path, scenario, days, seed):
+    assert main(["simulate", "--scenario", scenario, "--days", days, "--seed", seed, "--out", str(tmp_path)]) == 0
+    got = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
+    assert got == SIMULATE_GOLDEN[scenario, days, seed]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
 from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
-from timeloc.trace_model import DAY_S, NOON_SOD, ApObservation, Bssid, serialize_scan_records
+from timeloc.trace_model import DAY_S, NOON_SOD, ApObservation, Bssid, GpsFix, serialize_scan_records
 
 
 def noiseless_day(route, mode=sim.WALK, seed=0, **kw):
@@ -205,6 +205,15 @@ def test_resolve_scenario_preset_and_unknown():
         sim.resolve_scenario("nonsense-preset")
 
 
+def test_a_directory_does_not_shadow_a_preset(tmp_path, monkeypatch):
+    (tmp_path / "simple").mkdir()
+    (tmp_path / "outputs").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert sim.resolve_scenario("simple") == sim.simple_walk_scenario()
+    with pytest.raises(ConfigurationError, match="neither a file nor a preset"):
+        sim.resolve_scenario("outputs")
+
+
 # ---------------------------------------------------------------------------
 # the visibility timeline against a per-window reference
 
@@ -252,10 +261,27 @@ def reference_windows(oracle):
     return routes, home, neighbors, spikes
 
 
+def _unit(base, i):
+    """i-th uniform draw in (0, 1] for a keyed stream, one hash per call."""
+    return ((sim._sm64(base + i * sim._GOLD) >> 11) + 1) / (2**53 + 1)
+
+
+def _gauss(base, i, sigma):
+    """Box-Muller normal deviate consuming draws i and i+1."""
+    u1 = _unit(base, i)
+    u2 = _unit(base, i + 1)
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def reference_stream_base(plan, stream, ts):
+    """The keyed stream of one second: 1 for the scan, 2 for the accelerometer."""
+    return sim._sm64(sim._mix(plan.seed, "obs") * sim._GOLD + ts * sim._STEP + stream)
+
+
 def reference_aps_at(oracle, windows, ts):
     """Test every source's window at ts, in draw order."""
     routes, (h_start, h_end), neighbors, spikes = windows
-    base_key = oracle._stream_base(1, ts)
+    base_key = reference_stream_base(oracle.plan, 1, ts)
     sigma = oracle.plan.noise.rssi_sigma_db
     p_drop = oracle.plan.noise.dropout_prob
     draw = 0
@@ -265,10 +291,10 @@ def reference_aps_at(oracle, windows, ts):
         nonlocal draw
         value = level
         if sigma:
-            value += sim._gauss(base_key, draw, sigma)
+            value += _gauss(base_key, draw, sigma)
             draw += 2
         if can_drop and p_drop:
-            u = sim._unit(base_key, draw)
+            u = _unit(base_key, draw)
             draw += 1
             if u < p_drop:
                 return
@@ -321,3 +347,98 @@ def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, sta
     probes |= {oracle.slice_start + off for off in offsets}
     for ts in sorted(probes):
         assert oracle.aps_at(ts) == reference_aps_at(oracle, windows, ts), ts
+
+
+# ---------------------------------------------------------------------------
+# accelerometer and GPS against copies of the per-call bodies
+
+
+def reference_gps_windows(oracle):
+    """The evening (depart, arrival) and morning GPS windows, both closed."""
+    plan = oracle.plan
+    if plan.stay_home:
+        return []
+    md = plan.slice_start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
+    return [
+        (plan.depart_ts, oracle.arrival_ts),
+        (md, md + round(plan.route.route_duration_s / plan.mode.speed_factor)),
+    ]
+
+
+def reference_accel_at(oracle, ts):
+    plan = oracle.plan
+    base_key = reference_stream_base(plan, 2, ts)
+    if not plan.stay_home and abs(ts - oracle.door_ts) <= 2:
+        wobble = 0.04 * _unit(base_key, 0) - 0.02
+        return round(9.81 + wobble, 3)
+    if not plan.stay_home and oracle.arrival_ts - 60 <= ts <= oracle.door_ts + 30:
+        swing = 1.8 if ts % 2 == 0 else -1.8
+        return round(max(0.0, 9.8 + swing + _gauss(base_key, 0, 0.3)), 3)
+    return round(9.81 + _gauss(base_key, 0, 0.01), 3)
+
+
+def reference_gps_at(oracle, ts):
+    windows = reference_gps_windows(oracle) if oracle.plan.gps_enabled else []
+    if not any(start <= ts <= end for start, end in windows):
+        return None
+    plan = oracle.plan
+    speed_mps = sim.BASE_SPEED_MPS * plan.mode.speed_factor
+    (depart, arrival), (md, _) = windows
+    if depart <= ts <= arrival:
+        home_enter = reference_windows(oracle)[1][0]
+        dist_m = speed_mps * max(0, home_enter - ts)
+    else:
+        dist_m = speed_mps * max(0, ts - md)
+    home_fix = plan.route.home_fix
+    return GpsFix(home_fix.lat_deg + dist_m / sim.M_PER_DEG_LAT, home_fix.lon_deg)
+
+
+@st.composite
+def day_oracles(draw):
+    """An oracle for any preset day, noise variant, stay-home flag and GPS switch."""
+    preset = draw(st.sampled_from(["simple", "mining", "mixture", "relocation"]))
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)))
+    plan = replace(
+        plan,
+        noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise),
+        stay_home=draw(st.booleans()),
+        gps_enabled=draw(st.booleans()),
+    )
+    return sim.DayOracle(plan)
+
+
+def sensor_probes(oracle, offsets):
+    """door_ts +- 3, both edges of the walk and GPS windows +- 1, and the offsets."""
+    edges = [oracle.arrival_ts - 60, oracle.door_ts + 30]
+    edges += [t for window in reference_gps_windows(oracle) for t in window]
+    probes = {t + d for t in edges for d in (-1, 0, 1)}
+    probes |= set(range(oracle.door_ts - 3, oracle.door_ts + 4))
+    probes |= {oracle.slice_start + off for off in offsets}
+    return sorted(probes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle=day_oracles(), offsets=st.lists(st.integers(0, DAY_S - 1), max_size=20))
+def test_accel_matches_the_per_call_reference(oracle, offsets):
+    for ts in sensor_probes(oracle, offsets):
+        assert oracle.accel_at(ts) == reference_accel_at(oracle, ts), ts
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle=day_oracles(), offsets=st.lists(st.integers(0, DAY_S - 1), max_size=20))
+def test_gps_matches_the_per_call_reference(oracle, offsets):
+    for ts in sensor_probes(oracle, offsets):
+        fix = reference_gps_at(oracle, ts)
+        assert oracle.gps_at(ts) == fix, ts
+        assert oracle.gps_available(ts) == (fix is not None), ts
+
+
+def test_an_oracle_builds_each_observation_once():
+    oracle = sim.DayOracle(sim.make_day_plan(sim.mining_scenario(), 0, 1000))
+    observed = [o for ts in oracle.scan_instants() for o in oracle.aps_at(ts)]
+    assert len({id(o) for o in observed}) == len(set(observed)) < len(observed)
+
+
+@given(base=st.integers(0, 2**70), i=st.integers(0, 8))
+def test_draw_is_the_keyed_unit(base, i):
+    assert sim._draw(base + i * sim._GOLD) == _unit(base, i)
