@@ -11,7 +11,6 @@ baseline) round out the package.
 from .errors import (
     ColdStart,
     ConfigurationError,
-    InsufficientData,
     InsufficientHistory,
     NoArrival,
     NoHistory,

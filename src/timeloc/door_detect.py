@@ -15,7 +15,6 @@ from operator import attrgetter
 from statistics import pvariance, variance
 from typing import Sequence
 
-from .errors import InsufficientData
 from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord
 
 RSSI_WINDOW_SCANS = 5
@@ -35,18 +34,16 @@ class DoorEvent:
     ts: int
 
 
-def rssi_fluctuation_score(window: Sequence[float]) -> float:
-    """Sample variance (dB^2) of one BSSID's RSSI values."""
-    if len(window) < 2:
-        raise InsufficientData("need at least 2 RSSI values")
-    return variance(window)
+def is_fluctuating(window: Sequence[int]) -> bool:
+    """True when at least 2 RSSI values have a sample variance of at least
+    RSSI_VAR_THRESHOLD_DB2; a shorter window fails."""
+    return len(window) >= 2 and variance(window) >= RSSI_VAR_THRESHOLD_DB2
 
 
 def is_standing(samples: Sequence[AccelSample]) -> bool:
-    """True when the window's magnitude variance is below ACCEL_VAR_THRESHOLD."""
-    if len(samples) < 3:
-        raise InsufficientData("need at least 3 accelerometer samples")
-    return pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
+    """True when at least 3 samples have a magnitude variance below
+    ACCEL_VAR_THRESHOLD; a shorter window fails."""
+    return len(samples) >= 3 and pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
 
 
 def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
@@ -58,8 +55,6 @@ def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
     runs exactly on n * count against the neighborhood sums.
     """
     n = COUNT_NEIGHBORHOOD_SCANS
-    if len(counts) < 2 * n + 1:
-        raise InsufficientData(f"need at least {2 * n + 1} points, got {len(counts)}")
     values = [c for _, c in counts]
     prefix = [0, *accumulate(values)]  # prefix[k] = sum(values[:k])
     need = COUNT_PEAK_DELTA * n
@@ -75,10 +70,7 @@ def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
 
 def _near_peak(scans: Sequence[ScanRecord]) -> set[int]:
     """Indices of the scans within PEAK_REACH_SCANS of an AP-count peak."""
-    try:
-        peak_ts = set(ap_count_peak([(s.ts, len(s.aps)) for s in scans]))
-    except InsufficientData:
-        return set()
+    peak_ts = set(ap_count_peak([(s.ts, len(s.aps)) for s in scans]))
     return {
         j
         for i, s in enumerate(scans)
@@ -93,7 +85,7 @@ def _standing_at(trace: DayTrace, ts: int) -> bool:
     accel = trace.accel
     lo = bisect_left(accel, ts - half, key=_sample_ts)
     window = accel[lo : bisect_right(accel, ts + half, lo, key=_sample_ts)]
-    return len(window) >= 3 and is_standing(window)
+    return is_standing(window)
 
 
 def detect_door_events(trace: DayTrace, home: Bssid) -> list[DoorEvent]:
@@ -102,8 +94,7 @@ def detect_door_events(trace: DayTrace, home: Bssid) -> list[DoorEvent]:
     Every scan that sees home adds its RSSI to the fluctuation history; a
     scan is an event candidate when it is near a count peak, the last
     RSSI_WINDOW_SCANS home readings fluctuate and the user stands still.
-    No events is a valid result; short windows simply fail their condition
-    instead of raising.
+    No events is a valid result; a short window fails its condition.
     """
     near_peak = _near_peak(trace.scans)
     home_rssi_hist: list[int] = []
@@ -113,10 +104,7 @@ def detect_door_events(trace: DayTrace, home: Bssid) -> list[DoorEvent]:
         if rssi is None:
             continue
         home_rssi_hist.append(rssi)
-        if i not in near_peak:
-            continue
-        window = home_rssi_hist[-RSSI_WINDOW_SCANS:]
-        if len(window) < 2 or rssi_fluctuation_score(window) < RSSI_VAR_THRESHOLD_DB2:
+        if i not in near_peak or not is_fluctuating(home_rssi_hist[-RSSI_WINDOW_SCANS:]):
             continue
         if not _standing_at(trace, s.ts):
             continue

@@ -45,9 +45,5 @@ class NoHistory(TimelocError):
     """A nearest-neighbor query was issued against an empty history."""
 
 
-class InsufficientData(TimelocError):
-    """A signal window is too short for the requested statistic."""
-
-
 class InsufficientHistory(TimelocError):
     """The evaluation dataset does not span more than one week."""

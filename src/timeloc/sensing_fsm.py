@@ -3,10 +3,12 @@
 Cadence policy: an idle check every 60 s; WiFi scanning every
 ``SCAN_PERIOD_S`` (5 s) inside the 500 m home geofence; a 120 s accelerometer burst once the home BSSID is
 scanned; a 300 s recording window once the connection is stable; then
-sleep with 30-minute wakes.  Losing the home connection from any settled
-state drops back to the idle check.  WiFi scan results are constant within
-one second (observations are keyed per whole second), so the 1 s minimum
-wake interval never yields conflicting scans.
+sleep with 30-minute wakes.  GPS is available exactly when there is a
+fix; only a fix moves the machine into or out of the geofence.  Losing the
+home connection from any settled state drops back to the idle check.  WiFi
+scan results are constant within one second (observations are keyed per
+whole second), so the 1 s minimum wake interval never yields conflicting
+scans.
 
 The day runner drives the machine against a simulator oracle and returns
 the sensed trace (a sub-view of what full-rate sampling would have seen)
@@ -75,7 +77,6 @@ class SensingStats:
 class EnvSnapshot:
     """What the sensors would report right now, as queried from an oracle."""
 
-    gps_available: bool
     fix: GpsFix | None
     visible: tuple[ApObservation, ...]
     connected: Bssid | None
@@ -103,23 +104,20 @@ def fsm_step(
 
     if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
         actions.add(Action.SCAN_WIFI)
-        if env.gps_available:
+        if env.fix is not None:
             actions.add(Action.READ_GPS)
         if env.home_visible():
             return FsmState(StateTag.HOME_ARRIVAL, now), actions, now + 1
-        inside = (
-            env.gps_available
-            and env.fix is not None
-            and in_gps_region(env.fix, env.home_fix)
-        )
-        if tag is StateTag.IDLE_CHECK:
-            if inside:
-                return FsmState(StateTag.GPS_REGION_SCAN, now), actions, now + SCAN_PERIOD_S
-            return state, actions, now + IDLE_PERIOD_S
-        # region scan: fall back out only on a confident outside fix
-        if env.gps_available and env.fix is not None and not inside:
-            return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
-        return state, actions, now + SCAN_PERIOD_S
+        # a fix places the phone inside or outside the geofence; without
+        # one the machine keeps its state
+        if env.fix is None:
+            target = tag
+        elif in_gps_region(env.fix, env.home_fix):
+            target = StateTag.GPS_REGION_SCAN
+        else:
+            target = StateTag.IDLE_CHECK
+        period = SCAN_PERIOD_S if target is StateTag.GPS_REGION_SCAN else IDLE_PERIOD_S
+        return (state if target is tag else FsmState(target, now)), actions, now + period
 
     if tag is StateTag.HOME_ARRIVAL:
         elapsed = now - state.entered_at
@@ -140,24 +138,19 @@ def fsm_step(
         wake = now + 1 if elapsed + 1 <= ACCEL_BURST_S else now + SCAN_PERIOD_S
         return FsmState(tag, state.entered_at, streak, misses), actions, wake
 
-    if tag is StateTag.CONNECTED:
-        actions.add(Action.SCAN_WIFI)
-        if env.connected != env.home_bssid:
-            return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
-        if now - state.entered_at >= CONNECTED_RECORD_S:
-            return FsmState(StateTag.SLEEP, now), actions, now + SLEEP_PERIOD_S
-        return state, actions, now + SCAN_PERIOD_S
-
-    # SLEEP
+    # CONNECTED or SLEEP: both settled states leave the same way
     actions.add(Action.SCAN_WIFI)
     if env.connected != env.home_bssid:
         return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
-    return state, actions, now + SLEEP_PERIOD_S
+    if tag is StateTag.SLEEP:
+        return state, actions, now + SLEEP_PERIOD_S
+    if now - state.entered_at >= CONNECTED_RECORD_S:
+        return FsmState(StateTag.SLEEP, now), actions, now + SLEEP_PERIOD_S
+    return state, actions, now + SCAN_PERIOD_S
 
 
 def snapshot_from_oracle(oracle, ts: int) -> EnvSnapshot:
     return EnvSnapshot(
-        gps_available=oracle.gps_available(ts),
         fix=oracle.gps_at(ts),
         visible=oracle.aps_at(ts),
         connected=oracle.connected_at(ts),

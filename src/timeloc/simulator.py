@@ -132,6 +132,10 @@ class ModeMix:
     modes: tuple[tuple[TransportMode, float], ...]
     speed_jitter_frac: float = 0.0
 
+    def __post_init__(self) -> None:
+        if any(w < 0 for _, w in self.modes) or sum(w for _, w in self.modes) <= 0:
+            raise ConfigurationError("mode weights must be >= 0 with a positive total")
+
 
 @dataclass(frozen=True, slots=True)
 class RouteSpec:
@@ -165,6 +169,10 @@ class NightDwellSpec:
     morning_depart_sod: int = 8 * 3600
     neighbor_count: int = 3
     neighbor_dwell_s: int = 5400
+
+    def __post_init__(self) -> None:
+        if self.scan_period_s < 1:
+            raise ConfigurationError("night scan_period_s must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -452,9 +460,6 @@ class DayOracle:
         seen = self._observations
         return tuple([seen[pair] for pair in sorted(obs.items())])
 
-    def gps_available(self, ts: int) -> bool:
-        return any(start <= ts <= end for start, end in self._gps_windows)
-
     def gps_at(self, ts: int) -> GpsFix | None:
         if not self._gps_windows:
             return None
@@ -700,13 +705,20 @@ def load_scenario(path) -> ScenarioSpec:
 
     Sections: [route] chain geometry, [modes] one ``name = factor weight``
     entry per mode plus ``speed_jitter``, [days] calendar and detours,
-    [noise], [night], and an optional [relocation].
+    [noise], [night], and an optional [relocation].  A file that cannot be
+    read or parsed, or holds a bad value, raises ConfigurationError naming it.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read scenario file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigurationError(f"cannot read scenario file {path!r}")
+        return _scenario_from_config(cp)
+    except (ValueError, IndexError, KeyError, configparser.Error) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else " ".join(str(exc).split())
+        raise ConfigurationError(f"malformed scenario file {path!r}: {detail}") from None
 
+
+def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
     route_sec = cp["route"] if cp.has_section("route") else {}
     route = make_chain_route(
         ap_count=int(route_sec.get("ap_count", 14)),
@@ -728,6 +740,8 @@ def load_scenario(path) -> ScenarioSpec:
                 jitter = float(value)
                 continue
             parts = value.split()
+            if len(parts) < 2:
+                raise ValueError(f"[modes] {key} = {value!r} needs a speed factor and a weight")
             modes.append((TransportMode(key, float(parts[0])), float(parts[1])))
     if not modes:
         modes = [(WALK, 1.0)]

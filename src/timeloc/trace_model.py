@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import OrderingError, TraceParseError, TraceValidationError
@@ -102,6 +103,9 @@ class AccelSample:
             raise TraceValidationError("accelerometer magnitude must be >= 0")
 
 
+_bssid_of = attrgetter("bssid")
+
+
 @dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One WiFi scan: timestamp, optional GPS fix and connection, AP list."""
@@ -127,7 +131,8 @@ class ScanRecord:
     @classmethod
     def recorded(cls, ts: int, gps: GpsFix | None, connected: Bssid | None, aps: tuple) -> ScanRecord:
         """The scan a phone records: a connection to an AP it does not list is dropped."""
-        return cls(ts, gps, connected if connected in {o.bssid for o in aps} else None, aps)
+        listed = connected is not None and connected in map(_bssid_of, aps)
+        return cls(ts, gps, connected if listed else None, aps)
 
     def bssids(self) -> set[Bssid]:
         return {o.bssid for o in self.aps}

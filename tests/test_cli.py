@@ -59,6 +59,25 @@ class TestSimulate:
         assert run("simulate", "--scenario", "no-such", "--out", tmp_path) == 1
         assert "preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("[route]\nap_count = x\n", "invalid literal for int()"),
+            ("[modes]\nwalk = 1.0\n", "needs a speed factor and a weight"),
+            ("ap_count = 3\n", "File contains no section headers."),
+            ("[relocation]\nnew_home = 1\n", "missing key 'move_day'"),
+        ],
+        ids=["bad-int", "mode-without-weight", "no-section-header", "relocation-without-move-day"],
+    )
+    def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):
+        path = tmp_path / "f.ini"
+        path.write_text(text, encoding="utf-8")
+        assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed scenario file {str(path)!r}: ")
+        assert detail in err and err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMineHome:
     def test_prints_tally_and_winner(self, dataset_dir, capsys):

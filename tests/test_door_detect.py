@@ -7,34 +7,38 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.door_detect import (
-    RSSI_VAR_THRESHOLD_DB2,
     _standing_at,
     ap_count_peak,
     detect_door_events,
+    is_fluctuating,
     is_standing,
-    rssi_fluctuation_score,
 )
-from timeloc.errors import InsufficientData
 from util import SLICE, accel, bss, scan, trace
 
 
 class TestRssiFluctuation:
     def test_constant_series_scores_zero(self):
-        assert rssi_fluctuation_score([-60, -60, -60, -60, -60]) == 0.0
+        assert statistics.variance([-60, -60, -60, -60, -60]) == 0
+        assert is_fluctuating([-60, -60, -60, -60, -60]) is False
 
     def test_two_point_sample_variance(self):
-        assert rssi_fluctuation_score([-60, -66]) == 18.0
+        assert statistics.variance([-60, -66]) == 18.0
+        assert is_fluctuating([-60, -66]) is True
 
     def test_planted_dip_window_exceeds_threshold(self):
         # four scans at the plateau then the first dipped scan (-8 dB)
         window = [-45, -45, -45, -45, -53]
-        score = rssi_fluctuation_score(window)
-        assert score == pytest.approx(12.8)
-        assert score > RSSI_VAR_THRESHOLD_DB2
+        assert statistics.variance(window) == pytest.approx(12.8)
+        assert is_fluctuating(window) is True
 
-    def test_short_window_raises(self):
-        with pytest.raises(InsufficientData):
-            rssi_fluctuation_score([-60])
+    def test_threshold_is_inclusive(self):
+        assert statistics.variance([-60, -63, -66]) == 9
+        assert is_fluctuating([-60, -63, -66]) is True
+        assert is_fluctuating([-60, -62, -64]) is False
+
+    def test_short_window_fails_its_condition(self):
+        assert is_fluctuating([-60]) is False
+        assert is_fluctuating([]) is False
 
 
 class TestIsStanding:
@@ -55,9 +59,15 @@ class TestIsStanding:
         assert statistics.pvariance([a.magnitude_mps2 for a in window]) < 0.1
         assert is_standing(window) is True
 
+    def test_threshold_is_exclusive(self):
+        samples = [accel(SLICE + i, m) for i, m in enumerate([9.0, 11.0, 10.0, 10.0])]
+        assert statistics.pvariance([s.magnitude_mps2 for s in samples]) == 0.5
+        assert is_standing(samples) is False
+
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientData):
-            is_standing([accel(SLICE, 9.81), accel(SLICE + 1, 9.81)])
+        # a short window fails its condition
+        assert is_standing([accel(SLICE, 9.81), accel(SLICE + 1, 9.81)]) is False
+        assert is_standing([]) is False
 
 
 class TestApCountPeak:
@@ -72,10 +82,10 @@ class TestApCountPeak:
             counts = [(SLICE + i, v) for i, v in enumerate(values)]
             assert ap_count_peak(counts) == peaks
 
-    def test_short_series_raises(self):
-        counts = [(SLICE + i, 5) for i in range(8)]
-        with pytest.raises(InsufficientData):
-            ap_count_peak(counts)
+    def test_short_series_has_no_peaks(self):
+        # a spike of 9 among 8 points has no full neighbourhood
+        counts = [(SLICE + i, 9 if i == 4 else 5) for i in range(8)]
+        assert ap_count_peak(counts) == []
 
     def test_exactly_one_peak_per_planted_door(self):
         route = sim.make_chain_route()
@@ -256,11 +266,7 @@ def test_matches_reference_on_generated_traces(t):
 @given(st.lists(st.integers(0, 30), max_size=40))
 def test_integer_peak_test_matches_float_means(values):
     counts = [(SLICE + 3 * i, v) for i, v in enumerate(values)]
-    if len(counts) < 9:
-        with pytest.raises(InsufficientData):
-            ap_count_peak(counts)
-    else:
-        assert ap_count_peak(counts) == _reference_peaks(counts)
+    assert ap_count_peak(counts) == _reference_peaks(counts)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,6 +1,7 @@
-"""Import hygiene: every name a library module imports is used in it, and
+"""Import hygiene: every name a library module imports is used in it,
 every private top-level function or class is referenced in its own module,
-so a helper that a refactor leaves without callers fails here.
+and every error type is raised somewhere, so a helper or an exception that a
+refactor leaves without callers fails here.
 
 ``__init__.py`` is skipped, because its imports are the package's exports.
 """
@@ -64,3 +65,26 @@ def test_unreferenced_private_def_is_reported():
         "def __getattr__(name):\n    return _used\n"
     )
     assert unreferenced_private_defs(source) == ["line 4: _left_behind", "line 7: _Orphan"]
+
+
+def raised_names(source: str) -> set[str]:
+    """Names of the exceptions that ``raise X`` or ``raise X(...)`` raise."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    return raised
+
+
+def test_every_error_type_is_raised():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert declared - {"TimelocError"} - raised == set()
+
+
+def test_raised_names_reads_bare_and_called_raises():
+    source = "def f(e):\n    raise KeyError('x')\n    raise e\n    raise\n    raise ValueError from e\n"
+    assert raised_names(source) == {"KeyError", "e", "ValueError"}

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.sensing_fsm import (
+    ACCEL_BURST_S,
+    CONNECTED_RECORD_S,
+    IDLE_PERIOD_S,
+    SCAN_PERIOD_S,
     SLEEP_PERIOD_S,
+    STABLE_CONNECTION_SCANS,
     Action,
     EnvSnapshot,
     FsmState,
@@ -25,14 +30,8 @@ HOME = B("aa:00:00:00:00:ff")
 HOME_FIX = GpsFix(40.0, 116.0)
 
 
-def env(
-    fix=None,
-    visible=(),
-    connected=None,
-    gps_available=None,
-):
+def env(fix=None, visible=(), connected=None):
     return EnvSnapshot(
-        gps_available=fix is not None if gps_available is None else gps_available,
         fix=fix,
         visible=tuple(ApObservation(b, -55) for b in visible),
         connected=connected,
@@ -141,7 +140,6 @@ fixes = st.builds(
 )
 snapshots = st.builds(
     EnvSnapshot,
-    gps_available=st.booleans(),
     # anywhere on Earth, or up to 1 km from home on either side of the geofence
     fix=st.none() | fixes | st.floats(0, 1000).map(off_fix),
     visible=st.lists(
@@ -171,6 +169,113 @@ def test_next_wake_is_always_later(state, elapsed, snapshot):
     now = state.entered_at + elapsed
     _, _, next_wake = fsm_step(state, now, snapshot)
     assert next_wake > now
+
+
+# ---------------------------------------------------------------------------
+# reference: fsm_step when the snapshot carried GPS availability as a field of
+# its own beside the fix, and each settled state had its own exit branch.
+# The body is verbatim; the snapshot it reads has gps_available = fix is not
+# None, which is what the oracle reported.
+
+
+class _SnapshotWithAvailability:
+    def __init__(self, env):
+        self._env = env
+        self.gps_available = env.fix is not None
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+
+def reference_fsm_step(state, now, env):
+    env = _SnapshotWithAvailability(env)
+    tag = state.tag
+    actions: set[Action] = set()
+
+    if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
+        actions.add(Action.SCAN_WIFI)
+        if env.gps_available:
+            actions.add(Action.READ_GPS)
+        if env.home_visible():
+            return FsmState(StateTag.HOME_ARRIVAL, now), actions, now + 1
+        inside = (
+            env.gps_available
+            and env.fix is not None
+            and in_gps_region(env.fix, env.home_fix)
+        )
+        if tag is StateTag.IDLE_CHECK:
+            if inside:
+                return FsmState(StateTag.GPS_REGION_SCAN, now), actions, now + SCAN_PERIOD_S
+            return state, actions, now + IDLE_PERIOD_S
+        # region scan: fall back out only on a confident outside fix
+        if env.gps_available and env.fix is not None and not inside:
+            return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
+        return state, actions, now + SCAN_PERIOD_S
+
+    if tag is StateTag.HOME_ARRIVAL:
+        elapsed = now - state.entered_at
+        if elapsed < ACCEL_BURST_S:
+            actions.add(Action.SAMPLE_ACCEL)
+        streak = state.conn_streak
+        misses = state.miss_streak
+        if elapsed % SCAN_PERIOD_S == 0:
+            actions.add(Action.SCAN_WIFI)
+            connected_home = env.connected == env.home_bssid
+            misses = 0 if env.home_visible() else misses + 1
+            # one missed scan is dropout, not a departure
+            if misses >= 2 and not connected_home:
+                return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
+            streak = streak + 1 if connected_home else 0
+        if elapsed >= ACCEL_BURST_S and streak >= STABLE_CONNECTION_SCANS:
+            return FsmState(StateTag.CONNECTED, now), actions, now + SCAN_PERIOD_S
+        wake = now + 1 if elapsed + 1 <= ACCEL_BURST_S else now + SCAN_PERIOD_S
+        return FsmState(tag, state.entered_at, streak, misses), actions, wake
+
+    if tag is StateTag.CONNECTED:
+        actions.add(Action.SCAN_WIFI)
+        if env.connected != env.home_bssid:
+            return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
+        if now - state.entered_at >= CONNECTED_RECORD_S:
+            return FsmState(StateTag.SLEEP, now), actions, now + SLEEP_PERIOD_S
+        return state, actions, now + SCAN_PERIOD_S
+
+    # SLEEP
+    actions.add(Action.SCAN_WIFI)
+    if env.connected != env.home_bssid:
+        return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
+    return state, actions, now + SLEEP_PERIOD_S
+
+
+TIMER_EDGES = [
+    t + d for t in (0, ACCEL_BURST_S, CONNECTED_RECORD_S, SLEEP_PERIOD_S) for d in (-1, 0, 1)
+]
+
+
+@settings(max_examples=1000)
+@given(states, st.sampled_from(TIMER_EDGES) | st.integers(-10, 2 * SLEEP_PERIOD_S), snapshots)
+def test_fsm_step_matches_reference(state, elapsed, snapshot):
+    """Same next state, actions and wake as the reference on every input,
+    ``now`` drawn relative to the state's entry as above and often exactly
+    on a timer's edge."""
+    now = state.entered_at + elapsed
+    assert fsm_step(state, now, snapshot) == reference_fsm_step(state, now, snapshot)
+
+
+def test_fsm_step_matches_reference_on_every_timer_edge():
+    edge_snapshots = [
+        env(fix, visible, connected)
+        for fix in (None, off_fix(0), off_fix(499), off_fix(501))
+        for visible in ((), (bss(1),), (HOME, bss(1)))
+        for connected in (None, HOME, bss(1))
+    ]
+    for tag in StateTag:
+        for conn_streak in range(STABLE_CONNECTION_SCANS + 2):
+            for miss_streak in range(3):
+                state = FsmState(tag, 1000, conn_streak, miss_streak)
+                for now in (1000 + t for t in TIMER_EDGES):
+                    for snapshot in edge_snapshots:
+                        expected = reference_fsm_step(state, now, snapshot)
+                        assert fsm_step(state, now, snapshot) == expected
 
 
 @pytest.fixture(scope="module")
