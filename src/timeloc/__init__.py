@@ -57,7 +57,6 @@ from .simulator import (
     ScenarioSpec,
     TransportMode,
     synth_dataset,
-    synth_day,
 )
 from .eval_harness import EvalDataset, EvalReport, cdf, evaluate, sweep_rssi_filter
 

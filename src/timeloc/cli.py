@@ -46,8 +46,11 @@ def _emit(args, name: str, data: bytes | str) -> str:
     return path
 
 
+_GROUND_TRUTH_HEADER = "day_id,arrival_ts,door_ts,mode"
+
+
 def _ground_truth_csv(truths) -> str:
-    lines = ["day_id,arrival_ts,door_ts,mode"]
+    lines = [_GROUND_TRUTH_HEADER]
     for g in truths:
         lines.append(
             f"{g.day_id.isoformat()},{g.arrival_ts},{g.door_ts},"
@@ -57,8 +60,11 @@ def _ground_truth_csv(truths) -> str:
 
 
 def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
+    lines = text.splitlines()
+    if not lines or lines[0] != _GROUND_TRUTH_HEADER:
+        raise TimelocError(f"{path} line 1: the header must be {_GROUND_TRUTH_HEADER!r}")
     truths = []
-    for lineno, line in enumerate(text.splitlines()[1:], start=2):
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:

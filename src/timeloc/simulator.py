@@ -4,7 +4,7 @@ A scenario describes a fixed route of APs (an overlapping coverage chain
 ending at a persistent home AP), a per-day transport mode draw, noise, and
 nightly home presence.  Each day is rendered by a DayOracle that can answer
 "what would the phone see at second t" for any t, which makes the same day
-reproducible at full scan rate (synth_day) or through the duty-cycling
+reproducible at full scan rate (synth_plan_day) or through the duty-cycling
 state machine.  Everything is a pure function of (inputs, seed): per-day
 seeds are the master seed XOR the day index, and observation noise is keyed
 by (day seed, timestamp, sensor) and drawn in a fixed source order, so days
@@ -145,20 +145,21 @@ class RouteSpec:
     route_duration_s: int
 
     def __post_init__(self) -> None:
+        has_home = False
         for p in self.aps:
             if p.bssid == self.home_bssid:
+                has_home = True
                 if p.enter_offset_s >= self.route_duration_s:
                     raise ConfigurationError("home coverage must begin before route end")
             elif p.exit_offset_s > self.route_duration_s:
                 raise ConfigurationError(
                     f"{p.bssid}: coverage extends past the route end"
                 )
+        if not has_home:
+            raise ConfigurationError("route has no home AP placement")
 
-    def home_placement(self) -> ApPlacement | None:
-        for p in self.aps:
-            if p.bssid == self.home_bssid:
-                return p
-        return None
+    def home_placement(self) -> ApPlacement:
+        return next(p for p in self.aps if p.bssid == self.home_bssid)
 
 
 @dataclass(frozen=True, slots=True)
@@ -315,8 +316,6 @@ class DayOracle:
     def __init__(self, plan: DayPlan):
         route = plan.route
         home_pl = route.home_placement()
-        if home_pl is None:
-            raise ConfigurationError("route has no home AP placement")
         self.plan = plan
         self.home_bssid = route.home_bssid
         self.home_fix = route.home_fix
@@ -538,37 +537,6 @@ def synth_plan_day(plan: DayPlan) -> tuple[DayTrace, GroundTruth]:
     return trace, oracle.ground_truth()
 
 
-def synth_day(
-    route: RouteSpec,
-    mode: TransportMode,
-    noise: NoiseParams,
-    seed: int,
-    *,
-    day_id: date = date(2024, 1, 1),
-    depart_sod: int = 18 * 3600,
-    detour_s: int = 0,
-    door_delay_s: int = 30,
-    night: NightDwellSpec = NightDwellSpec(),
-    gps_enabled: bool = True,
-) -> tuple[DayTrace, GroundTruth]:
-    """One synthetic day outside any scenario; deterministic in (inputs, seed)."""
-    slice_start = day_slice_start(day_id)
-    plan = DayPlan(
-        day_id=day_id,
-        slice_start=slice_start,
-        route=route,
-        mode=mode,
-        depart_ts=slice_start + (depart_sod - NOON_SOD) % DAY_S,
-        detour_s=detour_s,
-        door_delay_s=door_delay_s,
-        noise=noise,
-        night=night,
-        seed=seed,
-        gps_enabled=gps_enabled,
-    )
-    return synth_plan_day(plan)
-
-
 def synth_dataset(
     scenario: ScenarioSpec, seed: int
 ) -> tuple[list[DayTrace], list[GroundTruth]]:
@@ -693,11 +661,17 @@ SCENARIO_PRESETS = {
 # scenario files (INI-style key/value sections)
 
 def _parse_sod(text: str) -> int:
+    """A second of the day from ``HH:MM`` or from whole seconds in [0, 86400)."""
     text = text.strip()
-    if ":" in text:
-        hh, mm = text.split(":", 1)
+    hh, colon, mm = text.partition(":")
+    if colon:
+        if not (hh.isdigit() and mm.isdigit() and int(hh) < 24 and int(mm) < 60):
+            raise ValueError(f"time {text!r} is not HH:MM from 00:00 to 23:59")
         return int(hh) * 3600 + int(mm) * 60
-    return int(text)
+    sod = int(text)
+    if not 0 <= sod < DAY_S:
+        raise ValueError(f"time {text!r} is not a second of the day in [0, {DAY_S})")
+    return sod
 
 
 def load_scenario(path) -> ScenarioSpec:
@@ -760,10 +734,10 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
 
     relocation = None
     if cp.has_section("relocation"):
-        relocation = Relocation(
-            move_day=int(cp["relocation"]["move_day"]),
-            new_home_bssid=bssid_from_int(_NEW_HOME_BSSID),
-        )
+        move_day = int(cp["relocation"]["move_day"])
+        if move_day < 0:
+            raise ValueError(f"[relocation] move_day = {move_day} must be >= 0")
+        relocation = Relocation(move_day=move_day, new_home_bssid=bssid_from_int(_NEW_HOME_BSSID))
 
     return ScenarioSpec(
         route=route,

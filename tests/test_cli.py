@@ -66,8 +66,21 @@ class TestSimulate:
             ("[modes]\nwalk = 1.0\n", "needs a speed factor and a weight"),
             ("ap_count = 3\n", "File contains no section headers."),
             ("[relocation]\nnew_home = 1\n", "missing key 'move_day'"),
+            ("[days]\ndepart = 25:99\n", "time '25:99' is not HH:MM from 00:00 to 23:59"),
+            ("[night]\nmorning_depart = 08:60\n", "time '08:60' is not HH:MM from 00:00 to 23:59"),
+            ("[days]\ndepart = 86400\n", "time '86400' is not a second of the day in [0, 86400)"),
+            ("[relocation]\nmove_day = -3\n", "[relocation] move_day = -3 must be >= 0"),
         ],
-        ids=["bad-int", "mode-without-weight", "no-section-header", "relocation-without-move-day"],
+        ids=[
+            "bad-int",
+            "mode-without-weight",
+            "no-section-header",
+            "relocation-without-move-day",
+            "hour-out-of-range",
+            "minute-out-of-range",
+            "seconds-out-of-range",
+            "negative-move-day",
+        ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):
         path = tmp_path / "f.ini"
@@ -519,6 +532,22 @@ class TestMalformedGroundTruth:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {truth} line 4: malformed ground truth (")
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("header", [None, "day,arrival,door,mode", ""], ids=["missing", "renamed", "blank"])
+    def test_header_line_is_required(self, header, command, dataset_dir, tmp_path, capsys):
+        # without the check the first row was skipped as if it were the header
+        traces = tmp_path / "no_header"
+        traces.mkdir()
+        (traces / "trace.jsonl").write_bytes((dataset_dir / "trace.jsonl").read_bytes())
+        lines = (dataset_dir / "ground_truth.csv").read_text().splitlines()
+        lines[0:1] = [] if header is None else [header]
+        truth = traces / "ground_truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        assert run(command, "--traces", traces, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {truth} line 1: the header must be 'day_id,arrival_ts,door_ts,mode'\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -13,7 +13,7 @@ from timeloc.door_detect import (
     is_fluctuating,
     is_standing,
 )
-from util import SLICE, accel, bss, scan, trace
+from util import SLICE, accel, bss, commute_day, scan, trace
 
 
 class TestRssiFluctuation:
@@ -53,7 +53,7 @@ class TestIsStanding:
 
     def test_simulated_stillness_segment(self):
         route = sim.make_chain_route()
-        t, truth = sim.synth_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=9)
+        t, truth = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=9)
         window = [a for a in t.accel if abs(a.ts - truth.door_ts) <= 2]
         assert len(window) == 5
         assert statistics.pvariance([a.magnitude_mps2 for a in window]) < 0.1
@@ -89,7 +89,7 @@ class TestApCountPeak:
 
     def test_exactly_one_peak_per_planted_door(self):
         route = sim.make_chain_route()
-        t, truth = sim.synth_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=13)
+        t, truth = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=13)
         counts = [(s.ts, len(s.aps)) for s in t.scans]
         peaks = ap_count_peak(counts)
         near_door = [p for p in peaks if abs(p - truth.door_ts) <= 10]
@@ -99,7 +99,7 @@ class TestApCountPeak:
 def _door_day(seed=21, sigma=4.0, dropout=0.03):
     route = sim.make_chain_route()
     noise = sim.NoiseParams(rssi_sigma_db=sigma, dropout_prob=dropout)
-    return route, sim.synth_day(route, sim.WALK, noise, seed=seed)
+    return route, commute_day(route, sim.WALK, noise, seed=seed)
 
 
 class TestDetectDoorEvents:
@@ -199,7 +199,7 @@ def _equivalence_cases():
     for seed in range(6):
         for sigma in (0.0, 4.0, 8.0):
             noise = sim.NoiseParams(rssi_sigma_db=sigma, dropout_prob=0.05)
-            t, truth = sim.synth_day(route, sim.WALK, noise, seed=seed)
+            t, truth = commute_day(route, sim.WALK, noise, seed=seed)
             yield t, route.home_bssid, truth.door_ts
     scenario = sim.relocation_scenario(move_day=4, n_days=8)
     traces, truths = sim.synth_dataset(scenario, seed=3)

@@ -8,7 +8,8 @@ pins the stdout and the written files of detect-door (with and without
 11), fsm-run on a ``mining`` day, and the files simulate writes for that
 relocation dataset and for the first mining-fleet dataset (seed 1000), so
 a refactor that promises byte-identical outputs is held to it for these
-commands too.  A change that means to move an output re-records its
+commands too.  It also pins the day that the tests render through
+``commute_day``.  A change that means to move an output re-records its
 hash here and says so.
 """
 
@@ -16,8 +17,10 @@ import hashlib
 
 import pytest
 
-from timeloc.cli import main
-from timeloc.trace_model import load_trace_file
+from timeloc import simulator as sim
+from timeloc.cli import _ground_truth_csv, main
+from timeloc.trace_model import load_trace_file, serialize_accel_samples, serialize_scan_records
+from util import commute_day
 
 NEW_HOME = "02:00:00:1f:ff:01"
 ROUTE_AP = "02:00:00:10:00:03"
@@ -121,3 +124,14 @@ def test_simulate_hashes(tmp_path, scenario, days, seed):
     assert main(["simulate", "--scenario", scenario, "--days", days, "--seed", seed, "--out", str(tmp_path)]) == 0
     got = {p.name: _sha(p.read_bytes()) for p in sorted(tmp_path.iterdir())}
     assert got == SIMULATE_GOLDEN[scenario, days, seed]
+
+
+# Recorded from the library's former standalone day renderer, which built
+# this plan by hand; ``commute_day`` plans it through ``make_day_plan``.
+COMMUTE_DAY_GOLDEN = "e369b84611f8e95976f5165afb8a354c33fbd0bb09e1df2943b1d0fcc5a1224f"
+
+
+def test_commute_day_hash():
+    trace, truth = commute_day(sim.make_chain_route(), sim.WALK, sim.NoiseParams(4.0, 0.03), seed=3)
+    data = serialize_scan_records(trace.scans) + serialize_accel_samples(trace.accel)
+    assert _sha(data + _ground_truth_csv([truth]).encode()) == COMMUTE_DAY_GOLDEN

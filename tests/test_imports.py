@@ -1,17 +1,20 @@
 """Import hygiene: every name a library module imports is used in it,
 every private top-level function or class is referenced in its own module,
-and every error type is raised somewhere, so a helper or an exception that a
-refactor leaves without callers fails here.
+every error type is raised somewhere, and every parameter with a default is
+set by some call, so a helper, an exception or a setting that a refactor
+leaves without callers fails here.
 
 ``__init__.py`` is skipped, because its imports are the package's exports.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "timeloc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "timeloc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -88,3 +91,82 @@ def test_every_error_type_is_raised():
 def test_raised_names_reads_bare_and_called_raises():
     source = "def f(e):\n    raise KeyError('x')\n    raise e\n    raise\n    raise ValueError from e\n"
     assert raised_names(source) == {"KeyError", "e", "ValueError"}
+
+
+def defaulted_params(source: str) -> list[tuple[str, str, int | None, int]]:
+    """``(callee, parameter, position, line)`` for each parameter with a default.
+
+    A method's position leaves out ``self`` or ``cls``, and ``__init__`` and
+    ``__new__`` are called by their class name.  A keyword-only parameter
+    has no position.
+    """
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls)
+                continue
+            args = child.args
+            positional = args.posonlyargs + args.args
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+            if cls is not None and not static:
+                positional = positional[1:]
+            name = cls if cls is not None and child.name in ("__init__", "__new__") else child.name
+            first = len(positional) - len(args.defaults)
+            found.extend((name, arg.arg, i, arg.lineno) for i, arg in enumerate(positional) if i >= first)
+            found.extend(
+                (name, arg.arg, None, arg.lineno)
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None
+            )
+            visit(child, None)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def unset_params(source: str, callers: list[str]) -> list[str]:
+    """Parameters of ``source`` with a default that no call in ``callers``
+    names as a keyword or reaches by position.
+
+    A call is matched by the name it calls (``f(...)`` or ``x.f(...)``).
+    A ``*args`` call reaches every position; a ``**kwargs`` call names no
+    keyword, since it only forwards what its own caller set.
+    """
+    named: dict[str, set[str]] = {}
+    reach: dict[str, float] = {}
+    for caller in callers:
+        for node in ast.walk(ast.parse(caller)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            named.setdefault(name, set()).update(k.arg for k in node.keywords)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            reach[name] = max(reach.get(name, 0), math.inf if starred else len(node.args))
+    return [
+        f"line {line}: {name}({param}=)"
+        for name, param, position, line in defaulted_params(source)
+        if param not in named.get(name, ()) and (position is None or reach.get(name, 0) <= position)
+    ]
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    callers = [p.read_text(encoding="utf-8") for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    unset = {p.name: unset_params(p.read_text(encoding="utf-8"), callers) for p in sorted(SRC.glob("*.py"))}
+    assert {name: params for name, params in unset.items() if params} == {}
+
+
+def test_unset_param_is_reported():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n"
+        "class K:\n"
+        "    def __init__(self, x=0, y=0):\n        pass\n\n"
+        "    def m(self, z=0):\n        pass\n"
+    )
+    callers = [source + "f(0, 1, e=5)\nK(1)\nK(**{'y': 2})\nK.m(*())\n"]
+    assert unset_params(source, callers) == ["line 1: f(c=)", "line 1: f(d=)", "line 5: K(y=)"]

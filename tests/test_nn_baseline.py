@@ -15,7 +15,7 @@ from timeloc.nn_baseline import (
     nn_predict,
 )
 from timeloc.trace_model import filter_trace
-from util import B, SLICE, bss, scan, trace
+from util import B, SLICE, bss, commute_day, scan, trace
 
 
 def fp(*bssids):
@@ -197,7 +197,7 @@ class TestBuildHistory:
         from timeloc import simulator as sim
 
         route = sim.make_chain_route()
-        trace, truth = sim.synth_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
+        trace, truth = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
         history = build_history([trace], route.home_bssid, -70)
         assert history
         assert all(h.tl_seconds >= 0 for h in history)
@@ -217,7 +217,7 @@ class TestBuildHistory:
         from timeloc import simulator as sim
 
         route = sim.make_chain_route()  # includes the weak mid-route bridge
-        trace, _ = sim.synth_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
+        trace, _ = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
         unfiltered = build_history([trace], route.home_bssid, None)
         filtered = build_history([trace], route.home_bssid, -70)
         assert len(unfiltered) > len(filtered)

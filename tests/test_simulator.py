@@ -11,10 +11,11 @@ from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
 from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
 from timeloc.trace_model import DAY_S, NOON_SOD, ApObservation, Bssid, GpsFix, serialize_scan_records
+from util import commute_day
 
 
-def noiseless_day(route, mode=sim.WALK, seed=0, **kw):
-    return sim.synth_day(route, mode, sim.NoiseParams(), seed=seed, **kw)
+def noiseless_day(route, mode=sim.WALK, seed=0):
+    return commute_day(route, mode, sim.NoiseParams(), seed=seed)
 
 
 def visibility(trace, bssid, until=None):
@@ -55,30 +56,29 @@ class TestSynthDay:
     def test_fixed_seed_reproduces_bytes(self):
         route = sim.make_chain_route()
         noise = sim.NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.05)
-        a, _ = sim.synth_day(route, sim.WALK, noise, seed=33)
-        b, _ = sim.synth_day(route, sim.WALK, noise, seed=33)
+        a, _ = commute_day(route, sim.WALK, noise, seed=33)
+        b, _ = commute_day(route, sim.WALK, noise, seed=33)
         assert serialize_scan_records(a.scans) == serialize_scan_records(b.scans)
 
     def test_route_without_home_is_a_configuration_error(self):
         route = sim.make_chain_route()
-        no_home = sim.RouteSpec(
-            aps=tuple(p for p in route.aps if p.bssid != route.home_bssid),
-            home_bssid=route.home_bssid,
-            home_fix=route.home_fix,
-            route_duration_s=route.route_duration_s,
-        )
-        with pytest.raises(ConfigurationError):
-            sim.synth_day(no_home, sim.WALK, sim.NoiseParams(), seed=0)
+        with pytest.raises(ConfigurationError, match="route has no home AP placement"):
+            sim.RouteSpec(
+                aps=tuple(p for p in route.aps if p.bssid != route.home_bssid),
+                home_bssid=route.home_bssid,
+                home_fix=route.home_fix,
+                route_duration_s=route.route_duration_s,
+            )
 
     def test_door_event_timing_invariant(self):
         route = sim.make_chain_route()
-        _, truth = sim.synth_day(route, sim.WALK, sim.NoiseParams(), seed=4)
+        _, truth = commute_day(route, sim.WALK, sim.NoiseParams(), seed=4)
         assert truth.arrival_ts - 60 <= truth.door_ts <= truth.arrival_ts + 120
 
     def test_dropout_never_hides_home_at_arrival(self):
         route = sim.make_chain_route()
         noise = sim.NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.9)
-        trace, truth = sim.synth_day(route, sim.WALK, noise, seed=6)
+        trace, truth = commute_day(route, sim.WALK, noise, seed=6)
         at_arrival = next(s for s in trace.scans if s.ts == truth.arrival_ts)
         assert any(o.bssid == route.home_bssid for o in at_arrival.aps)
 

@@ -43,7 +43,7 @@ from timeloc.time_map import (
     update_profile,
 )
 from timeloc.trace_model import day_slice_start
-from util import B, DAY, SLICE, bss, scan, trace
+from util import B, DAY, SLICE, bss, commute_day, scan, trace
 
 HOME = B("aa:00:00:00:00:ff")
 
@@ -133,7 +133,7 @@ class TestBuildDayMap:
 
     def test_conservation_on_noiseless_synthetic_day(self):
         route = sim.make_chain_route()
-        t, truth = sim.synth_day(route, sim.WALK, sim.NoiseParams(), seed=5)
+        t, truth = commute_day(route, sim.WALK, sim.NoiseParams(), seed=5)
         dm = build_day_map(t, route.home_bssid)
         leg, detect_ts = homeward_leg(t, route.home_bssid)
         assert detect_ts == truth.arrival_ts

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import date
 
+from timeloc.simulator import ModeMix, ScenarioSpec, make_day_plan, synth_plan_day
 from timeloc.trace_model import (
     AccelSample,
     ApObservation,
@@ -43,3 +45,11 @@ def accel(ts, mag) -> AccelSample:
 
 def fix(lat, lon) -> GpsFix:
     return GpsFix(lat, lon)
+
+
+def commute_day(route, mode, noise, seed):
+    """Day 0 of a one-mode scenario on ``route``: leave at 18:00, no detour,
+    the door opened 30 s after arrival, rendered at full scan rate."""
+    scenario = ScenarioSpec(route, 1, ModeMix(((mode, 1.0),)), noise=noise)
+    plan = make_day_plan(scenario, 0, seed)
+    return synth_plan_day(replace(plan, door_delay_s=30))
