@@ -17,6 +17,8 @@ from . import door_detect, eval_harness, home_mining, nn_baseline, sensing_fsm, 
 from .errors import NoArrival, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
+    RSSI_MAX_DBM,
+    RSSI_MIN_DBM,
     Bssid,
     DayTrace,
     load_accel_file,
@@ -112,8 +114,10 @@ def _load_truths(traces_dir: str) -> list[GroundTruth]:
 
 def _parse_threshold(text: str) -> int | None:
     level = None if text == "all" else int(text)
-    if level is not None and not -120 <= level <= 0:  # the RSSI range ApObservation accepts
-        raise argparse.ArgumentTypeError(f"RSSI level must be within [-120, 0] dBm, got {level}")
+    if level is not None and not RSSI_MIN_DBM <= level <= RSSI_MAX_DBM:
+        raise argparse.ArgumentTypeError(
+            f"RSSI level must be within [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}] dBm, got {level}"
+        )
     return level
 
 
@@ -196,11 +200,10 @@ def _cmd_build_profile(args) -> int:
     profile = time_map.empty_profile(home, days[0].day_id)
     for i, (day, voted) in enumerate(zip(days, homes)):
         try:
-            new_map = time_map.build_day_map(day, home)
+            new_map = time_map.build_day_map(day, profile.home_bssid)
         except NoArrival:
             new_map = None
-        if voted is not None:  # a window without nightly data keeps the home
-            home = voted
+        home = voted or profile.home_bssid  # a window without nightly data keeps the home
         window_traces = days[max(0, i - args.window_days + 1) : i + 1]
         profile = time_map.fold_day(profile, new_map, home, window_traces, args.window_days)
     path = time_map.save_profile(profile, args.store, args.device)

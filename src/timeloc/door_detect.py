@@ -46,8 +46,8 @@ def is_standing(samples: Sequence[AccelSample]) -> bool:
     return len(samples) >= 3 and pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
 
 
-def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
-    """Timestamps whose AP count exceeds both flanking neighborhood means.
+def ap_count_peak(counts: Sequence[int]) -> list[int]:
+    """Indices of the AP counts that exceed both flanking neighborhood means.
 
     A point is a peak when its count is at least COUNT_PEAK_DELTA above the
     mean of the COUNT_NEIGHBORHOOD_SCANS points on each side; edges without
@@ -55,26 +55,23 @@ def ap_count_peak(counts: Sequence[tuple[int, int]]) -> list[int]:
     runs exactly on n * count against the neighborhood sums.
     """
     n = COUNT_NEIGHBORHOOD_SCANS
-    values = [c for _, c in counts]
-    prefix = [0, *accumulate(values)]  # prefix[k] = sum(values[:k])
+    prefix = [0, *accumulate(counts)]  # prefix[k] = sum(counts[:k])
     need = COUNT_PEAK_DELTA * n
     peaks = []
-    for i in range(n, len(values) - n):
-        c = n * values[i]
+    for i in range(n, len(counts) - n):
+        c = n * counts[i]
         left = prefix[i] - prefix[i - n]
         right = prefix[i + 1 + n] - prefix[i + 1]
         if c - left >= need and c - right >= need:
-            peaks.append(counts[i][0])
+            peaks.append(i)
     return peaks
 
 
 def _near_peak(scans: Sequence[ScanRecord]) -> set[int]:
     """Indices of the scans within PEAK_REACH_SCANS of an AP-count peak."""
-    peak_ts = set(ap_count_peak([(s.ts, len(s.aps)) for s in scans]))
     return {
         j
-        for i, s in enumerate(scans)
-        if s.ts in peak_ts
+        for i in ap_count_peak([len(s.aps) for s in scans])
         for j in range(i - PEAK_REACH_SCANS, i + PEAK_REACH_SCANS + 1)
     }
 

@@ -81,18 +81,18 @@ class QueryPoint:
 class EvalDay:
     """One day's artifacts at one RSSI level.
 
-    ``trace`` is the day filtered at that level and ``vote()`` its nightly
+    ``trace`` is the day filtered at that level and ``vote`` its nightly
     ballot, both made with the record; ``day_map(home)`` (None when home is
     never seen), ``history(home)`` and the query points are made on first
     use, per home BSSID (queries also per arrival).  A predictor must not
     change a record: every evaluation of its dataset shares it.
     """
 
-    __slots__ = ("trace", "_vote", "_maps", "_history", "_queries")
+    __slots__ = ("trace", "vote", "_maps", "_history", "_queries")
 
     def __init__(self, trace: DayTrace):
         self.trace = trace
-        self._vote = home_mining.day_vote(trace)
+        self.vote = home_mining.day_vote(trace)
         self._maps: dict[Bssid, DayMap | None] = {}
         self._history: dict[Bssid, list[HistoryPoint]] = {}
         self._queries: dict[tuple[Bssid, int], tuple[QueryPoint, ...]] = {}
@@ -100,9 +100,6 @@ class EvalDay:
     @property
     def day_id(self) -> date:
         return self.trace.day_id
-
-    def vote(self) -> Bssid | None:
-        return self._vote
 
     def day_map(self, home: Bssid) -> DayMap | None:
         if home not in self._maps:
@@ -288,7 +285,7 @@ def evaluate(
         if not window:
             continue
         try:
-            home = home_mining.tally_votes(d.vote() for d in window).winner
+            home = home_mining.tally_votes(d.vote for d in window).winner
         except NoNightData:
             continue
         truth = dataset.truths.get(day.day_id)

@@ -26,12 +26,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, TimelocError
 from .home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
 from .trace_model import (
     DAY_S,
     EARTH_RADIUS_M,
     NOON_SOD,
+    RSSI_MAX_DBM,
+    RSSI_MIN_DBM,
     SCAN_PERIOD_S,
     AccelSample,
     ApObservation,
@@ -194,6 +196,10 @@ class Relocation:
 
     move_day: int
     new_home_bssid: Bssid
+
+    def __post_init__(self) -> None:
+        if self.move_day < 0:
+            raise ConfigurationError("move_day must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,7 +461,7 @@ class DayOracle:
                 key += _GOLD
                 if u < p_drop:
                     continue
-            obs[bssid] = max(-120, min(0, round(value)))
+            obs[bssid] = max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, round(value)))
         seen = self._observations
         return tuple([seen[pair] for pair in sorted(obs.items())])
 
@@ -604,8 +610,6 @@ def simple_walk_scenario(n_days: int = 24) -> ScenarioSpec:
         route=make_chain_route(),
         n_days=n_days,
         mode_schedule=ModeMix(modes=((WALK, 1.0),), speed_jitter_frac=0.05),
-        detour_prob=0.0,
-        detour_duration_s=90,
         noise=NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.03),
         depart_time_jitter_s=300,
     )
@@ -613,15 +617,8 @@ def simple_walk_scenario(n_days: int = 24) -> ScenarioSpec:
 
 def mixture_scenario(n_days: int = 35) -> ScenarioSpec:
     """Walk/cycle mix with occasional pre-arrival detours."""
-    return ScenarioSpec(
-        route=make_chain_route(),
-        n_days=n_days,
-        mode_schedule=ModeMix(modes=((WALK, 0.5), (CYCLE, 0.5)), speed_jitter_frac=0.05),
-        detour_prob=0.2,
-        detour_duration_s=90,
-        noise=NoiseParams(rssi_sigma_db=4.0, dropout_prob=0.03),
-        depart_time_jitter_s=300,
-    )
+    walk_or_cycle = ModeMix(modes=((WALK, 0.5), (CYCLE, 0.5)), speed_jitter_frac=0.05)
+    return replace(simple_walk_scenario(n_days), mode_schedule=walk_or_cycle, detour_prob=0.2)
 
 
 def mining_scenario(n_days: int = 14) -> ScenarioSpec:
@@ -637,11 +634,8 @@ def mining_scenario(n_days: int = 14) -> ScenarioSpec:
 
 def relocation_scenario(move_day: int = 10, n_days: int = 16) -> ScenarioSpec:
     """The user moves house on ``move_day``; the home AP changes BSSID."""
-    base = simple_walk_scenario(n_days=n_days)
-    return replace(
-        base,
-        relocation=Relocation(move_day=move_day, new_home_bssid=bssid_from_int(_NEW_HOME_BSSID)),
-    )
+    relocation = Relocation(move_day=move_day, new_home_bssid=bssid_from_int(_NEW_HOME_BSSID))
+    return replace(simple_walk_scenario(n_days), relocation=relocation)
 
 
 def door_scenario(n_days: int = 30) -> ScenarioSpec:
@@ -679,82 +673,85 @@ def load_scenario(path) -> ScenarioSpec:
 
     Sections: [route] chain geometry, [modes] one ``name = factor weight``
     entry per mode plus ``speed_jitter``, [days] calendar and detours,
-    [noise], [night], and an optional [relocation].  A file that cannot be
-    read or parsed, or holds a bad value, raises ConfigurationError naming it.
+    [noise], [night], and an optional [relocation]; [DEFAULT] keys count as
+    keys of every section.  A file that cannot be read or parsed, or holds a
+    key nothing reads or a bad value, raises ConfigurationError naming it.
     """
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path):
-            raise ConfigurationError(f"cannot read scenario file {path!r}")
-        return _scenario_from_config(cp)
-    except (ValueError, IndexError, KeyError, configparser.Error) as exc:
+        if cp.read(path):
+            return _scenario_from_config(cp)
+    except (ValueError, IndexError, KeyError, configparser.Error, TimelocError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else " ".join(str(exc).split())
         raise ConfigurationError(f"malformed scenario file {path!r}: {detail}") from None
+    raise ConfigurationError(f"cannot read scenario file {path!r}")
 
 
 def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
-    route_sec = cp["route"] if cp.has_section("route") else {}
+    # Keys are popped where they are read; without a section, [DEFAULT] is one.
+    sections = {name: dict(cp[name]) for name in cp.sections()} or {cp.default_section: dict(cp.defaults())}
+    route_sec = sections.get("route", {})
     route = make_chain_route(
-        ap_count=int(route_sec.get("ap_count", 14)),
-        duration_s=int(route_sec.get("duration_s", 600)),
-        coverage_s=int(route_sec.get("coverage_s", 110)),
-        peak_rssi_dbm=int(route_sec.get("peak_rssi_dbm", -50)),
-        weak_bridge=str(route_sec.get("weak_bridge", "true")).lower() in ("1", "true", "yes"),
+        ap_count=int(route_sec.pop("ap_count", 14)),
+        duration_s=int(route_sec.pop("duration_s", 600)),
+        coverage_s=int(route_sec.pop("coverage_s", 110)),
+        peak_rssi_dbm=int(route_sec.pop("peak_rssi_dbm", -50)),
+        weak_bridge=str(route_sec.pop("weak_bridge", "true")).lower() in ("1", "true", "yes"),
         home_fix=GpsFix(
-            float(route_sec.get("home_lat", DEFAULT_HOME_FIX.lat_deg)),
-            float(route_sec.get("home_lon", DEFAULT_HOME_FIX.lon_deg)),
+            float(route_sec.pop("home_lat", DEFAULT_HOME_FIX.lat_deg)),
+            float(route_sec.pop("home_lon", DEFAULT_HOME_FIX.lon_deg)),
         ),
     )
 
+    modes_sec = sections.get("modes", {})
+    jitter = float(modes_sec.pop("speed_jitter", 0.0))
     modes = []
-    jitter = 0.0
-    if cp.has_section("modes"):
-        for key, value in cp["modes"].items():
-            if key == "speed_jitter":
-                jitter = float(value)
-                continue
-            parts = value.split()
-            if len(parts) < 2:
-                raise ValueError(f"[modes] {key} = {value!r} needs a speed factor and a weight")
-            modes.append((TransportMode(key, float(parts[0])), float(parts[1])))
+    for key in list(modes_sec):
+        value = modes_sec.pop(key)
+        parts = value.split()
+        if len(parts) < 2:
+            raise ValueError(f"[modes] {key} = {value!r} needs a speed factor and a weight")
+        modes.append((TransportMode(key, float(parts[0])), float(parts[1])))
     if not modes:
         modes = [(WALK, 1.0)]
     mode_schedule = ModeMix(modes=tuple(modes), speed_jitter_frac=jitter)
 
-    days_sec = cp["days"] if cp.has_section("days") else {}
-    noise_sec = cp["noise"] if cp.has_section("noise") else {}
-    night_sec = cp["night"] if cp.has_section("night") else {}
+    days_sec = sections.get("days", {})
+    noise_sec = sections.get("noise", {})
+    night_sec = sections.get("night", {})
 
     night = NightDwellSpec(
-        scan_period_s=int(night_sec.get("scan_period_s", 600)),
-        morning_depart_sod=_parse_sod(str(night_sec.get("morning_depart", "08:00"))),
-        neighbor_count=int(night_sec.get("neighbor_count", 3)),
-        neighbor_dwell_s=int(night_sec.get("neighbor_dwell_s", 5400)),
+        scan_period_s=int(night_sec.pop("scan_period_s", 600)),
+        morning_depart_sod=_parse_sod(str(night_sec.pop("morning_depart", "08:00"))),
+        neighbor_count=int(night_sec.pop("neighbor_count", 3)),
+        neighbor_dwell_s=int(night_sec.pop("neighbor_dwell_s", 5400)),
     )
 
     relocation = None
-    if cp.has_section("relocation"):
-        move_day = int(cp["relocation"]["move_day"])
-        if move_day < 0:
-            raise ValueError(f"[relocation] move_day = {move_day} must be >= 0")
-        relocation = Relocation(move_day=move_day, new_home_bssid=bssid_from_int(_NEW_HOME_BSSID))
+    if "relocation" in sections:
+        move_day = int(sections["relocation"].pop("move_day"))
+        relocation = Relocation(move_day, bssid_from_int(_NEW_HOME_BSSID))
 
-    return ScenarioSpec(
+    scenario = ScenarioSpec(
         route=route,
-        n_days=int(days_sec.get("n_days", 14)),
+        n_days=int(days_sec.pop("n_days", 14)),
         mode_schedule=mode_schedule,
-        detour_prob=float(days_sec.get("detour_prob", 0.0)),
-        detour_duration_s=int(days_sec.get("detour_duration_s", 90)),
+        detour_prob=float(days_sec.pop("detour_prob", 0.0)),
+        detour_duration_s=int(days_sec.pop("detour_duration_s", 90)),
         noise=NoiseParams(
-            rssi_sigma_db=float(noise_sec.get("rssi_sigma_db", 4.0)),
-            dropout_prob=float(noise_sec.get("dropout_prob", 0.03)),
+            rssi_sigma_db=float(noise_sec.pop("rssi_sigma_db", 4.0)),
+            dropout_prob=float(noise_sec.pop("dropout_prob", 0.03)),
         ),
-        depart_time_jitter_s=int(days_sec.get("depart_jitter_s", 300)),
+        depart_time_jitter_s=int(days_sec.pop("depart_jitter_s", 300)),
         night_dwell=night,
-        depart_sod=_parse_sod(str(days_sec.get("depart", "18:00"))),
-        start_day=date.fromisoformat(str(days_sec.get("start_day", "2024-01-01"))),
+        depart_sod=_parse_sod(str(days_sec.pop("depart", "18:00"))),
+        start_day=date.fromisoformat(str(days_sec.pop("start_day", "2024-01-01"))),
         relocation=relocation,
     )
+    for name, unread in sections.items():
+        for key in unread:
+            raise ValueError(f"unknown key [{name}] {key}")
+    return scenario
 
 
 def resolve_scenario(name_or_path, n_days: int | None = None) -> ScenarioSpec:

@@ -31,6 +31,7 @@ SCAN_PERIOD_S = 5
 # Day slices run from 12:00 to the next 12:00 so the 21:00-06:00 night
 # window never straddles a slice boundary.
 NOON_SOD = DAY_S // 2
+RSSI_MIN_DBM, RSSI_MAX_DBM = -120, 0  # the levels an observation may hold
 
 _BSSID_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 
@@ -56,11 +57,6 @@ class Bssid(str):
             raise TraceValidationError(f"invalid BSSID: {value!r}")
         return super().__new__(cls, canon)
 
-    @property
-    def value(self) -> str:
-        """The canonical form as a plain ``str``."""
-        return str.__str__(self)
-
     def __repr__(self) -> str:
         return f"Bssid({str.__repr__(self)})"
 
@@ -73,9 +69,9 @@ class ApObservation:
     rssi_dbm: int
 
     def __post_init__(self) -> None:
-        if not -120 <= self.rssi_dbm <= 0:
+        if not RSSI_MIN_DBM <= self.rssi_dbm <= RSSI_MAX_DBM:
             raise TraceValidationError(
-                f"rssi {self.rssi_dbm} dBm outside [-120, 0] for {self.bssid}"
+                f"rssi {self.rssi_dbm} dBm outside [{RSSI_MIN_DBM}, {RSSI_MAX_DBM}] for {self.bssid}"
             )
 
 
@@ -158,29 +154,24 @@ class DayTrace:
         if not isinstance(self.accel, tuple):
             object.__setattr__(self, "accel", tuple(self.accel))
         start = day_slice_start(self.day_id)
-        end = start + DAY_S
-        prev = None
-        for s in self.scans:
-            if prev is not None and s.ts < prev:
-                raise OrderingError(f"scans not time-ordered around ts {s.ts}")
-            if not start <= s.ts < end:
-                raise TraceValidationError(
-                    f"scan ts {s.ts} outside slice {self.day_id}"
-                )
-            prev = s.ts
-        prev = None
-        for a in self.accel:
-            if prev is not None and a.ts < prev:
-                raise OrderingError(f"accel not time-ordered around ts {a.ts}")
-            if not start <= a.ts < end:
-                raise TraceValidationError(
-                    f"accel ts {a.ts} outside slice {self.day_id}"
-                )
-            prev = a.ts
+        for items, what in ((self.scans, "scan"), (self.accel, "accel sample")):
+            _check_time_order(items, f"{what}s")
+            for item in items[:1] + items[-1:]:  # in time order, so the ends bound the rest
+                if not start <= item.ts < start + DAY_S:
+                    raise TraceValidationError(f"{what} ts {item.ts} outside slice {self.day_id}")
 
 
 # ---------------------------------------------------------------------------
 # day slicing
+
+def _check_time_order(items: Sequence, what: str) -> None:
+    """Raise OrderingError at the first item stamped earlier than the one before."""
+    prev = -math.inf
+    for item in items:
+        if item.ts < prev:
+            raise OrderingError(f"{what} not sorted by ts (around {item.ts})")
+        prev = item.ts
+
 
 def day_slice_start(day_id: date) -> int:
     """Epoch second at which the slice labelled ``day_id`` begins (12:00 UTC)."""
@@ -188,8 +179,14 @@ def day_slice_start(day_id: date) -> int:
 
 
 def day_id_for_ts(ts: int) -> date:
-    """Slice label for an epoch second: the date whose noon starts the slice."""
-    return datetime.fromtimestamp(ts - NOON_SOD, tz=timezone.utc).date()
+    """Slice label for an epoch second: the date whose noon starts the slice.
+
+    Raises TraceValidationError for a second outside the supported dates.
+    """
+    try:
+        return datetime.fromtimestamp(ts - NOON_SOD, tz=timezone.utc).date()
+    except (OverflowError, OSError, ValueError):
+        raise TraceValidationError(f"timestamp {ts} falls outside the supported dates") from None
 
 
 def slice_into_days(
@@ -203,24 +200,19 @@ def slice_into_days(
     in a slice without scans are dropped.  Days come out in calendar order.
     Raises OrderingError if either input is not sorted by timestamp.
     """
-    for seq, what in ((records, "records"), (accel, "accel samples")):
-        prev = None
-        for item in seq:
-            if prev is not None and item.ts < prev:
-                raise OrderingError(f"{what} not sorted by ts (around {item.ts})")
-            prev = item.ts
+    _check_time_order(records, "records")
+    _check_time_order(accel, "accel samples")
 
     # Slice k starts at k * DAY_S + NOON_SOD.  Each k becomes its date once,
-    # in first-seen order, so a date out of range fails on the same item.
+    # from its first record, so a date out of range names that record.
     by_slice: dict[int, tuple[list[ScanRecord], list[AccelSample]]] = {}
     for r in records:
         by_slice.setdefault((r.ts - NOON_SOD) // DAY_S, ([], []))[0].append(r)
     for a in accel:
         if (k := (a.ts - NOON_SOD) // DAY_S) in by_slice:
             by_slice[k][1].append(a)
-    labels = {k: day_id_for_ts(k * DAY_S + NOON_SOD) for k in by_slice}
     return [
-        DayTrace(labels[k], tuple(scans), tuple(acc))
+        DayTrace(day_id_for_ts(scans[0].ts), tuple(scans), tuple(acc))
         for k, (scans, acc) in sorted(by_slice.items())
     ]
 

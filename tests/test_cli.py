@@ -69,7 +69,14 @@ class TestSimulate:
             ("[days]\ndepart = 25:99\n", "time '25:99' is not HH:MM from 00:00 to 23:59"),
             ("[night]\nmorning_depart = 08:60\n", "time '08:60' is not HH:MM from 00:00 to 23:59"),
             ("[days]\ndepart = 86400\n", "time '86400' is not a second of the day in [0, 86400)"),
-            ("[relocation]\nmove_day = -3\n", "[relocation] move_day = -3 must be >= 0"),
+            ("[relocation]\nmove_day = -3\n", "move_day must be >= 0"),
+            ("[days]\nn_days = 0\n", "n_days must be >= 1"),
+            ("[noise]\ndropout_prob = 2\n", "dropout_prob outside [0, 1]"),
+            ("[route]\nhome_lat = 100\n", "latitude 100.0 outside [-90, 90]"),
+            ("[days]\nn_day = 30\n", "unknown key [days] n_day"),
+            ("[noize]\nrssi_sigma_db = 9\n", "unknown key [noize] rssi_sigma_db"),
+            ("[DEFAULT]\nn_days = 5\n[days]\n[route]\n", "unknown key [route] n_days"),
+            ("[DEFAULT]\nn_days = 5\n", "unknown key [DEFAULT] n_days"),
         ],
         ids=[
             "bad-int",
@@ -80,6 +87,13 @@ class TestSimulate:
             "minute-out-of-range",
             "seconds-out-of-range",
             "negative-move-day",
+            "zero-days",
+            "dropout-above-one",
+            "latitude-out-of-range",
+            "unknown-key",
+            "unknown-section",
+            "default-key-that-a-section-does-not-read",
+            "default-key-without-a-section",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):
@@ -105,6 +119,13 @@ class TestMineHome:
         first = capsys.readouterr().out
         run("mine-home", "--traces", dataset_dir)
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("ts", [100_000_000_000_000_000, -100_000_000_000_000])
+    def test_a_timestamp_outside_the_supported_dates_is_one_error_line(self, tmp_path, capsys, ts):
+        (tmp_path / "trace.jsonl").write_text(f'{{"ts":{ts},"gps":null,"conn":null,"aps":[]}}\n')
+        assert run("mine-home", "--traces", tmp_path) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: timestamp {ts} falls outside the supported dates\n"
 
 
 def _folded_profile(days, home, week):

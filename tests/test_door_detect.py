@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.door_detect import (
+    _near_peak,
     _standing_at,
     ap_count_peak,
     detect_door_events,
@@ -72,27 +73,22 @@ class TestIsStanding:
 
 class TestApCountPeak:
     def test_flat_series_has_no_peaks(self):
-        counts = [(SLICE + i, 5) for i in range(12)]
-        assert ap_count_peak(counts) == []
+        assert ap_count_peak([5] * 12) == []
 
     def test_single_spike(self):
         # four neighbours a side; the spike must clear both means by two APs
-        for spike, peaks in ((9, [SLICE + 4]), (7, [SLICE + 4]), (6, [])):
-            values = [5, 5, 5, 5, spike, 5, 5, 5, 5]
-            counts = [(SLICE + i, v) for i, v in enumerate(values)]
-            assert ap_count_peak(counts) == peaks
+        for spike, peaks in ((9, [4]), (7, [4]), (6, [])):
+            assert ap_count_peak([5, 5, 5, 5, spike, 5, 5, 5, 5]) == peaks
 
     def test_short_series_has_no_peaks(self):
         # a spike of 9 among 8 points has no full neighbourhood
-        counts = [(SLICE + i, 9 if i == 4 else 5) for i in range(8)]
-        assert ap_count_peak(counts) == []
+        assert ap_count_peak([9 if i == 4 else 5 for i in range(8)]) == []
 
     def test_exactly_one_peak_per_planted_door(self):
         route = sim.make_chain_route()
         t, truth = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=13)
-        counts = [(s.ts, len(s.aps)) for s in t.scans]
-        peaks = ap_count_peak(counts)
-        near_door = [p for p in peaks if abs(p - truth.door_ts) <= 10]
+        peaks = ap_count_peak([len(s.aps) for s in t.scans])
+        near_door = [p for p in peaks if abs(t.scans[p].ts - truth.door_ts) <= 10]
         assert len(near_door) == 1
 
 
@@ -135,6 +131,24 @@ class TestDetectDoorEvents:
         for a, b in zip(events, events[1:]):
             assert b.ts - a.ts >= 30
 
+    def test_a_scan_stamped_like_the_peak_does_not_widen_its_reach(self):
+        # The peak is scan 5 and scan 6 shares its timestamp: the reach is
+        # scans 3-7, so the fluctuating home reading of scan 8 is no event.
+        stamps = [SLICE + 5 * i for i in range(12)]
+        stamps[6] = stamps[5]
+        aps = [{bss(1): -70} for _ in stamps]
+        aps[5].update({bss(k): -70 for k in range(2, 7)})
+        aps[7][bss(99)] = -60
+        aps[8][bss(99)] = -66
+        t = trace(
+            [scan(ts, a) for ts, a in zip(stamps, aps)],
+            [accel(stamps[8] + d, 9.81) for d in (-1, 0, 1)],
+        )
+        assert ap_count_peak([len(s.aps) for s in t.scans]) == [5]
+        assert _near_peak(t.scans) == {3, 4, 5, 6, 7}
+        assert detect_door_events(t, bss(99)) == []
+        assert reference_door_ts(t, bss(99)) == []
+
 
 # ---------------------------------------------------------------------------
 # reference: the detector before condition 3 was precomputed.  Every
@@ -145,11 +159,11 @@ class TestDetectDoorEvents:
 def _reference_peaks(counts, delta=2, neighborhood=4):
     peaks = []
     for i in range(neighborhood, len(counts) - neighborhood):
-        _, c = counts[i]
-        left = sum(counts[j][1] for j in range(i - neighborhood, i)) / neighborhood
-        right = sum(counts[j][1] for j in range(i + 1, i + 1 + neighborhood)) / neighborhood
+        c = counts[i]
+        left = sum(counts[j] for j in range(i - neighborhood, i)) / neighborhood
+        right = sum(counts[j] for j in range(i + 1, i + 1 + neighborhood)) / neighborhood
         if c - left >= delta and c - right >= delta:
-            peaks.append(counts[i][0])
+            peaks.append(i)
     return peaks
 
 
@@ -162,9 +176,8 @@ def _reference_standing_at(t, ts):
 
 def reference_door_ts(t, home):
     scans = t.scans
-    counts = [(s.ts, len(s.aps)) for s in scans]
-    peak_ts = set(_reference_peaks(counts)) if len(counts) >= 9 else set()
-    peak_idx = [i for i, s in enumerate(scans) if s.ts in peak_ts]
+    counts = [len(s.aps) for s in scans]
+    peak_idx = _reference_peaks(counts) if len(counts) >= 9 else []
     hist, candidates = [], []
     for i, s in enumerate(scans):
         rssi = s.rssi_of(home)
@@ -265,8 +278,7 @@ def test_matches_reference_on_generated_traces(t):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(0, 30), max_size=40))
 def test_integer_peak_test_matches_float_means(values):
-    counts = [(SLICE + 3 * i, v) for i, v in enumerate(values)]
-    assert ap_count_peak(counts) == _reference_peaks(counts)
+    assert ap_count_peak(values) == _reference_peaks(values)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,14 +1,16 @@
-"""Import hygiene: every name a library module imports is used in it,
-every private top-level function or class is referenced in its own module,
+"""Import hygiene: the library imports only the standard library, every
+name a library module imports is used in it, every private top-level function or class is referenced in its own module,
 every error type is raised somewhere, and every parameter with a default is
 set by some call, so a helper, an exception or a setting that a refactor
 leaves without callers fails here.
 
-``__init__.py`` is skipped, because its imports are the package's exports.
+``__init__.py`` is skipped by the unused-name check, because its imports
+are the package's exports.
 """
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,34 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def non_stdlib_imports(source: str) -> list[str]:
+    """Absolute imports of a top-level module outside the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {n}" for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_the_library_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_non_stdlib_import_is_reported():
+    source = (
+        "from __future__ import annotations\nimport os, numpy as np\n"
+        "from collections.abc import Mapping\nfrom . import errors\nfrom .errors import X\n"
+        "from yaml.loader import Loader\n"
+    )
+    assert non_stdlib_imports(source) == ["line 2: numpy", "line 6: yaml.loader"]
 
 
 def unreferenced_private_defs(source: str) -> list[str]:

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,28 @@ neighbor_dwell_s = 3600
     assert {m.name for m, _ in scenario.mode_schedule.modes} == {"walk", "cycle"}
     traces, truths = sim.synth_dataset(scenario, seed=1)
     assert len(traces) == 9
+
+
+def test_the_readme_scenario_file_loads_as_the_mixture_preset(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    path = tmp_path / "scenario.ini"
+    path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+    assert sim.load_scenario(path) == sim.mixture_scenario()
+
+
+def test_default_keys_are_keys_of_every_section(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text("[DEFAULT]\nn_days = 5\n\n[days]\n")
+    assert sim.load_scenario(path).n_days == 5
+
+
+def test_a_relocation_before_day_zero_is_refused():
+    new_home = sim.bssid_from_int(0x1F_FF01)
+    assert sim.Relocation(0, new_home).move_day == 0
+    with pytest.raises(ConfigurationError, match="move_day must be >= 0"):
+        sim.Relocation(-1, new_home)
+    with pytest.raises(ConfigurationError, match="move_day must be >= 0"):
+        sim.relocation_scenario(move_day=-3, n_days=4)
 
 
 def test_resolve_scenario_preset_and_unknown():

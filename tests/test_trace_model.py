@@ -35,7 +35,7 @@ from util import B, DAY, SLICE, bss, scan, trace
 
 class TestBssid:
     def test_canonical_form_is_kept(self):
-        assert Bssid("aa:bb:cc:dd:ee:ff").value == "aa:bb:cc:dd:ee:ff"
+        assert str(Bssid("aa:bb:cc:dd:ee:ff")) == "aa:bb:cc:dd:ee:ff"
 
     def test_uppercase_and_hyphens_normalize(self):
         assert Bssid("AA-BB-CC-DD-EE-FF") == Bssid("aa:bb:cc:dd:ee:ff")
@@ -57,7 +57,7 @@ class TestBssid:
 
     def test_value_repr_and_str(self):
         b = Bssid("AA-00-00-00-00-01")
-        assert type(b.value) is str and b.value == "aa:00:00:00:00:01"
+        assert type(str(b)) is str and str(b) == "aa:00:00:00:00:01"
         assert str(b) == f"{b}" == "aa:00:00:00:00:01"
         assert repr(b) == "Bssid('aa:00:00:00:00:01')"
 
@@ -90,7 +90,7 @@ class TestBssidProperties:
     def test_is_its_canonical_string(self, spelled):
         raw, canon = spelled
         b = Bssid(raw)
-        assert b == canon and b.value == canon and hash(b) == hash(canon)
+        assert b == canon and str(b) == canon and hash(b) == hash(canon)
 
     @given(spelled_bssids(), spelled_bssids())
     def test_equality_hash_and_order_follow_canonical_form(self, x, y):
@@ -156,6 +156,44 @@ class TestRecordedScan:
         line = b'{"ts":1,"gps":null,"conn":"02:00:00:00:00:03","aps":[{"bssid":"02:00:00:00:00:01","rssi":-40}]}'
         with pytest.raises(TraceValidationError, match="line 1: connected BSSID"):
             parse_trace_file(line)
+
+
+# stamps at and next to both ends of the slice of DAY, and anywhere near it
+_slice_stamps = st.lists(
+    st.one_of(
+        st.sampled_from([SLICE - 1, SLICE, SLICE + 1, SLICE + DAY_S - 1, SLICE + DAY_S]),
+        st.integers(SLICE - 5, SLICE + DAY_S + 5),
+    ),
+    max_size=6,
+)
+
+
+def _reference_day_trace_error(scan_stamps, accel_stamps):
+    """The error a DayTrace of DAY raises: scans first, order before slice."""
+    for stamps in (scan_stamps, accel_stamps):
+        if any(b < a for a, b in zip(stamps, stamps[1:])):
+            return OrderingError
+        if any(not SLICE <= ts < SLICE + DAY_S for ts in stamps):
+            return TraceValidationError
+    return None
+
+
+class TestDayTraceInvariants:
+    @settings(max_examples=300)
+    @given(_slice_stamps, _slice_stamps)
+    def test_refuses_unordered_or_outside_items(self, scan_stamps, accel_stamps):
+        scans = [scan(ts, {}) for ts in scan_stamps]
+        samples = [AccelSample(ts, 9.8) for ts in accel_stamps]
+        expected = _reference_day_trace_error(scan_stamps, accel_stamps)
+        if expected is None:
+            assert trace(scans, samples).scans == tuple(scans)
+        else:
+            with pytest.raises(expected):
+                trace(scans, samples)
+
+    def test_names_the_item_that_breaks_the_order(self):
+        with pytest.raises(OrderingError, match=f"^accel samples not sorted by ts \\(around {SLICE}\\)$"):
+            trace([], [AccelSample(SLICE + 1, 9.8), AccelSample(SLICE, 9.8)])
 
 
 class TestParseTraceFile:
@@ -527,6 +565,12 @@ class TestSliceIntoDays:
     def test_unsorted_input_rejected(self):
         records = [scan(self._at(13), {}), scan(self._at(12.5), {})]
         with pytest.raises(OrderingError):
+            slice_into_days(records)
+
+    @pytest.mark.parametrize("ts", [-100_000_000_000_000, -62_135_596_801, 253_402_387_200, 10**17])
+    def test_a_record_outside_the_supported_dates_is_named(self, ts):
+        records = sorted([scan(SLICE, {}), scan(ts, {})], key=lambda r: r.ts)
+        with pytest.raises(TraceValidationError, match=f"^timestamp {ts} falls outside the supported dates$"):
             slice_into_days(records)
 
     def test_partition_property(self):
