@@ -21,6 +21,7 @@ from .trace_model import (
     RSSI_MIN_DBM,
     Bssid,
     DayTrace,
+    filter_trace,
     load_accel_file,
     load_trace_file,
     serialize_accel_samples,
@@ -223,10 +224,11 @@ def _cmd_predict(args) -> int:
         p = time_map.predict_tl(profile, args.bssid, args.tdr)
         print(f"tl_s={p.tl_seconds},source={p.source},bssid={p.matched_bssid},lookups={p.lookups}")
         return 0
-    # nearest-neighbor: locate the query scan, build history from the window
+    # nearest-neighbor: filter the days at the level, as evaluate does, then
+    # locate the query scan and build history from the window
     if args.traces is None or args.ts is None:
         raise TimelocError("nn prediction needs --traces and --ts")
-    days = _load_days(args.traces)
+    days = [filter_trace(d, args.threshold) for d in _load_days(args.traces)]
     day = next((d for d in days if d.scans[0].ts <= args.ts <= d.scans[-1].ts), None)
     if day is None:
         raise TimelocError(f"no day contains ts {args.ts}")
@@ -237,9 +239,8 @@ def _cmd_predict(args) -> int:
     if not window:
         raise TimelocError("no history days before the query day")
     home = home_mining.vote_home_ap(window).winner
-    history = nn_baseline.build_history(window, home, args.threshold)
-    fingerprint = nn_baseline.filter_env(scan, args.threshold)
-    p, comparisons = nn_baseline.nn_predict(history, fingerprint, seed=args.seed)
+    history = nn_baseline.build_history(window, home)
+    p, comparisons = nn_baseline.nn_predict(history, nn_baseline.filter_env(scan), seed=args.seed)
     print(f"tl_s={p.tl_seconds},source=nn,comparisons={comparisons}")
     return 0
 
@@ -292,7 +293,7 @@ def _cmd_evaluate(args) -> int:
     rows = []
     for method in methods:
         report = eval_harness.evaluate(
-            method, dataset, rssi_threshold_dbm=args.threshold, seed=args.seed
+            method, dataset, level_dbm=args.threshold, seed=args.seed
         )
         rows.append((label, report))
         _emit(args, f"cdf_{method}.csv", eval_harness.cdf_csv(report))

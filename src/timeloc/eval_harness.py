@@ -112,7 +112,7 @@ class EvalDay:
     def history(self, home: Bssid) -> list[HistoryPoint]:
         points = self._history.get(home)
         if points is None:
-            points = self._history[home] = nn_baseline.day_history(self.trace, home, None)
+            points = self._history[home] = nn_baseline.day_history(self.trace, home)
         return points
 
     def queries(self, home: Bssid, arrival_ts: int) -> tuple[QueryPoint, ...]:
@@ -220,7 +220,7 @@ class NnPredictor:
         try:
             p, comparisons = nn_predict(
                 self._history,
-                filter_env(q.scan, None),
+                filter_env(q.scan),
                 seed=query_seed(self.seed, q.day_id, q.query_ts, q.bssid),
             )
         except NoHistory:
@@ -253,17 +253,18 @@ def evaluate(
     method,
     dataset: EvalDataset,
     *,
-    rssi_threshold_dbm: int | None = -70,
+    level_dbm: int | None = -70,
     seed: int = 0,
 ) -> EvalReport:
     """Run one predictor over the dataset and aggregate its error report.
 
     ``method`` is "tls", "nn", or any predictor object, used as it is (a
-    NnPredictor keeps its own seed).  Per-day work comes from, and is added
-    to, the dataset's artifact store.  Raises InsufficientHistory unless
-    the dataset spans more than a week.
+    NnPredictor keeps its own seed).  The days are filtered at
+    ``level_dbm`` by ``filter_trace`` (None keeps every AP).  Per-day work
+    comes from, and is added to, the dataset's artifact store.  Raises
+    InsufficientHistory unless the dataset spans more than a week.
     """
-    days = dataset._days(rssi_threshold_dbm)
+    days = dataset._days(level_dbm)
     if not days:
         raise InsufficientHistory("empty dataset")
     first_day = days[0].day_id
@@ -291,7 +292,7 @@ def evaluate(
         truth = dataset.truths.get(day.day_id)
         if truth is None:
             continue
-        predictor.start_day(window, home, rssi_threshold_dbm)
+        predictor.start_day(window, home, level_dbm)
         for q in day.queries(home, truth.arrival_ts):
             answer = predictor.predict(q)
             if answer is None:
@@ -334,7 +335,7 @@ def sweep_rssi_filter(
     for level in levels:
         label = "all" if level is None else str(level)
         for method in ("tls", "nn"):
-            report = evaluate(method, dataset, rssi_threshold_dbm=level, seed=seed)
+            report = evaluate(method, dataset, level_dbm=level, seed=seed)
             rows.append((label, report))
     return rows
 

@@ -1,13 +1,15 @@
 """Nearest-neighbor benchmark: match AP environments to historical instants.
 
-Every history point is the set of BSSIDs above an RSSI threshold at one
-scan, labelled with the seconds that remained until arrival.  A query
-returns the label of the most similar point; exact similarity ties are
-resolved by a seeded random choice.  The reported cost is the paper's
-linear scan, one comparison per history point.  The code scores each
-distinct fingerprint once instead: a window's history is indexed by
-fingerprint once (``NnHistory``), and a point's similarity is that of its
-fingerprint, so the answer is the one the per-point scan gives.
+Every history point is the set of BSSIDs at one scan, labelled with the
+seconds that remained until arrival.  The days come filtered at an RSSI
+level by ``trace_model.filter_trace``, the one RSSI filter, so nothing here
+compares an RSSI with a level.  A query returns the label of the most
+similar point; exact similarity ties are resolved by a seeded random
+choice.  The reported cost is the paper's linear scan, one comparison per
+history point.  The code scores each distinct fingerprint once instead: a
+window's history is indexed by fingerprint once (``NnHistory``), and a
+point's similarity is that of its fingerprint, so the answer is the one
+the per-point scan gives.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .trace_model import Bssid, DayTrace, ScanRecord
 
 @dataclass(frozen=True, slots=True)
 class HistoryPoint:
-    """The BSSIDs surviving the RSSI filter at one scan, and its seconds-to-home."""
+    """The BSSIDs of one filtered scan, and its seconds-to-home."""
 
     fingerprint: frozenset[Bssid]
     tl_seconds: int
@@ -35,11 +37,9 @@ class HistoryPoint:
             raise ValueError("history tl must be >= 0")
 
 
-def filter_env(scan: ScanRecord, threshold_dbm: int | None) -> frozenset[Bssid]:
-    """Fingerprint of a scan: BSSIDs at or above the threshold (None keeps all)."""
-    if threshold_dbm is None:
-        return frozenset(o.bssid for o in scan.aps)
-    return frozenset(o.bssid for o in scan.aps if o.rssi_dbm >= threshold_dbm)
+def filter_env(scan: ScanRecord) -> frozenset[Bssid]:
+    """Fingerprint of a scan: the BSSIDs it lists."""
+    return frozenset(o.bssid for o in scan.aps)
 
 
 def env_similarity(a: frozenset[Bssid], b: frozenset[Bssid]) -> float:
@@ -49,10 +49,10 @@ def env_similarity(a: frozenset[Bssid], b: frozenset[Bssid]) -> float:
     return inter / union if union else 0.0
 
 
-def day_history(trace: DayTrace, home: Bssid, threshold_dbm: int | None) -> list[HistoryPoint]:
+def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
     """History points from one day's homeward leg, in scan order.
 
-    A day without a home detection contributes nothing; scans whose filtered
+    A day without a home detection contributes nothing; scans whose
     fingerprint is empty are skipped (they carry no environment).
     """
     try:
@@ -61,21 +61,17 @@ def day_history(trace: DayTrace, home: Bssid, threshold_dbm: int | None) -> list
         return []
     points = []
     for s in leg:
-        fp = filter_env(s, threshold_dbm)
+        fp = filter_env(s)
         if fp:
             points.append(HistoryPoint(fingerprint=fp, tl_seconds=arrival_ts - s.ts))
     return points
 
 
-def build_history(
-    traces: list[DayTrace],
-    home: Bssid,
-    threshold_dbm: int | None,
-) -> list[HistoryPoint]:
+def build_history(traces: list[DayTrace], home: Bssid) -> list[HistoryPoint]:
     """History points from the homeward legs of the given days, in day order."""
     points: list[HistoryPoint] = []
     for trace in traces:
-        points.extend(day_history(trace, home, threshold_dbm))
+        points.extend(day_history(trace, home))
     return points
 
 

@@ -219,6 +219,8 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.n_days < 1:
             raise ConfigurationError("n_days must be >= 1")
+        if self.n_days - 1 > (date.max - self.start_day).days:
+            raise ConfigurationError(f"{self.n_days} days from {self.start_day} run past {date.max}")
         if not 0.0 <= self.detour_prob <= 1.0:
             raise ConfigurationError("detour_prob outside [0, 1]")
 
@@ -249,8 +251,6 @@ class DayPlan:
     noise: NoiseParams
     night: NightDwellSpec
     seed: int
-    gps_enabled: bool = True
-    stay_home: bool = False
 
 
 def _swap_home(route: RouteSpec, new_home: Bssid) -> RouteSpec:
@@ -339,49 +339,31 @@ class DayOracle:
         self._night_end_ts = start + NIGHT_CLOSE_S
 
         duration = route.route_duration_s
+        md = self.morning_depart_ts
+        self.depart_ts = depart = plan.depart_ts
+        home_enter = depart + round(home_pl.enter_offset_s / f) + plan.detour_s
+        k = -((home_enter - depart) // -SCAN_PERIOD_S)  # ceil division
+        self.arrival_ts = depart + k * SCAN_PERIOD_S
+        self.door_ts = self.arrival_ts + plan.door_delay_s
+        self._home_window = (home_enter, md + round((duration - home_pl.enter_offset_s) / f))
+        self._gps_windows = ((depart, self.arrival_ts), (md, md + round(duration / f)))
+        self._connected_window = (self.door_ts + 20, md)
+        self._walk_window = (self.arrival_ts - 60, self.door_ts + 30)
+        self._speed_mps = BASE_SPEED_MPS * f
+
         # Every observation source is visible on one half-open interval
         # [start, end): (kind, bssid, start, end, level), in draw order.
         sources: list[tuple] = []
-        if plan.stay_home:
-            self.depart_ts = None
-            self.arrival_ts = start
-            self.door_ts = start
-            self._home_window = (start, self.slice_end)
-            self._gps_windows: list[tuple[int, int]] = []
-            self._connected_window = (start, self.slice_end)
-            self._walk_window = None
-        else:
-            depart = plan.depart_ts
-            self.depart_ts = depart
-            home_enter = depart + round(home_pl.enter_offset_s / f) + plan.detour_s
-            k = -((home_enter - depart) // -SCAN_PERIOD_S)  # ceil division
-            self.arrival_ts = depart + k * SCAN_PERIOD_S
-            self.door_ts = self.arrival_ts + plan.door_delay_s
-            home_fade = self.morning_depart_ts + round(
-                (duration - home_pl.enter_offset_s) / f
+        for p in route.aps:
+            if p.bssid == route.home_bssid:
+                continue
+            ev = (depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f))
+            mo = (
+                md + round((duration - min(p.exit_offset_s, duration)) / f),
+                md + round((duration - p.enter_offset_s) / f),
             )
-            self._home_window = (home_enter, home_fade)
-
-            md = self.morning_depart_ts
-            for p in route.aps:
-                if p.bssid == route.home_bssid:
-                    continue
-                ev = (depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f))
-                mo = (
-                    md + round((duration - min(p.exit_offset_s, duration)) / f),
-                    md + round((duration - p.enter_offset_s) / f),
-                )
-                sources.append((_ROUTE, p.bssid, *ev, p.peak_rssi_dbm))
-                sources.append((_ROUTE, p.bssid, *mo, p.peak_rssi_dbm))
-            self._gps_windows = [
-                (depart, self.arrival_ts),
-                (md, md + round(duration / f)),
-            ] if plan.gps_enabled else []
-            self._connected_window = (self.door_ts + 20, md)
-            self._walk_window = (self.arrival_ts - 60, self.door_ts + 30)
-
-        self._speed_mps = BASE_SPEED_MPS * f
-
+            sources.append((_ROUTE, p.bssid, *ev, p.peak_rssi_dbm))
+            sources.append((_ROUTE, p.bssid, *mo, p.peak_rssi_dbm))
         sources.append((_HOME, self.home_bssid, *self._home_window, float(home_pl.peak_rssi_dbm)))
         nrng = random.Random(_mix(plan.seed, "night"))
         span = self._night_end_ts - self._night_start_ts
@@ -389,10 +371,9 @@ class DayOracle:
             dwell = min(night.neighbor_dwell_s, span)
             begin = self._night_start_ts + nrng.randint(0, span - dwell)
             sources.append((_NEIGHBOR, bssid_from_int(_NEIGHBOR_BSSID_BASE + i), begin, begin + dwell, -65.0))
-        if not plan.stay_home:
-            spike_end = self.door_ts + SCAN_PERIOD_S
-            for i in range(3):
-                sources.append((_SPIKE, bssid_from_int(_SPIKE_BSSID_BASE + i), self.door_ts, spike_end, -67.0))
+        spike_end = self.door_ts + SCAN_PERIOD_S
+        for i in range(3):
+            sources.append((_SPIKE, bssid_from_int(_SPIKE_BSSID_BASE + i), self.door_ts, spike_end, -67.0))
         sources = [src for src in sources if src[2] < src[3]]
 
         # The visibility timeline: segment i is [edges[i-1], edges[i]) and
@@ -466,8 +447,6 @@ class DayOracle:
         return tuple([seen[pair] for pair in sorted(obs.items())])
 
     def gps_at(self, ts: int) -> GpsFix | None:
-        if not self._gps_windows:
-            return None
         (depart, arrival), (morning_depart, morning_end) = self._gps_windows
         if depart <= ts <= arrival:
             dist_m = self._speed_mps * max(0, self._home_window[0] - ts)
@@ -486,10 +465,10 @@ class DayOracle:
 
     def accel_at(self, ts: int) -> float:
         key = self._stream_base(2, ts)
-        if not self.plan.stay_home and abs(ts - self.door_ts) <= 2:
+        if abs(ts - self.door_ts) <= 2:
             wobble = 0.04 * _draw(key) - 0.02
             return round(9.81 + wobble, 3)  # planted stillness
-        walking = self._walk_window and self._walk_window[0] <= ts <= self._walk_window[1]
+        walking = self._walk_window[0] <= ts <= self._walk_window[1]
         sigma = 0.3 if walking else 0.01
         noise = sigma * math.sqrt(-2.0 * math.log(_draw(key))) * math.cos(_TWO_PI * _draw(key + _GOLD))
         if walking:
@@ -500,8 +479,6 @@ class DayOracle:
     # -- sampling schedules ----------------------------------------------
 
     def scan_instants(self) -> list[int]:
-        if self.plan.stay_home:
-            return list(range(self.slice_start, self.slice_end, self.plan.night.scan_period_s))
         instants = list(range(self.depart_ts, self.door_ts + 31, SCAN_PERIOD_S))
         period = self.plan.night.scan_period_s
         t = instants[-1] + period
@@ -515,8 +492,6 @@ class DayOracle:
         return instants
 
     def accel_instants(self) -> list[int]:
-        if self._walk_window is None:
-            return []
         return list(range(self._walk_window[0], self._walk_window[1] + 1))
 
     def ground_truth(self) -> GroundTruth:
@@ -668,14 +643,24 @@ def _parse_sod(text: str) -> int:
     return sod
 
 
+def _parse_bool(name: str, text: str) -> bool:
+    """A boolean word configparser knows (``1/yes/true/on``, ``0/no/false/off``)."""
+    value = configparser.ConfigParser.BOOLEAN_STATES.get(text.lower())
+    if value is None:
+        raise ValueError(f"{name} = {text!r} is not one of 1/yes/true/on or 0/no/false/off")
+    return value
+
+
 def load_scenario(path) -> ScenarioSpec:
     """Read a scenario description file.
 
     Sections: [route] chain geometry, [modes] one ``name = factor weight``
     entry per mode plus ``speed_jitter``, [days] calendar and detours,
     [noise], [night], and an optional [relocation]; [DEFAULT] keys count as
-    keys of every section.  A file that cannot be read or parsed, or holds a
-    key nothing reads or a bad value, raises ConfigurationError naming it.
+    keys of every section.  ``weak_bridge`` takes the boolean words of
+    configparser, and the last day must fall on or before ``date.max``.  A
+    file that cannot be read or parsed, or holds a key nothing reads or a
+    bad value, raises ConfigurationError naming it.
     """
     cp = configparser.ConfigParser()
     try:
@@ -696,7 +681,7 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
         duration_s=int(route_sec.pop("duration_s", 600)),
         coverage_s=int(route_sec.pop("coverage_s", 110)),
         peak_rssi_dbm=int(route_sec.pop("peak_rssi_dbm", -50)),
-        weak_bridge=str(route_sec.pop("weak_bridge", "true")).lower() in ("1", "true", "yes"),
+        weak_bridge=_parse_bool("[route] weak_bridge", route_sec.pop("weak_bridge", "true")),
         home_fix=GpsFix(
             float(route_sec.pop("home_lat", DEFAULT_HOME_FIX.lat_deg)),
             float(route_sec.pop("home_lon", DEFAULT_HOME_FIX.lon_deg)),
@@ -709,8 +694,8 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
     for key in list(modes_sec):
         value = modes_sec.pop(key)
         parts = value.split()
-        if len(parts) < 2:
-            raise ValueError(f"[modes] {key} = {value!r} needs a speed factor and a weight")
+        if len(parts) != 2:
+            raise ValueError(f"[modes] {key} = {value!r} needs a speed factor and a weight and nothing else")
         modes.append((TransportMode(key, float(parts[0])), float(parts[1])))
     if not modes:
         modes = [(WALK, 1.0)]

@@ -331,8 +331,9 @@ def _number_from_json(value) -> float:
 def profile_from_json(text: str) -> UserProfile:
     """Read a profile document.
 
-    Raises ProfileFormatError for invalid JSON, a missing key or a value of
-    the wrong type or range, and TraceValidationError for an invalid BSSID.
+    Raises ProfileFormatError for invalid JSON, a missing key, a value of
+    the wrong type or range or window days that are not strictly
+    increasing, and TraceValidationError for an invalid BSSID.
     """
     try:
         doc = json.loads(text)
@@ -349,6 +350,8 @@ def profile_from_json(text: str) -> UserProfile:
             )
             for d in doc["window"]
         )
+        if any(earlier.day_id >= later.day_id for earlier, later in zip(window, window[1:])):
+            raise ValueError("window days are not strictly increasing")
         fallback = {bssids[b]: _label_from_json(v) for b, v in doc["fallback"].items()}
         return UserProfile(
             home_bssid=Bssid(doc["home_bssid"]),

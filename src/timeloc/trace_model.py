@@ -390,17 +390,17 @@ def load_accel_file(path) -> list[AccelSample]:
         return parse_accel_file(fh)
 
 
-def filter_trace(trace: DayTrace, threshold_dbm: int | None) -> DayTrace:
-    """Drop observations weaker than ``threshold_dbm`` (None keeps everything).
+def filter_trace(trace: DayTrace, level_dbm: int | None) -> DayTrace:
+    """Drop observations weaker than ``level_dbm`` (None keeps everything).
 
     Scans whose AP list becomes empty are kept as empty records.  A scan that
     loses an AP is recorded anew (``ScanRecord.recorded``); one that loses
     none is kept as the same object.
     """
-    if threshold_dbm is None:
+    if level_dbm is None:
         return trace
     scans = []
     for s in trace.scans:
-        aps = tuple([o for o in s.aps if o.rssi_dbm >= threshold_dbm])
+        aps = tuple([o for o in s.aps if o.rssi_dbm >= level_dbm])
         scans.append(s if len(aps) == len(s.aps) else ScanRecord.recorded(s.ts, s.gps, s.connected, aps))
     return DayTrace(trace.day_id, tuple(scans), trace.accel)

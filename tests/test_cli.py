@@ -77,6 +77,9 @@ class TestSimulate:
             ("[noize]\nrssi_sigma_db = 9\n", "unknown key [noize] rssi_sigma_db"),
             ("[DEFAULT]\nn_days = 5\n[days]\n[route]\n", "unknown key [route] n_days"),
             ("[DEFAULT]\nn_days = 5\n", "unknown key [DEFAULT] n_days"),
+            ("[days]\nstart_day = 9999-12-31\nn_days = 2\n", "2 days from 9999-12-31 run past 9999-12-31"),
+            ("[route]\nweak_bridge = maybe\n", "[route] weak_bridge = 'maybe' is not one of 1/yes/true/on"),
+            ("[modes]\nwalk = 1.0 0.5 junk\n", "needs a speed factor and a weight and nothing else"),
         ],
         ids=[
             "bad-int",
@@ -94,6 +97,9 @@ class TestSimulate:
             "unknown-section",
             "default-key-that-a-section-does-not-read",
             "default-key-without-a-section",
+            "calendar-past-the-last-date",
+            "boolean-that-is-not-a-boolean-word",
+            "mode-with-a-third-value",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):

@@ -55,7 +55,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
             maps = tuple(maps[-WINDOW_DAYS:])
             profile = UserProfile(home, maps, {}, maps[-1].day_id if maps else date.min)
         else:
-            history = build_history(window, home, level)
+            history = build_history(window, home)
         for q in ap_loss_queries(trace, home, truth.arrival_ts):
             try:
                 if method == "tls":
@@ -63,7 +63,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
                     answer = (p.tl_seconds, p.lookups)
                 else:
                     qseed = query_seed(seed, q.day_id, q.query_ts, q.bssid)
-                    p, n = nn_predict(history, filter_env(q.scan, level), seed=qseed)
+                    p, n = nn_predict(history, filter_env(q.scan), seed=qseed)
                     answer = (p.tl_seconds, n)
             except (ColdStart, UnknownBssid, NoHistory):
                 continue
@@ -98,8 +98,8 @@ def test_cached_evaluate_matches_reference(request, name, method, level):
     expected = reference_evaluate(method, traces, {g.day_id: g for g in truths}, level, seed=3)
     assert expected.n > 0
     # once on an empty store, once with every artifact already cached
-    assert evaluate(method, dataset, rssi_threshold_dbm=level, seed=3) == expected
-    assert evaluate(method, dataset, rssi_threshold_dbm=level, seed=3) == expected
+    assert evaluate(method, dataset, level_dbm=level, seed=3) == expected
+    assert evaluate(method, dataset, level_dbm=level, seed=3) == expected
 
 
 def test_method_order_does_not_matter(mixture):
@@ -112,7 +112,7 @@ def test_method_order_does_not_matter(mixture):
 def test_sweep_equals_separate_evaluations(mixture):
     rows = sweep_rssi_filter(fresh(mixture), [None, -70], seed=2)
     separate = [
-        ("all" if level is None else str(level), evaluate(m, fresh(mixture), rssi_threshold_dbm=level, seed=2))
+        ("all" if level is None else str(level), evaluate(m, fresh(mixture), level_dbm=level, seed=2))
         for level in (None, -70)
         for m in ("tls", "nn")
     ]
@@ -199,11 +199,11 @@ def test_custom_predictor_shares_the_day_records(mixture, monkeypatch):
 def test_builtin_predictor_instances_match_their_names(mixture, level):
     tls, nn = TlsPredictor(), NnPredictor(seed=3)
     for _ in range(2):  # an instance can be reused across evaluations
-        assert evaluate(tls, fresh(mixture), rssi_threshold_dbm=level) == evaluate(
-            "tls", fresh(mixture), rssi_threshold_dbm=level
+        assert evaluate(tls, fresh(mixture), level_dbm=level) == evaluate(
+            "tls", fresh(mixture), level_dbm=level
         )
-        assert evaluate(nn, fresh(mixture), rssi_threshold_dbm=level) == evaluate(
-            "nn", fresh(mixture), rssi_threshold_dbm=level, seed=3
+        assert evaluate(nn, fresh(mixture), level_dbm=level) == evaluate(
+            "nn", fresh(mixture), level_dbm=level, seed=3
         )
 
 

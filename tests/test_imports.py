@@ -1,8 +1,9 @@
 """Import hygiene: the library imports only the standard library, every
 name a library module imports is used in it, every private top-level function or class is referenced in its own module,
-every error type is raised somewhere, and every parameter with a default is
-set by some call, so a helper, an exception or a setting that a refactor
-leaves without callers fails here.
+every error type is raised somewhere, every parameter with a default is
+set by some call, and every defaulted field of a frozen dataclass is set by
+some call outside the tests, so a helper, an exception, a setting or a
+switch that a refactor leaves without callers fails here.
 
 ``__init__.py`` is skipped by the unused-name check, because its imports
 are the package's exports.
@@ -159,9 +160,9 @@ def defaulted_params(source: str) -> list[tuple[str, str, int | None, int]]:
     return found
 
 
-def unset_params(source: str, callers: list[str]) -> list[str]:
-    """Parameters of ``source`` with a default that no call in ``callers``
-    names as a keyword or reaches by position.
+def call_sites(callers: list[str]) -> tuple[dict[str, set[str]], dict[str, float]]:
+    """For each called name, the keywords some call names and the furthest
+    position some call reaches.
 
     A call is matched by the name it calls (``f(...)`` or ``x.f(...)``).
     A ``*args`` call reaches every position; a ``**kwargs`` call names no
@@ -178,6 +179,13 @@ def unset_params(source: str, callers: list[str]) -> list[str]:
             named.setdefault(name, set()).update(k.arg for k in node.keywords)
             starred = any(isinstance(a, ast.Starred) for a in node.args)
             reach[name] = max(reach.get(name, 0), math.inf if starred else len(node.args))
+    return named, reach
+
+
+def unset_params(source: str, callers: list[str]) -> list[str]:
+    """Parameters of ``source`` with a default that no call in ``callers``
+    names as a keyword or reaches by position (see ``call_sites``)."""
+    named, reach = call_sites(callers)
     return [
         f"line {line}: {name}({param}=)"
         for name, param, position, line in defaulted_params(source)
@@ -200,3 +208,73 @@ def test_unset_param_is_reported():
     )
     callers = [source + "f(0, 1, e=5)\nK(1)\nK(**{'y': 2})\nK.m(*())\n"]
     assert unset_params(source, callers) == ["line 1: f(c=)", "line 1: f(d=)", "line 5: K(y=)"]
+
+
+def is_frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Call)
+        and getattr(d.func, "id", None) == "dataclass"
+        and any(k.arg == "frozen" and getattr(k.value, "value", False) is True for k in d.keywords)
+        for d in node.decorator_list
+    )
+
+
+def defaulted_fields(source: str) -> list[tuple[str, str, int, int]]:
+    """``(class, field, position, line)`` for each field with a default of a
+    frozen dataclass; a ``field(init=False)`` takes no position and is left out."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and is_frozen_dataclass(node)):
+            continue
+        position = 0
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)):
+                continue
+            value = stmt.value
+            if (
+                isinstance(value, ast.Call)
+                and getattr(value.func, "id", None) == "field"
+                and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+            ):
+                continue
+            if value is not None:
+                found.append((node.name, stmt.target.id, position, stmt.lineno))
+            position += 1
+    return found
+
+
+def unset_fields(source: str, callers: list[str]) -> list[str]:
+    """Defaulted fields of the frozen dataclasses of ``source`` that no call
+    in ``callers`` sets: by naming the field as a keyword of the class or of
+    ``replace(...)``, or by reaching its position in a call of the class."""
+    named, reach = call_sites(callers)
+    return [
+        f"line {line}: {cls}.{name}"
+        for cls, name, position, line in defaulted_fields(source)
+        if name not in named.get(cls, set()) | named.get("replace", set()) and reach.get(cls, 0) <= position
+    ]
+
+
+def test_every_defaulted_dataclass_field_is_set_by_some_call():
+    # Tests do not count: a field that only tests set is a switch no workload uses.
+    callers = [p.read_text(encoding="utf-8") for d in ("src", "perfbench") for p in (ROOT / d).rglob("*.py")]
+    unset = {p.name: unset_fields(p.read_text(encoding="utf-8"), callers) for p in sorted(SRC.glob("*.py"))}
+    assert {name: fields for name, fields in unset.items() if fields} == {}
+
+
+def test_unset_field_is_reported():
+    source = (
+        "@dataclass(frozen=True, slots=True)\n"
+        "class P:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = 2\n"
+        "    d: int = 3\n"
+        "    e: dict = field(default_factory=dict, init=False)\n"
+        "    f: int = 4\n\n"
+        "@dataclass(slots=True)\n"
+        "class Mutable:\n"
+        "    x: int = 0\n"
+    )
+    callers = [source + "P(0, 1)\nP(a=0, d=5)\nreplace(P(0), f=6)\n"]
+    assert unset_fields(source, callers) == ["line 5: P.c"]

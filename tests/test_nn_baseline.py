@@ -22,26 +22,31 @@ def fp(*bssids):
     return frozenset(bssids)
 
 
+def fingerprint_at(s, level):
+    """The fingerprint of one scan after its day is filtered at level."""
+    return filter_env(filter_trace(trace([s]), level).scans[0])
+
+
 class TestFilterEnv:
     def test_threshold_boundary_is_inclusive(self):
         s = scan(SLICE, {B("aa:00:00:00:00:01"): -60, B("aa:00:00:00:00:02"): -75, B("aa:00:00:00:00:03"): -70})
-        kept = filter_env(s, -70)
+        kept = fingerprint_at(s, -70)
         assert kept == {B("aa:00:00:00:00:01"), B("aa:00:00:00:00:03")}
 
     def test_low_threshold_keeps_all(self):
         s = scan(SLICE, {bss(1): -119, bss(2): -45})
-        assert filter_env(s, -120) == {bss(1), bss(2)}
-        assert filter_env(s, None) == {bss(1), bss(2)}
+        assert fingerprint_at(s, -120) == {bss(1), bss(2)}
+        assert fingerprint_at(s, None) == filter_env(s) == {bss(1), bss(2)}
 
     def test_total_rejection_yields_empty(self):
         s = scan(SLICE, {bss(1): -90, bss(2): -85})
-        assert filter_env(s, -70) == frozenset()
+        assert fingerprint_at(s, -70) == frozenset()
 
     def test_raising_threshold_never_grows_fingerprint(self):
         rng = random.Random(2)
         for _ in range(100):
             s = scan(SLICE, {bss(i): rng.randint(-100, -30) for i in range(8)})
-            sizes = [len(filter_env(s, t)) for t in (-100, -80, -60, -40)]
+            sizes = [len(fingerprint_at(s, t)) for t in (-100, -80, -60, -40)]
             assert sizes == sorted(sizes, reverse=True)
 
 
@@ -198,7 +203,7 @@ class TestBuildHistory:
 
         route = sim.make_chain_route()
         trace, truth = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
-        history = build_history([trace], route.home_bssid, -70)
+        history = build_history([filter_trace(trace, -70)], route.home_bssid)
         assert history
         assert all(h.tl_seconds >= 0 for h in history)
         assert all(h.fingerprint for h in history)
@@ -210,16 +215,17 @@ class TestBuildHistory:
         traces, _ = sim.synth_dataset(scenario, seed=9)
         home = scenario.route.home_bssid
         for level in (None, -70):
-            per_day = [p for t in traces for p in day_history(t, home, level)]
-            assert build_history(traces, home, level) == per_day
+            filtered = [filter_trace(t, level) for t in traces]
+            per_day = [p for t in filtered for p in day_history(t, home)]
+            assert build_history(filtered, home) == per_day
 
     def test_weak_only_scans_survive_at_all_level(self):
         from timeloc import simulator as sim
 
         route = sim.make_chain_route()  # includes the weak mid-route bridge
         trace, _ = commute_day(route, sim.WALK, sim.NoiseParams(rssi_sigma_db=4.0), seed=3)
-        unfiltered = build_history([trace], route.home_bssid, None)
-        filtered = build_history([trace], route.home_bssid, -70)
+        unfiltered = build_history([filter_trace(trace, None)], route.home_bssid)
+        filtered = build_history([filter_trace(trace, -70)], route.home_bssid)
         assert len(unfiltered) > len(filtered)
 
 
@@ -243,9 +249,9 @@ def commute_days(draw):
 @settings(max_examples=300, deadline=None)
 @given(commute_days(), st.integers(-101, -29))
 def test_a_filtered_trace_needs_no_second_filter(t, level):
-    # The evaluation filters each day once and then builds history and
-    # query fingerprints with None; that must equal filtering again at level.
+    # The evaluation and predict filter each day once and then build history
+    # and query fingerprints from it; filtering again at level changes nothing.
     filtered = filter_trace(t, level)
-    assert day_history(filtered, bss(0), level) == day_history(filtered, bss(0), None)
-    for s in filtered.scans:
-        assert filter_env(s, level) == filter_env(s, None)
+    assert filter_trace(filtered, level) == filtered
+    for s, raw in zip(filtered.scans, t.scans):
+        assert filter_env(s) == {o.bssid for o in raw.aps if o.rssi_dbm >= level}

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,12 +346,9 @@ class TestDayRun:
     preset=st.sampled_from(["simple", "mining", "mixture", "relocation"]),
     seed=st.integers(0, 2**32 - 1),
     day=st.integers(0, 40),
-    gps_enabled=st.booleans(),
-    stay_home=st.booleans(),
 )
-def test_sensed_trace_is_a_subview_of_the_full_rate_trace(preset, seed, day, gps_enabled, stay_home):
+def test_sensed_trace_is_a_subview_of_the_full_rate_trace(preset, seed, day):
     plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
-    plan = replace(plan, gps_enabled=gps_enabled, stay_home=stay_home)
     oracle = sim.DayOracle(plan)
     sensed = drive_day(oracle).trace
     full, _ = sim.synth_plan_day(plan)
@@ -364,24 +359,35 @@ def test_sensed_trace_is_a_subview_of_the_full_rate_trace(preset, seed, day, gps
             assert s == full_at[s.ts]
 
 
-def test_stay_home_day_sleeps_at_thirty_minute_cadence():
-    plan = replace(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42), stay_home=True)
-    oracle = sim.DayOracle(plan)
+def test_a_commute_day_sleeps_at_thirty_minute_cadence():
+    oracle = sim.DayOracle(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42))
     run = drive_day(oracle)
-    sleep_entry = next(ts for ts, tag in run.transitions if tag is StateTag.SLEEP)
-    scans_after = sum(1 for s in run.trace.scans if s.ts > sleep_entry)
-    assert scans_after <= 48
     assert [t.value for _, t in run.transitions] == [
         "IdleCheck",
+        "GpsRegionScan",
         "HomeArrival",
         "Connected",
         "Sleep",
+        "IdleCheck",
     ]
+    sleep_entry, wake = (ts for ts, _ in run.transitions[-2:])
+    # the scan that enters sleep, one per 30-minute wake, and the wake that
+    # finds the connection gone after the morning departure
+    asleep = [s.ts for s in run.trace.scans if sleep_entry <= s.ts <= wake]
+    assert asleep == list(range(sleep_entry, wake + 1, SLEEP_PERIOD_S))
+    assert len(asleep) == 29
+    assert oracle.morning_depart_ts <= wake < oracle.morning_depart_ts + SLEEP_PERIOD_S
+
+
+class NoGpsOracle(sim.DayOracle):
+    """A simulated day on which GPS never has a fix."""
+
+    def gps_at(self, ts):
+        return None
 
 
 def test_gps_disabled_day_still_reaches_home_arrival():
-    plan = replace(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42), gps_enabled=False)
-    run = drive_day(sim.DayOracle(plan))
+    run = drive_day(NoGpsOracle(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42)))
     tags = {tag for _, tag in run.transitions}
     assert StateTag.HOME_ARRIVAL in tags
     assert run.stats.gps_reads == 0

@@ -263,28 +263,25 @@ def reference_windows(oracle):
     start = plan.slice_start
     md = start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
     routes = []
-    if plan.stay_home:
-        home = (start, start + DAY_S)
-    else:
-        depart = plan.depart_ts
-        home = (
-            depart + round(home_pl.enter_offset_s / f) + plan.detour_s,
-            md + round((duration - home_pl.enter_offset_s) / f),
+    depart = plan.depart_ts
+    home = (
+        depart + round(home_pl.enter_offset_s / f) + plan.detour_s,
+        md + round((duration - home_pl.enter_offset_s) / f),
+    )
+    for p in route.aps:
+        if p.bssid == route.home_bssid:
+            continue
+        routes.append(
+            (p.bssid, depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f), p.peak_rssi_dbm)
         )
-        for p in route.aps:
-            if p.bssid == route.home_bssid:
-                continue
-            routes.append(
-                (p.bssid, depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f), p.peak_rssi_dbm)
+        routes.append(
+            (
+                p.bssid,
+                md + round((duration - min(p.exit_offset_s, duration)) / f),
+                md + round((duration - p.enter_offset_s) / f),
+                p.peak_rssi_dbm,
             )
-            routes.append(
-                (
-                    p.bssid,
-                    md + round((duration - min(p.exit_offset_s, duration)) / f),
-                    md + round((duration - p.enter_offset_s) / f),
-                    p.peak_rssi_dbm,
-                )
-            )
+        )
     nrng = random.Random(sim._mix(plan.seed, "night"))
     span = NIGHT_CLOSE_S - NIGHT_OPEN_S
     neighbors = []
@@ -346,7 +343,7 @@ def reference_aps_at(oracle, windows, ts):
     for bssid, begin, end in neighbors:
         if begin <= ts < end:
             observe(bssid, -65.0, True)
-    if not oracle.plan.stay_home and oracle.door_ts <= ts < oracle.door_ts + sim.SCAN_PERIOD_S:
+    if oracle.door_ts <= ts < oracle.door_ts + sim.SCAN_PERIOD_S:
         for bssid in spikes:
             observe(bssid, -67.0, False)
     return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))
@@ -366,12 +363,11 @@ NOISE_VARIANTS = {
     seed=st.integers(0, 2**32 - 1),
     day=st.integers(0, 40),
     noise=st.sampled_from(sorted(NOISE_VARIANTS)),
-    stay_home=st.booleans(),
     offsets=st.lists(st.integers(0, DAY_S - 1), max_size=20),
 )
-def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, stay_home, offsets):
+def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, offsets):
     plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
-    plan = replace(plan, noise=NOISE_VARIANTS[noise](plan.noise), stay_home=stay_home)
+    plan = replace(plan, noise=NOISE_VARIANTS[noise](plan.noise))
     oracle = sim.DayOracle(plan)
     windows = reference_windows(oracle)
     routes, home, neighbors, _ = windows
@@ -391,8 +387,6 @@ def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, sta
 def reference_gps_windows(oracle):
     """The evening (depart, arrival) and morning GPS windows, both closed."""
     plan = oracle.plan
-    if plan.stay_home:
-        return []
     md = plan.slice_start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
     return [
         (plan.depart_ts, oracle.arrival_ts),
@@ -403,17 +397,17 @@ def reference_gps_windows(oracle):
 def reference_accel_at(oracle, ts):
     plan = oracle.plan
     base_key = reference_stream_base(plan, 2, ts)
-    if not plan.stay_home and abs(ts - oracle.door_ts) <= 2:
+    if abs(ts - oracle.door_ts) <= 2:
         wobble = 0.04 * _unit(base_key, 0) - 0.02
         return round(9.81 + wobble, 3)
-    if not plan.stay_home and oracle.arrival_ts - 60 <= ts <= oracle.door_ts + 30:
+    if oracle.arrival_ts - 60 <= ts <= oracle.door_ts + 30:
         swing = 1.8 if ts % 2 == 0 else -1.8
         return round(max(0.0, 9.8 + swing + _gauss(base_key, 0, 0.3)), 3)
     return round(9.81 + _gauss(base_key, 0, 0.01), 3)
 
 
 def reference_gps_at(oracle, ts):
-    windows = reference_gps_windows(oracle) if oracle.plan.gps_enabled else []
+    windows = reference_gps_windows(oracle)
     if not any(start <= ts <= end for start, end in windows):
         return None
     plan = oracle.plan
@@ -430,15 +424,10 @@ def reference_gps_at(oracle, ts):
 
 @st.composite
 def day_oracles(draw):
-    """An oracle for any preset day, noise variant, stay-home flag and GPS switch."""
+    """An oracle for any preset day and noise variant."""
     preset = draw(st.sampled_from(["simple", "mining", "mixture", "relocation"]))
     plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)))
-    plan = replace(
-        plan,
-        noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise),
-        stay_home=draw(st.booleans()),
-        gps_enabled=draw(st.booleans()),
-    )
+    plan = replace(plan, noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise))
     return sim.DayOracle(plan)
 
 

@@ -955,6 +955,17 @@ class TestMalformedProfile:
         with pytest.raises(ProfileFormatError, match="invalid value"):
             profile_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "reorder",
+        [lambda w: w[::-1], lambda w: w[:1] + w[:-1]],
+        ids=["reversed", "duplicated"],
+    )
+    def test_window_days_out_of_order(self, reorder):
+        doc = self._doc()
+        doc["window"] = reorder(doc["window"])
+        with pytest.raises(ProfileFormatError, match="window days are not strictly increasing"):
+            profile_from_json(json.dumps(doc))
+
     def test_bad_bssid_is_still_a_validation_error(self):
         doc = self._doc()
         doc["home_bssid"] = "nope"
