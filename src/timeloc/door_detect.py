@@ -12,7 +12,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
-from statistics import pvariance, variance
+from statistics import pvariance
 from typing import Sequence
 
 from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord
@@ -36,14 +36,32 @@ class DoorEvent:
 
 def is_fluctuating(window: Sequence[int]) -> bool:
     """True when at least 2 RSSI values have a sample variance of at least
-    RSSI_VAR_THRESHOLD_DB2; a shorter window fails."""
-    return len(window) >= 2 and variance(window) >= RSSI_VAR_THRESHOLD_DB2
+    RSSI_VAR_THRESHOLD_DB2, tested exactly in integers; a shorter window fails."""
+    n, total = len(window), sum(window)
+    spread = n * sum([x * x for x in window]) - total * total  # n * (n - 1) * variance
+    return n >= 2 and spread >= RSSI_VAR_THRESHOLD_DB2 * n * (n - 1)
 
 
 def is_standing(samples: Sequence[AccelSample]) -> bool:
     """True when at least 3 samples have a magnitude variance below
-    ACCEL_VAR_THRESHOLD; a shorter window fails."""
-    return len(samples) >= 3 and pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
+    ACCEL_VAR_THRESHOLD; a shorter window fails.
+
+    A filtered predicate (Shewchuk 1997): the float variance v decides
+    unless |v - threshold| <= 1e-12 * (n + sum(x^2)), where ``pvariance``
+    does.  With unit roundoff u, the mean's rounding adds at most
+    (n*u)^2 * sum(x^2) / n to v, the other roundings scale each term by at
+    most 1 +- (n+3)*u, and the variance is at most sum(x^2) / n: under the
+    bound for n < 1e15.  The n term covers underflow; an overflow falls back.
+    """
+    n = len(samples)
+    if n < 3:
+        return False
+    mags = [s.magnitude_mps2 for s in samples]
+    mean = sum(mags) / n
+    v = sum([(x - mean) * (x - mean) for x in mags]) / n
+    if abs(v - ACCEL_VAR_THRESHOLD) > 1e-12 * (n + sum([x * x for x in mags])):
+        return v < ACCEL_VAR_THRESHOLD
+    return pvariance(mags) < ACCEL_VAR_THRESHOLD
 
 
 def ap_count_peak(counts: Sequence[int]) -> list[int]:

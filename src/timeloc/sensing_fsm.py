@@ -55,6 +55,14 @@ class Action(enum.Enum):
     SAMPLE_ACCEL = "SampleAccel"
 
 
+# Every action set a wake can perform, built once: fsm_step hands these out.
+_NO_ACTIONS: frozenset[Action] = frozenset()
+_SCAN = frozenset({Action.SCAN_WIFI})
+_SCAN_GPS = frozenset({Action.SCAN_WIFI, Action.READ_GPS})
+_ACCEL = frozenset({Action.SAMPLE_ACCEL})
+_SCAN_ACCEL = frozenset({Action.SCAN_WIFI, Action.SAMPLE_ACCEL})
+
+
 @dataclass(frozen=True, slots=True)
 class FsmState:
     tag: StateTag
@@ -94,18 +102,15 @@ def in_gps_region(fix: GpsFix, home_fix: GpsFix) -> bool:
 
 def fsm_step(
     state: FsmState, now: int, env: EnvSnapshot
-) -> tuple[FsmState, set[Action], int]:
+) -> tuple[FsmState, frozenset[Action], int]:
     """One wake of the machine: actions to perform now, next state, next wake.
 
     next_wake always exceeds ``now`` by at least one second.
     """
     tag = state.tag
-    actions: set[Action] = set()
 
     if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
-        actions.add(Action.SCAN_WIFI)
-        if env.fix is not None:
-            actions.add(Action.READ_GPS)
+        actions = _SCAN if env.fix is None else _SCAN_GPS
         if env.home_visible():
             return FsmState(StateTag.HOME_ARRIVAL, now), actions, now + 1
         # a fix places the phone inside or outside the geofence; without
@@ -121,12 +126,12 @@ def fsm_step(
 
     if tag is StateTag.HOME_ARRIVAL:
         elapsed = now - state.entered_at
-        if elapsed < ACCEL_BURST_S:
-            actions.add(Action.SAMPLE_ACCEL)
+        sampling = elapsed < ACCEL_BURST_S
+        actions = _ACCEL if sampling else _NO_ACTIONS
         streak = state.conn_streak
         misses = state.miss_streak
         if elapsed % SCAN_PERIOD_S == 0:
-            actions.add(Action.SCAN_WIFI)
+            actions = _SCAN_ACCEL if sampling else _SCAN
             connected_home = env.connected == env.home_bssid
             misses = 0 if env.home_visible() else misses + 1
             # one missed scan is dropout, not a departure
@@ -139,14 +144,13 @@ def fsm_step(
         return FsmState(tag, state.entered_at, streak, misses), actions, wake
 
     # CONNECTED or SLEEP: both settled states leave the same way
-    actions.add(Action.SCAN_WIFI)
     if env.connected != env.home_bssid:
-        return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
+        return FsmState(StateTag.IDLE_CHECK, now), _SCAN, now + IDLE_PERIOD_S
     if tag is StateTag.SLEEP:
-        return state, actions, now + SLEEP_PERIOD_S
+        return state, _SCAN, now + SLEEP_PERIOD_S
     if now - state.entered_at >= CONNECTED_RECORD_S:
-        return FsmState(StateTag.SLEEP, now), actions, now + SLEEP_PERIOD_S
-    return state, actions, now + SCAN_PERIOD_S
+        return FsmState(StateTag.SLEEP, now), _SCAN, now + SLEEP_PERIOD_S
+    return state, _SCAN, now + SCAN_PERIOD_S
 
 
 def snapshot_from_oracle(oracle, ts: int) -> EnvSnapshot:

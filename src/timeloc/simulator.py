@@ -123,8 +123,8 @@ class TransportMode:
     speed_factor: float
 
     def __post_init__(self) -> None:
-        if self.speed_factor <= 0:
-            raise ConfigurationError("speed_factor must be > 0")
+        if not 0.0 < self.speed_factor < math.inf:
+            raise ConfigurationError("speed_factor must be finite and > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,8 +135,12 @@ class ModeMix:
     speed_jitter_frac: float = 0.0
 
     def __post_init__(self) -> None:
-        if any(w < 0 for _, w in self.modes) or sum(w for _, w in self.modes) <= 0:
-            raise ConfigurationError("mode weights must be >= 0 with a positive total")
+        weights = [w for _, w in self.modes]
+        # each comparison is false for NaN, so a NaN weight or total fails
+        if not (all(0.0 <= w < math.inf for w in weights) and 0.0 < sum(weights) < math.inf):
+            raise ConfigurationError("mode weights must be finite and >= 0 with a positive finite total")
+        if not 0.0 <= self.speed_jitter_frac < 1.0:
+            raise ConfigurationError("speed_jitter_frac outside [0, 1)")
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,8 +190,8 @@ class NoiseParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.dropout_prob <= 1.0:
             raise ConfigurationError("dropout_prob outside [0, 1]")
-        if self.rssi_sigma_db < 0:
-            raise ConfigurationError("rssi_sigma_db must be >= 0")
+        if not 0.0 <= self.rssi_sigma_db < math.inf:
+            raise ConfigurationError("rssi_sigma_db must be finite and >= 0")
 
 
 @dataclass(frozen=True, slots=True)

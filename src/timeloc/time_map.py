@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import date
@@ -312,19 +313,21 @@ def profile_to_json(profile: UserProfile) -> str:
     )
 
 
-def _label_from_json(value) -> ApLabel:
-    """An ApLabel from its document form, an array of exactly two integers."""
-    if type(value) is list and len(value) == 2:
-        tl, tdr = value
-        if type(tl) is int and type(tdr) is int:
-            return ApLabel(tl, tdr)
-    raise ValueError(f"a label must be an array of two integers, not {value!r}")
+def _labels_from_json(doc_labels, bssids: _SeenBssids) -> dict[Bssid, ApLabel]:
+    """A BSSID -> ApLabel map from its document form, each label an array of exactly two integers."""
+    labels = {}
+    for b, value in doc_labels.items():
+        if not (type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int):
+            raise ValueError(f"a label must be an array of two integers, not {value!r}")
+        labels[bssids[b]] = ApLabel(*value)
+    return labels
 
 
 def _number_from_json(value) -> float:
-    """A float from a JSON number; strings and booleans are refused."""
-    if type(value) not in (int, float):
-        raise ValueError(f"expected a number, not {value!r}")
+    """A float from a finite JSON number; strings, booleans, NaN and the
+    infinities are refused."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, not {value!r}")
     return float(value)
 
 
@@ -345,14 +348,14 @@ def profile_from_json(text: str) -> UserProfile:
         window = tuple(
             DayMap(
                 day_id=date.fromisoformat(d["day_id"]),
-                entries={bssids[b]: _label_from_json(v) for b, v in d["entries"].items()},
+                entries=_labels_from_json(d["entries"], bssids),
                 signature_s=_number_from_json(d["signature_s"]),
             )
             for d in doc["window"]
         )
         if any(earlier.day_id >= later.day_id for earlier, later in zip(window, window[1:])):
             raise ValueError("window days are not strictly increasing")
-        fallback = {bssids[b]: _label_from_json(v) for b, v in doc["fallback"].items()}
+        fallback = _labels_from_json(doc["fallback"], bssids)
         return UserProfile(
             home_bssid=Bssid(doc["home_bssid"]),
             window=window,
@@ -361,7 +364,7 @@ def profile_from_json(text: str) -> UserProfile:
         )
     except KeyError as exc:
         raise ProfileFormatError(f"profile lacks the key {exc}") from exc
-    except (AttributeError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError, ValueError) as exc:
         raise ProfileFormatError(f"profile has an invalid value ({exc})") from exc
 
 

@@ -95,8 +95,9 @@ class AccelSample:
     magnitude_mps2: float
 
     def __post_init__(self) -> None:
-        if self.magnitude_mps2 < 0:
-            raise TraceValidationError("accelerometer magnitude must be >= 0")
+        if not 0 <= self.magnitude_mps2 < math.inf:  # false for NaN too
+            what = ">= 0" if self.magnitude_mps2 < 0 else "finite"
+            raise TraceValidationError(f"accelerometer magnitude must be {what}")
 
 
 _bssid_of = attrgetter("bssid")
@@ -270,9 +271,10 @@ def _parse_jsonl(stream, what: str, from_obj) -> list:
     """Decode JSONL (bytes, str, or binary file object) with ``from_obj``.
 
     Blank lines are skipped; items come back in file order.  An undecodable
-    line, or one ``from_obj`` rejects with KeyError/TypeError/ValueError,
-    raises TraceParseError with its line number; a TraceValidationError
-    from ``from_obj`` is re-raised with the line number prefixed.
+    line, or one ``from_obj`` rejects with KeyError, OverflowError,
+    TypeError or ValueError, raises TraceParseError with its line number; a
+    TraceValidationError from ``from_obj`` is re-raised with the line
+    number prefixed.
 
     Each line goes through the C scanner; a line it cannot take whole
     (surrounding whitespace, a BOM, extra data, invalid JSON) is handed to
@@ -301,7 +303,7 @@ def _parse_jsonl(stream, what: str, from_obj) -> list:
             items.append(from_obj(obj))
         except TraceValidationError as exc:
             raise TraceValidationError(f"line {lineno}: {exc}") from exc
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise TraceParseError(f"line {lineno}: malformed {what} ({exc})") from exc
     return items
 

@@ -80,6 +80,10 @@ class TestSimulate:
             ("[days]\nstart_day = 9999-12-31\nn_days = 2\n", "2 days from 9999-12-31 run past 9999-12-31"),
             ("[route]\nweak_bridge = maybe\n", "[route] weak_bridge = 'maybe' is not one of 1/yes/true/on"),
             ("[modes]\nwalk = 1.0 0.5 junk\n", "needs a speed factor and a weight and nothing else"),
+            ("[noise]\nrssi_sigma_db = nan\n", "rssi_sigma_db must be finite and >= 0"),
+            ("[modes]\nwalk = nan 1\n", "speed_factor must be finite and > 0"),
+            ("[modes]\nspeed_jitter = inf\n", "speed_jitter_frac outside [0, 1)"),
+            ("[modes]\nwalk = 1 inf\n", "mode weights must be finite and >= 0"),
         ],
         ids=[
             "bad-int",
@@ -100,6 +104,10 @@ class TestSimulate:
             "calendar-past-the-last-date",
             "boolean-that-is-not-a-boolean-word",
             "mode-with-a-third-value",
+            "nan-rssi-sigma",
+            "nan-speed-factor",
+            "infinite-speed-jitter",
+            "infinite-mode-weight",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):
@@ -359,8 +367,10 @@ def _spoiled(accel: bytes, how: str) -> bytes:
     lines = accel.splitlines(keepends=True)
     if how == "malformed":
         lines[2] = b'{"ts":\n'
-    else:
+    elif how == "unsorted":
         lines.reverse()
+    else:  # a non-finite magnitude, which the JSON reader takes as a float
+        lines[2] = lines[2].split(b'"mag":')[0] + b'"mag":%s}\n' % how.encode()
     return b"".join(lines)
 
 
@@ -391,7 +401,12 @@ class TestOnlyDetectDoorReadsAccel:
 
     @pytest.mark.parametrize(
         "how, error",
-        [("malformed", "error: line 3: invalid JSON ("), ("unsorted", "error: accel samples not sorted")],
+        [
+            ("malformed", "error: line 3: invalid JSON ("),
+            ("unsorted", "error: accel samples not sorted"),
+            ("NaN", "error: line 3: accelerometer magnitude must be finite\n"),
+            ("Infinity", "error: line 3: accelerometer magnitude must be finite\n"),
+        ],
     )
     def test_detect_door_refuses_a_bad_accel_file(self, dataset_dir, tmp_path, capsys, how, error):
         accel = _spoiled((dataset_dir / "accel.jsonl").read_bytes(), how)

@@ -1,12 +1,17 @@
+import math
 import statistics
 from dataclasses import replace
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timeloc import door_detect
 from timeloc import simulator as sim
 from timeloc.door_detect import (
+    ACCEL_VAR_THRESHOLD,
+    RSSI_VAR_THRESHOLD_DB2,
     _near_peak,
     _standing_at,
     ap_count_peak,
@@ -69,6 +74,99 @@ class TestIsStanding:
         # a short window fails its condition
         assert is_standing([accel(SLICE, 9.81), accel(SLICE + 1, 9.81)]) is False
         assert is_standing([]) is False
+
+
+# ---------------------------------------------------------------------------
+# reference: both predicates as they read with the statistics module, whose
+# rational arithmetic decides every window exactly.
+
+
+def reference_is_fluctuating(window):
+    return len(window) >= 2 and statistics.variance(window) >= RSSI_VAR_THRESHOLD_DB2
+
+
+def reference_is_standing(samples):
+    return len(samples) >= 3 and statistics.pvariance([s.magnitude_mps2 for s in samples]) < ACCEL_VAR_THRESHOLD
+
+
+def test_integer_fluctuation_test_matches_statistics_on_every_small_spread():
+    """Every multiset of up to 6 readings within 7 dB, which includes each
+    window whose variance is exactly the threshold."""
+    at_threshold = 0
+    for n in range(7):
+        for offsets in combinations_with_replacement(range(8), n):
+            window = [-70 + o for o in offsets]
+            at_threshold += n >= 2 and statistics.variance(window) == RSSI_VAR_THRESHOLD_DB2
+            assert is_fluctuating(window) == reference_is_fluctuating(window)
+    assert at_threshold > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-120, 0), max_size=8))
+def test_integer_fluctuation_test_matches_statistics(window):
+    assert is_fluctuating(window) == reference_is_fluctuating(window)
+
+
+@st.composite
+def accel_windows(draw):
+    """Magnitude windows at the threshold and one ulp off it, huge equal
+    values, repeated values and arbitrary ones up to 1e18."""
+    kind = draw(st.sampled_from(["threshold", "large", "repeated", "any"]))
+    if kind == "threshold":
+        # each has a population variance of exactly 0.5 around c
+        c = draw(st.integers(2, 2**40)) + draw(st.sampled_from([0.0, 0.25, 0.5]))
+        mags = draw(
+            st.sampled_from([[c - 1, c + 1, c, c], [c, c, c + 1.5], [c - 1, c + 1] * 2 + [c] * 4])
+        )
+    elif kind == "large":
+        mags = [draw(st.floats(1e12, 1e18))] * draw(st.integers(3, 6))
+    elif kind == "repeated":
+        mags = draw(st.lists(st.sampled_from([9.8, 9.81, 10.31, 11.0]), max_size=6))
+    else:
+        mags = draw(st.lists(st.floats(0, 1e18), max_size=8))
+    if mags and draw(st.booleans()):
+        i = draw(st.integers(0, len(mags) - 1))
+        mags[i] = math.nextafter(mags[i], draw(st.sampled_from([0.0, math.inf])))
+    mags = draw(st.permutations(mags))
+    return [accel(SLICE + i, m) for i, m in enumerate(mags)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(accel_windows())
+def test_filtered_standing_test_matches_statistics(samples):
+    assert is_standing(samples) == reference_is_standing(samples)
+
+
+def test_standing_at_the_threshold_and_one_ulp_off_it():
+    for c in (9.81, 1e6 + 0.5, 2.0**40):
+        window = [c - 1, c + 1, c, c]
+        assert statistics.pvariance(window) == ACCEL_VAR_THRESHOLD
+        below, above = math.nextafter(c + 1, 0.0), math.nextafter(c + 1, math.inf)
+        for high, expected in ((c + 1, False), (below, True), (above, False)):
+            samples = [accel(SLICE + i, m) for i, m in enumerate([c - 1, high, c, c])]
+            assert is_standing(samples) is expected is reference_is_standing(samples)
+
+
+def test_a_large_magnitude_decides_exactly():
+    """The float mean of three equal magnitudes near 1.4e17 can be one ulp
+    (16) off, which makes their float variance 256 where the exact one is 0:
+    no fixed margin around the threshold holds at that scale."""
+    samples = [accel(SLICE + i, 1.4302060167127722e17) for i in range(3)]
+    assert is_standing(samples) is True
+
+
+def test_simulated_days_never_need_the_exact_fallback(monkeypatch):
+    """The float variance decides every window of a simulated commute, so no
+    rational arithmetic runs on the detection path."""
+
+    def exact(_):
+        raise AssertionError("a window fell inside the rounding bound")
+
+    monkeypatch.setattr(door_detect, "pvariance", exact)
+    for seed in (21, 22, 23):
+        route, (t, truth) = _door_day(seed=seed)
+        events = detect_door_events(t, route.home_bssid)
+        assert any(abs(e.ts - truth.door_ts) <= 10 for e in events)
 
 
 class TestApCountPeak:

@@ -941,6 +941,9 @@ class TestMalformedProfile:
             (("window", 0, "signature_s"), "1.5"),
             (("window", 0, "signature_s"), True),
             (("window", 0, "signature_s"), None),
+            (("window", 0, "signature_s"), float("nan")),
+            (("window", 0, "signature_s"), float("inf")),
+            pytest.param(("window", 0, "signature_s"), 10**400, id="signature-past-the-float-range"),
         ],
     )
     def test_invalid_value(self, path, value):
@@ -953,6 +956,16 @@ class TestMalformedProfile:
         else:
             doc = value
         with pytest.raises(ProfileFormatError, match="invalid value"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("where", ["same-map", "fallback"])
+    def test_a_boolean_label_after_its_integer_twin(self, where):
+        # True == 1 and both hash alike, so a label read as [1, 1] must not
+        # stand in for a later [true, 1]
+        doc = self._doc()
+        entries = doc["window"][0]["entries"] = {str(bss(1)): [1, 1]}
+        (entries if where == "same-map" else doc["fallback"])[str(bss(2))] = [True, 1]
+        with pytest.raises(ProfileFormatError, match=r"not \[True, 1\]"):
             profile_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(

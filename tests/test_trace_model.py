@@ -217,6 +217,11 @@ class TestParseTraceFile:
         with pytest.raises(TraceValidationError, match="line 1"):
             parse_trace_file(line)
 
+    def test_infinite_timestamp_is_a_malformed_record_with_line(self):
+        data = b'{"ts":1,"gps":null,"conn":null,"aps":[]}\n{"ts":Infinity,"gps":null,"conn":null,"aps":[]}\n'
+        with pytest.raises(TraceParseError, match=r"^line 2: malformed record \(cannot convert"):
+            parse_trace_file(data)
+
     def test_malformed_json_reports_line_number(self):
         data = b'{"ts":1,"gps":null,"conn":null,"aps":[]}\nnot json\n'
         with pytest.raises(TraceParseError, match="line 2"):
@@ -282,6 +287,23 @@ class TestParseAccelFile:
         with pytest.raises(
             TraceValidationError, match=r"^line 2: accelerometer magnitude must be >= 0$"
         ):
+            parse_accel_file(data)
+
+    @pytest.mark.parametrize("mag", [b"NaN", b"Infinity", b"1e400"])
+    def test_non_finite_magnitude_is_validation_error_with_line(self, mag):
+        data = b'{"ts":1,"mag":9.8}\n{"ts":2,"mag":%s}\n' % mag
+        with pytest.raises(
+            TraceValidationError, match=r"^line 2: accelerometer magnitude must be finite$"
+        ):
+            parse_accel_file(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"ts":1,"mag":1%s}\n' % (b"0" * 400), b'{"ts":Infinity,"mag":9.8}\n'],
+        ids=["integer-past-the-float-range", "infinite-ts"],
+    )
+    def test_an_overflowing_number_is_a_malformed_sample(self, data):
+        with pytest.raises(TraceParseError, match=r"^line 1: malformed sample \("):
             parse_accel_file(data)
 
 
@@ -492,9 +514,10 @@ def reference_serialize_accel_samples(samples) -> bytes:
 # -0.0 and integer-valued coordinates, as floats and as ints
 _lats = st.floats(-90, 90, **_finite) | st.sampled_from([-0.0, 0, 45, -90, 90, 45.0])
 _lons = st.floats(-180, 180, **_finite) | st.sampled_from([-0.0, 0, -122, 180, -180.0])
+# An AccelSample holds no NaN or infinite magnitude.
 _magnitudes = st.one_of(
-    st.floats(min_value=0, allow_nan=False),
-    st.sampled_from([math.nan, math.inf, -0.0, 0.0, 9.81, 1e16, 1.5e-7]),
+    st.floats(min_value=0, **_finite),
+    st.sampled_from([-0.0, 0.0, 9.81, 1e16, 1.5e-7]),
     st.integers(0, 100),
 )
 _accel = st.lists(st.builds(AccelSample, st.integers(0, 2**40), _magnitudes), max_size=6)
@@ -528,7 +551,7 @@ class TestWritersMatchJsonDumps:
     @settings(max_examples=300, deadline=None)
     @given(_accel)
     def test_accel_samples(self, samples):
-        """NaN, Infinity and -0.0 come out as the encoder writes them."""
+        """-0.0 and large magnitudes come out as the encoder writes them."""
         assert serialize_accel_samples(samples) == reference_serialize_accel_samples(samples)
 
     @settings(max_examples=200, deadline=None)
