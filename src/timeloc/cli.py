@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 from datetime import date
+from pathlib import Path
 
 from . import door_detect, eval_harness, home_mining, nn_baseline, sensing_fsm, simulator, time_map
 from .errors import NoArrival, TimelocError
@@ -86,6 +87,19 @@ def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
     return truths
 
 
+def _read_input(path: str, load, what: str):
+    """``load(path)``, where a missing, unreadable or non-UTF-8 file is one
+    TimelocError that names it (``what`` names a missing one's kind)."""
+    try:
+        return load(path)
+    except FileNotFoundError:
+        raise TimelocError(f"no {what} file {path}") from None
+    except OSError as exc:
+        raise TimelocError(f"cannot read {path} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise TimelocError(f"{path} is not UTF-8 ({exc.reason})") from None
+
+
 def _load_days(traces_dir: str, *, with_accel: bool = False) -> list[DayTrace]:
     """The directory's trace as noon-to-noon days, the slices that hold scans.
 
@@ -93,23 +107,17 @@ def _load_days(traces_dir: str, *, with_accel: bool = False) -> list[DayTrace]:
     the one command that reads ``DayTrace.accel``, sets it; without it every
     day's ``accel`` is empty.  It never changes which days are read.
     """
-    path = os.path.join(traces_dir, "trace.jsonl")
-    try:
-        records = load_trace_file(path)
-    except FileNotFoundError:
-        raise TimelocError(f"no trace file {path}") from None
+    records = _read_input(os.path.join(traces_dir, "trace.jsonl"), load_trace_file, "trace")
     accel_path = os.path.join(traces_dir, "accel.jsonl")
-    accel = load_accel_file(accel_path) if with_accel and os.path.exists(accel_path) else []
+    accel = []
+    if with_accel and os.path.exists(accel_path):
+        accel = _read_input(accel_path, load_accel_file, "accel")
     return slice_into_days(records, accel)
 
 
 def _load_truths(traces_dir: str) -> list[GroundTruth]:
     path = os.path.join(traces_dir, "ground_truth.csv")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise TimelocError(f"no ground truth file {path}") from None
+    text = _read_input(path, lambda p: Path(p).read_text(encoding="utf-8"), "ground truth")
     return _parse_ground_truth_csv(text, path)
 
 
@@ -222,7 +230,7 @@ def _cmd_predict(args) -> int:
             raise TimelocError("tls prediction needs --bssid and --tdr")
         profile = time_map.load_profile(args.store, args.device)
         p = time_map.predict_tl(profile, args.bssid, args.tdr)
-        print(f"tl_s={p.tl_seconds},source={p.source},bssid={p.matched_bssid},lookups={p.lookups}")
+        print(f"tl_s={p.tl_seconds},source={p.source},bssid={args.bssid},lookups={p.lookups}")
         return 0
     # nearest-neighbor: filter the days at the level, as evaluate does, then
     # locate the query scan and build history from the window
@@ -235,13 +243,13 @@ def _cmd_predict(args) -> int:
     scan = next((s for s in day.scans if s.ts == args.ts), None)
     if scan is None:
         raise TimelocError(f"no scan at ts {args.ts}")
-    window = home_mining.days_before(days, day.day_id, args.window_days)
+    window = home_mining.days_before(days, day.day_id, time_map.WINDOW_DAYS)
     if not window:
         raise TimelocError("no history days before the query day")
     home = home_mining.vote_home_ap(window).winner
     history = nn_baseline.build_history(window, home)
-    p, comparisons = nn_baseline.nn_predict(history, nn_baseline.filter_env(scan), seed=args.seed)
-    print(f"tl_s={p.tl_seconds},source=nn,comparisons={comparisons}")
+    tl_s, comparisons = nn_baseline.nn_predict(history, nn_baseline.filter_env(scan), seed=args.seed)
+    print(f"tl_s={tl_s},source=nn,comparisons={comparisons}")
     return 0
 
 
@@ -361,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", default=None, help="trace directory (nn)")
     p.add_argument("--ts", type=int, default=None, help="query scan timestamp (nn)")
     p.add_argument("--threshold", type=_parse_threshold, default=-70, help="RSSI filter level (nn)")
-    p.add_argument("--window-days", type=_int_at_least(1), default=week, help="sliding window length (nn)")
     p.add_argument("--seed", type=int, default=0, help="tie-break seed (nn)")
 
     p = add("detect-door", _cmd_detect_door, "detect door-opening events")

@@ -17,11 +17,11 @@ and ``sweep_rssi_filter`` share every day's work instead of redoing it
 per evaluated day and method.
 
 Every predictor, built-in or not, has the same three members: ``name``,
-``start_day(days, home, threshold)``, called once per evaluated day with
-the window's EvalDay records, and ``predict(q)``, which returns
-``(predicted_tl_s, probe_cost)`` or None to skip the query.  The records
-and the query scans are already filtered at ``threshold``, the RSSI level
-of the evaluation, so a predictor need not filter them again.
+``start_day(days, home)``, called once per evaluated day with the window's
+EvalDay records, and ``predict(q)``, which returns ``(predicted_tl_s,
+probe_cost)`` or None to skip the query.  The records and the query scans
+are already filtered at the RSSI level of the evaluation, so a predictor
+need not filter them again.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ class TlsPredictor:
     def __init__(self):
         self._profile: UserProfile | None = None
 
-    def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
+    def start_day(self, days: Sequence[EvalDay], home: Bssid) -> None:
         maps = (d.day_map(home) for d in days)
         self._profile = build_profile_from_maps(home, [m for m in maps if m is not None])
 
@@ -213,19 +213,18 @@ class NnPredictor:
         self.seed = seed
         self._history = NnHistory()
 
-    def start_day(self, days: Sequence[EvalDay], home: Bssid, threshold) -> None:
+    def start_day(self, days: Sequence[EvalDay], home: Bssid) -> None:
         self._history = NnHistory(p for d in days for p in d.history(home))
 
     def predict(self, q: QueryPoint) -> tuple[int, int] | None:
         try:
-            p, comparisons = nn_predict(
+            return nn_predict(
                 self._history,
                 filter_env(q.scan),
                 seed=query_seed(self.seed, q.day_id, q.query_ts, q.bssid),
             )
         except NoHistory:
             return None
-        return p.tl_seconds, comparisons
 
 
 def _resolve_predictor(method, seed: int):
@@ -292,7 +291,7 @@ def evaluate(
         truth = dataset.truths.get(day.day_id)
         if truth is None:
             continue
-        predictor.start_day(window, home, level_dbm)
+        predictor.start_day(window, home)
         for q in day.queries(home, truth.arrival_ts):
             answer = predictor.predict(q)
             if answer is None:

@@ -18,10 +18,10 @@ import random
 import zlib
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import NoArrival, NoHistory
-from .time_map import Prediction, homeward_leg
+from .time_map import homeward_leg
 from .trace_model import Bssid, DayTrace, ScanRecord
 
 
@@ -42,13 +42,6 @@ def filter_env(scan: ScanRecord) -> frozenset[Bssid]:
     return frozenset(o.bssid for o in scan.aps)
 
 
-def env_similarity(a: frozenset[Bssid], b: frozenset[Bssid]) -> float:
-    """Jaccard index of the two BSSID sets; two empty sets score 0."""
-    inter = len(a & b)
-    union = len(a) + len(b) - inter
-    return inter / union if union else 0.0
-
-
 def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
     """History points from one day's homeward leg, in scan order.
 
@@ -67,12 +60,9 @@ def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
     return points
 
 
-def build_history(traces: list[DayTrace], home: Bssid) -> list[HistoryPoint]:
+def build_history(traces: list[DayTrace], home: Bssid) -> NnHistory:
     """History points from the homeward legs of the given days, in day order."""
-    points: list[HistoryPoint] = []
-    for trace in traces:
-        points.extend(day_history(trace, home))
-    return points
+    return NnHistory(p for trace in traces for p in day_history(trace, home))
 
 
 class NnHistory(tuple):
@@ -98,23 +88,17 @@ class NnHistory(tuple):
         return self
 
 
-def nn_predict(
-    history: Sequence[HistoryPoint],
-    query: frozenset[Bssid],
-    seed: int = 0,
-) -> tuple[Prediction, int]:
-    """Return the label of the history point most similar to ``query``.
+def nn_predict(history: NnHistory, query: frozenset[Bssid], seed: int = 0) -> tuple[int, int]:
+    """The label of the history point most similar to ``query``, and the
+    comparison count: ``(tl_seconds, comparisons)``.
 
     The comparison count always equals the history size, the cost of the
     paper's linear scan, although each distinct fingerprint is scored only
-    once.  Ties at the top similarity are broken by a uniform random draw
-    from ``seed`` over the tied points in history order, so the same seed
-    always picks the same point.  Similarity is the Jaccard index of
-    ``env_similarity``, inlined here because this loop is the hot path.  A
-    history that is not an ``NnHistory`` is indexed on entry.
+    once.  Similarity is the Jaccard index of the two BSSID sets, and two
+    empty sets score 0.  Ties at the top similarity are broken by a uniform
+    random draw from ``seed`` over the tied points in history order, so the
+    same seed always picks the same point.
     """
-    if not isinstance(history, NnHistory):
-        history = NnHistory(history)
     if not history:
         raise NoHistory("cannot predict from an empty history")
     nq = len(query)
@@ -131,13 +115,7 @@ def nn_predict(
             best.append(positions)
     tied = best[0] if len(best) == 1 else sorted(chain.from_iterable(best))
     position = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
-    prediction = Prediction(
-        tl_seconds=history[position].tl_seconds,
-        source="nn",
-        matched_bssid=None,
-        lookups=len(history),
-    )
-    return prediction, len(history)
+    return history[position].tl_seconds, len(history)
 
 
 def query_seed(master_seed: int, *parts) -> int:

@@ -209,8 +209,3 @@ def run_fsm_day(oracle):
     """Sensed DayTrace plus sensing counters for one simulated day."""
     run = drive_day(oracle)
     return run.trace, run.stats
-
-
-def baseline_scan_count() -> int:
-    """Scan count of a naive sampler scanning every SCAN_PERIOD_S all day."""
-    return DAY_S // SCAN_PERIOD_S

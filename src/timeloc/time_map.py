@@ -77,7 +77,6 @@ class Prediction:
 
     tl_seconds: int
     source: str
-    matched_bssid: Bssid | None
     lookups: int
 
 
@@ -261,7 +260,6 @@ def predict_tl(profile: UserProfile, bssid: Bssid, observed_tdr_s: int) -> Predi
         return Prediction(
             tl_seconds=best[2].tl_seconds,
             source=best[1].isoformat(),
-            matched_bssid=bssid,
             lookups=2,
         )
     lab = profile.fallback.get(bssid)
@@ -269,7 +267,6 @@ def predict_tl(profile: UserProfile, bssid: Bssid, observed_tdr_s: int) -> Predi
         return Prediction(
             tl_seconds=lab.tl_seconds,
             source="fallback",
-            matched_bssid=bssid,
             lookups=3,
         )
     raise UnknownBssid(str(bssid))
@@ -385,10 +382,12 @@ def save_profile(profile: UserProfile, store_dir, device_id: str) -> str:
     The document goes to a temporary file in the store, is flushed to disk
     and then renamed over the old one, so a crash or failed write leaves
     the previous profile intact.  Raises TimelocError for a device id that
-    is not a plain file name, or a store that is not a directory, before
-    anything is written.
+    is not a plain file name, a store that is not a directory or a profile
+    path that is a directory, before anything is written.
     """
     path = _profile_path(store_dir, device_id)
+    if os.path.isdir(path):
+        raise TimelocError(f"cannot write profile {path} (Is a directory)")
     try:
         os.makedirs(store_dir, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -411,8 +410,9 @@ def load_profile(store_dir, device_id: str) -> UserProfile:
     """Read ``{device_id}.profile.json`` from the store.
 
     Raises TimelocError for a device id that is not a plain file name or
-    has no profile there and for a store that is not a directory, and
-    ProfileFormatError when the file is not a readable profile.
+    has no profile there, for a store that is not a directory and for a
+    file that cannot be read, and ProfileFormatError when the file is not
+    a readable profile.
     """
     path = _profile_path(store_dir, device_id)
     try:
@@ -424,6 +424,8 @@ def load_profile(store_dir, device_id: str) -> UserProfile:
         ) from None
     except NotADirectoryError:
         raise TimelocError(f"profile store {str(store_dir)!r} is not a directory") from None
+    except OSError as exc:
+        raise TimelocError(f"cannot read profile {path} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
         raise ProfileFormatError(f"profile {path} is not UTF-8 ({exc.reason})") from exc
     return profile_from_json(text)

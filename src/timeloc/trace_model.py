@@ -131,9 +131,6 @@ class ScanRecord:
         listed = connected is not None and connected in map(_bssid_of, aps)
         return cls(ts, gps, connected if listed else None, aps)
 
-    def bssids(self) -> set[Bssid]:
-        return {o.bssid for o in self.aps}
-
     def rssi_of(self, bssid: Bssid) -> int | None:
         for o in self.aps:
             if o.bssid == bssid:

@@ -16,8 +16,8 @@ from timeloc.door_detect import detect_door_events
 from timeloc.errors import ColdStart, NoArrival
 from timeloc.eval_harness import EvalDataset, evaluate, sweep_rssi_filter
 from timeloc.home_mining import vote_home_ap
-from timeloc.nn_baseline import HistoryPoint, nn_predict
-from timeloc.sensing_fsm import StateTag, baseline_scan_count, drive_day
+from timeloc.nn_baseline import HistoryPoint, NnHistory, nn_predict
+from timeloc.sensing_fsm import StateTag, drive_day
 from timeloc.time_map import (
     ApLabel,
     DayMap,
@@ -27,7 +27,7 @@ from timeloc.time_map import (
     predict_tl,
     update_profile,
 )
-from timeloc.trace_model import Bssid
+from timeloc.trace_model import DAY_S, SCAN_PERIOD_S, Bssid
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -113,10 +113,10 @@ def test_c04_probe_cost_contrast():
         ]
         profile = build_profile_from_maps(home, maps)
         lookups = predict_tl(profile, ap, 60).lookups
-        history = [
+        history = NnHistory(
             HistoryPoint(frozenset({ap}), tl_seconds=i)
             for i in range(size)
-        ]
+        )
         _, comparisons = nn_predict(history, frozenset({ap}), seed=1)
         ok = ok and lookups == 2 and comparisons == size
         details.append(f"{size}: tls={lookups} nn={comparisons}")
@@ -179,7 +179,7 @@ def test_c08_fsm_scan_budget_and_accel_confinement():
     plan = sim.make_day_plan(sim.simple_walk_scenario(), 0, 42)
     oracle = sim.DayOracle(plan)
     run = drive_day(oracle)
-    budget = 0.6 * baseline_scan_count()
+    budget = 0.6 * (DAY_S // SCAN_PERIOD_S)  # a naive sampler scans every period all day
 
     windows = []
     opened = None
@@ -273,7 +273,7 @@ def test_c10_cold_start_refusal():
     class Recorder:
         name = "recorder"
 
-        def start_day(self, window, home_bssid, threshold):
+        def start_day(self, window, home_bssid):
             pass
 
         def predict(self, q):

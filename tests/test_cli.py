@@ -1,3 +1,4 @@
+import shutil
 from datetime import date
 from pathlib import Path
 
@@ -549,6 +550,48 @@ class TestMissingInput:
         assert capsys.readouterr().err == "error: nn prediction needs --traces and --ts\n"
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "argv, name, how",
+        [
+            pytest.param(["mine-home", "--traces", "{tmp}/data"], "data/trace.jsonl", "dir", id="mine-home-trace-dir"),
+            pytest.param(["mine-home", "--traces", "{tmp}/data"], "data/trace.jsonl", "latin-1", id="mine-home-trace-latin-1"),
+            pytest.param(
+                ["evaluate", "--traces", "{tmp}/data", "--out", "{tmp}/out"], "data/ground_truth.csv", "dir",
+                id="evaluate-truth-dir",
+            ),
+            pytest.param(
+                ["evaluate", "--traces", "{tmp}/data", "--out", "{tmp}/out"], "data/ground_truth.csv", "latin-1",
+                id="evaluate-truth-latin-1",
+            ),
+            pytest.param(["detect-door", "--traces", "{tmp}/data"], "data/accel.jsonl", "dir", id="detect-door-accel-dir"),
+            pytest.param(
+                ["build-profile", "--traces", "{tmp}/data", "--device", "d", "--store", "{tmp}/store"],
+                "store/d.profile.json", "dir", id="build-profile-profile-dir",
+            ),
+            pytest.param(
+                ["predict", "--store", "{tmp}/store", "--device", "d", "--bssid", "02:00:00:10:00:03", "--tdr", "1"],
+                "store/d.profile.json", "dir", id="predict-profile-dir",
+            ),
+        ],
+    )
+    def test_unreadable_file_is_one_error_line(self, argv, name, how, dataset_dir, tmp_path, capsys):
+        shutil.copytree(dataset_dir, tmp_path / "data")
+        path = tmp_path / name
+        path.unlink(missing_ok=True)
+        if how == "dir":
+            path.mkdir(parents=True)
+        else:
+            path.write_bytes("é\n".encode("latin-1"))
+        assert run(*(a.format(tmp=tmp_path) for a in argv)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and str(path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        if name.startswith("store/"):
+            assert list(path.parent.iterdir()) == [path]  # no temporary file is left behind
+
+
 class TestMalformedGroundTruth:
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     @pytest.mark.parametrize(
@@ -612,12 +655,12 @@ class TestUsage:
         assert "default: -70" in text
         assert "default: both" in text
 
-    def test_predict_help_marks_window_days_nn_only(self, capsys):
+    def test_predict_help_has_no_window_days(self, capsys):
+        # nn prediction reads the WINDOW_DAYS window, as evaluate does
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--help"])
         assert exc.value.code == 0
-        text = " ".join(capsys.readouterr().out.split())
-        assert "sliding window length (nn) (default: 7)" in text
+        assert "--window-days" not in capsys.readouterr().out
 
     def test_predict_help_marks_threshold_nn_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -635,7 +678,6 @@ class TestUsage:
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "0"],
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "6"],
             ["build-profile", "--traces", "t", "--device", "d", "--window-days", "x"],
-            ["predict", "--method", "nn", "--traces", "t", "--ts", "1", "--window-days", "0"],
             ["detect-door", "--traces", "t", "--day", "notadate"],
             ["predict", "--bssid", "02:00:00:00:00:01", "--tdr", "-5"],
             ["detect-door", "--traces", "t", "--home", "nope"],

@@ -63,8 +63,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
                     answer = (p.tl_seconds, p.lookups)
                 else:
                     qseed = query_seed(seed, q.day_id, q.query_ts, q.bssid)
-                    p, n = nn_predict(history, filter_env(q.scan), seed=qseed)
-                    answer = (p.tl_seconds, n)
+                    answer = nn_predict(history, filter_env(q.scan), seed=qseed)
             except (ColdStart, UnknownBssid, NoHistory):
                 continue
             errors.append(answer[0] - q.actual_tl_s)
@@ -152,8 +151,8 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
     class Recorder:
         name = "recorder"
 
-        def start_day(self, window, home, threshold):
-            seen.append((tuple(d.day_id for d in window), home, threshold))
+        def start_day(self, window, home):
+            seen.append((tuple(d.day_id for d in window), home))
             assert all(o.rssi_dbm >= -70 for d in window for s in d.trace.scans for o in s.aps)
 
         def predict(self, q):
@@ -162,8 +161,7 @@ def test_custom_predictor_gets_filtered_window_traces(mixture):
     report = evaluate(Recorder(), dataset)
     assert report.method == "recorder" and report.n > 0
     first = dataset.traces[0].day_id
-    for days, home, threshold in seen:
-        assert threshold == -70
+    for days, home in seen:
         assert len(days) == WINDOW_DAYS
         assert (days[-1] - first).days >= WINDOW_DAYS - 1
 
@@ -175,7 +173,7 @@ def test_custom_predictor_shares_the_day_records(mixture, monkeypatch):
     class WindowMaps:
         name = "window-maps"
 
-        def start_day(self, days, home, threshold):
+        def start_day(self, days, home):
             assert all(isinstance(d, EvalDay) for d in days)
             maps = [m for m in (d.day_map(home) for d in days) if m is not None]
             self.profile = time_map.build_profile_from_maps(home, maps)

@@ -28,7 +28,7 @@ def small_dataset():
 class PerfectPredictor:
     name = "perfect"
 
-    def start_day(self, window, home, threshold):
+    def start_day(self, window, home):
         pass
 
     def predict(self, q):
@@ -41,7 +41,7 @@ class BiasedPredictor:
     def __init__(self, bias):
         self.bias = bias
 
-    def start_day(self, window, home, threshold):
+    def start_day(self, window, home):
         pass
 
     def predict(self, q):

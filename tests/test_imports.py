@@ -1,9 +1,10 @@
 """Import hygiene: the library imports only the standard library, every
 name a library module imports is used in it, every private top-level function or class is referenced in its own module,
-every error type is raised somewhere, every parameter with a default is
-set by some call, and every defaulted field of a frozen dataclass is set by
-some call outside the tests, so a helper, an exception, a setting or a
-switch that a refactor leaves without callers fails here.
+every public function or method is named outside the tests, every error
+type is raised somewhere, every parameter with a default is set by some
+call, and every defaulted field of a frozen dataclass is set by some call
+outside the tests, so a helper, an exception, a setting or a switch that a
+refactor leaves without callers fails here.
 
 ``__init__.py`` is skipped by the unused-name check, because its imports
 are the package's exports.
@@ -99,6 +100,71 @@ def test_unreferenced_private_def_is_reported():
         "def __getattr__(name):\n    return _used\n"
     )
     assert unreferenced_private_defs(source) == ["line 4: _left_behind", "line 7: _Orphan"]
+
+
+def public_defs(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of each public top-level function and each public
+    method of a public top-level class, a method named ``Class.method``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found.extend(
+                (f"{node.name}.{item.name}", item.lineno)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+            )
+    return found
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name read as a ``Name``, an ``Attribute`` or a part of a dotted
+    string such as ``"DayOracle.aps_at"``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.update(part for part in node.value.split(".") if part.isidentifier())
+    return names
+
+
+def uncalled_public_defs(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.name`` of each public def of ``sources`` (module name -> source)
+    whose last name part no source in ``callers`` references."""
+    referenced = set().union(*map(referenced_names, callers))
+    return [
+        f"{module}.{name}"
+        for module, source in sources.items()
+        for name, _ in public_defs(source)
+        if name.rsplit(".", 1)[-1] not in referenced
+    ]
+
+
+def test_every_public_def_has_a_caller():
+    # The library's own modules and the benchmark call the library; tests do not count.
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    bench = [p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_")]
+    callers = [*sources.values(), *(p.read_text(encoding="utf-8") for p in bench)]
+    assert uncalled_public_defs(sources, callers) == []
+
+
+def test_uncalled_public_def_is_reported():
+    source = (
+        "def used():\n    pass\n\n"
+        "def uncalled():\n    pass\n\n"
+        "def _private():\n    pass\n\n"
+        "class Kept:\n"
+        "    def spanned(self):\n        pass\n\n"
+        "    def dropped(self):\n        pass\n\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "class _Hidden:\n    def method(self):\n        pass\n"
+    )
+    callers = [source, "used()\nx = Kept()\nSPANS = ('mod', 'Kept.spanned')\n"]
+    assert uncalled_public_defs({"mod": source}, callers) == ["mod.uncalled", "mod.Kept.dropped"]
 
 
 def raised_names(source: str) -> set[str]:

@@ -10,7 +10,6 @@ from timeloc.nn_baseline import (
     NnHistory,
     build_history,
     day_history,
-    env_similarity,
     filter_env,
     nn_predict,
 )
@@ -20,6 +19,16 @@ from util import B, SLICE, bss, commute_day, scan, trace
 
 def fp(*bssids):
     return frozenset(bssids)
+
+
+def env_similarity(a, b):
+    """Jaccard index of the two BSSID sets; two empty sets score 0.
+
+    The reference for the similarity that nn_predict computes inline.
+    """
+    inter = len(a & b)
+    union = len(a) + len(b) - inter
+    return inter / union if union else 0.0
 
 
 def fingerprint_at(s, level):
@@ -78,41 +87,38 @@ class TestEnvSimilarity:
 
 class TestNnPredict:
     def test_singleton_history(self):
-        history = [HistoryPoint(fp(bss(1)), 120)]
-        p, comparisons = nn_predict(history, fp(bss(1)))
-        assert p.tl_seconds == 120
-        assert comparisons == 1
-        assert p.lookups == 1
+        history = NnHistory([HistoryPoint(fp(bss(1)), 120)])
+        assert nn_predict(history, fp(bss(1))) == (120, 1)
 
     def test_argmax_similarity_wins(self):
-        history = [
+        history = NnHistory([
             HistoryPoint(fp(bss(1), bss(2)), 100),   # similarity 1.0
             HistoryPoint(fp(bss(3)), 700),           # similarity 0.0
-        ]
-        p, _ = nn_predict(history, fp(bss(1), bss(2)))
-        assert p.tl_seconds == 100
+        ])
+        tl_s, _ = nn_predict(history, fp(bss(1), bss(2)))
+        assert tl_s == 100
 
     def test_comparisons_equal_history_size(self):
         for n in (1, 10, 100):
-            history = [HistoryPoint(fp(bss(i % 5)), i) for i in range(n)]
+            history = NnHistory(HistoryPoint(fp(bss(i % 5)), i) for i in range(n))
             _, comparisons = nn_predict(history, fp(bss(0)))
             assert comparisons == n
 
     def test_tied_candidates_resolved_by_seed(self):
-        history = [
+        history = NnHistory([
             HistoryPoint(fp(bss(1)), 100),
             HistoryPoint(fp(bss(1)), 900),
-        ]
+        ])
         query = fp(bss(1))
         first, _ = nn_predict(history, query, seed=1)
         again, _ = nn_predict(history, query, seed=1)
-        assert first.tl_seconds == again.tl_seconds  # same seed, same pick
-        picks = {nn_predict(history, query, seed=s)[0].tl_seconds for s in range(30)}
+        assert first == again  # same seed, same pick
+        picks = {nn_predict(history, query, seed=s)[0] for s in range(30)}
         assert picks == {100, 900}  # different seeds reach both candidates
 
     def test_empty_history_raises(self):
         with pytest.raises(NoHistory):
-            nn_predict([], fp(bss(1)))
+            nn_predict(NnHistory(), fp(bss(1)))
 
     @given(
         st.lists(st.frozensets(st.integers(0, 7)), min_size=1, max_size=30),
@@ -127,9 +133,7 @@ class TestNnPredict:
         sims = [env_similarity(query, p.fingerprint) for p in history]
         tied = [p for p, s in zip(history, sims) if s == max(sims)]
         expected = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
-        prediction, comparisons = nn_predict(history, query, seed=seed)
-        assert prediction.tl_seconds == expected.tl_seconds
-        assert comparisons == len(history)
+        assert nn_predict(NnHistory(history), query, seed=seed) == (expected.tl_seconds, len(history))
 
 
 def per_point_scan(history, query, seed):
@@ -181,11 +185,7 @@ class TestNnHistory:
     @example(points({0, 2}, {0, 3}, {0, 3}, {0, 2}, {4}, {0, 2}), frozenset({0}), 2**32 - 1)
     def test_matches_the_per_point_scan(self, history, query_ids, seed):
         query = fp(*map(bss, query_ids))
-        expected = per_point_scan(history, query, seed)
-        for given_history in (NnHistory(history), history):
-            prediction, comparisons = nn_predict(given_history, query, seed=seed)
-            assert (prediction.tl_seconds, comparisons) == expected
-            assert prediction.lookups == len(history)
+        assert nn_predict(NnHistory(history), query, seed=seed) == per_point_scan(history, query, seed)
 
     @given(repeated_histories())
     def test_groups_index_every_point_once(self, history):
@@ -217,7 +217,8 @@ class TestBuildHistory:
         for level in (None, -70):
             filtered = [filter_trace(t, level) for t in traces]
             per_day = [p for t in filtered for p in day_history(t, home)]
-            assert build_history(filtered, home) == per_day
+            history = build_history(filtered, home)
+            assert isinstance(history, NnHistory) and history == tuple(per_day)
 
     def test_weak_only_scans_survive_at_all_level(self):
         from timeloc import simulator as sim

@@ -14,14 +14,13 @@ from timeloc.sensing_fsm import (
     EnvSnapshot,
     FsmState,
     StateTag,
-    baseline_scan_count,
     drive_day,
     fsm_step,
     in_gps_region,
     run_fsm_day,
 )
 from timeloc.simulator import M_PER_DEG_LAT
-from timeloc.trace_model import ApObservation, GpsFix, haversine_m
+from timeloc.trace_model import DAY_S, ApObservation, GpsFix, haversine_m
 from util import B, bss
 
 HOME = B("aa:00:00:00:00:ff")
@@ -300,7 +299,8 @@ class TestDayRun:
 
     def test_scan_budget_well_under_fixed_cadence(self, commute_run):
         _, run = commute_run
-        assert run.stats.wifi_scans <= 0.6 * baseline_scan_count()
+        # a fixed cadence scans every SCAN_PERIOD_S all day
+        assert run.stats.wifi_scans <= 0.6 * (DAY_S // SCAN_PERIOD_S)
 
     def test_accel_samples_only_inside_home_arrival(self, commute_run):
         oracle, run = commute_run

@@ -162,7 +162,7 @@ def reference_leg_sightings(trace, home):
 
 def reference_build_day_map(trace, home):
     leg, home_ts, first_seen, last_seen = reference_leg_sightings(trace, home)
-    final_bssids = leg[-1].bssids()
+    final_bssids = {o.bssid for o in leg[-1].aps}
 
     entries = {}
     for b, first in first_seen.items():
@@ -183,7 +183,7 @@ def reference_ap_loss_queries(trace, home, arrival_ts):
     except NoArrival:
         return []
     leg_ts = [s.ts for s in leg]
-    final_bssids = leg[-1].bssids()
+    final_bssids = {o.bssid for o in leg[-1].aps}
 
     queries = []
     for b, first in first_seen.items():
@@ -295,7 +295,7 @@ class TestLegLossProperties:
         assert list(dm.entries) == list(first)
         for b, lab in dm.entries.items():
             assert first[b] + lab.tdr_seconds + lab.tl_seconds == home_ts
-        for b in leg[-1].bssids():
+        for b in {o.bssid for o in leg[-1].aps}:
             assert dm.entries[b].tl_seconds == 0
         route_tdrs = [lab.tdr_seconds for lab in dm.entries.values() if lab.tl_seconds > 0]
         assert dm.signature_s == (median(route_tdrs) if route_tdrs else 0.0)
@@ -311,7 +311,7 @@ class TestLegLossProperties:
         leg, _, losses = leg_losses(t, HOME)
         dm = build_day_map(t, HOME)
         for q in queries:
-            last = max(s.ts for s in leg if q.bssid in s.bssids())
+            last = max(s.ts for s in leg if q.bssid in {o.bssid for o in s.aps})
             assert q.scan == next(s for s in leg if s.ts > last)
             assert q.query_ts == q.scan.ts < arrival
             assert q.actual_tl_s == arrival - q.scan.ts
@@ -358,7 +358,7 @@ class TestHomewardLegProperties:
         is never seen."""
         t, _ = day
         scans = t.scans
-        seen = [i for i, s in enumerate(scans) if HOME in s.bssids()]
+        seen = [i for i, s in enumerate(scans) if HOME in {o.bssid for o in s.aps}]
         if not seen:
             with pytest.raises(NoArrival):
                 homeward_leg(t, HOME)
@@ -368,7 +368,7 @@ class TestHomewardLegProperties:
         anchor = start + len(leg) - 1
         assert scans[start : anchor + 1] == leg
         assert anchor in seen and scans[anchor].ts == home_ts
-        assert not any(HOME in s.bssids() for s in leg[:-1])
+        assert not any(HOME in {o.bssid for o in s.aps} for s in leg[:-1])
         if start:
             assert start - 1 in seen
             assert home_ts - scans[start - 1].ts >= HOME_AWAY_MIN_S
@@ -590,7 +590,6 @@ class TestPredict:
         p = predict_tl(profile, bss(1), 55)
         assert p.tl_seconds == 340
         assert p.lookups == 2
-        assert p.matched_bssid == bss(1)
 
     def test_nearest_tdr_wins(self):
         days = [DAY + timedelta(days=i) for i in range(7)]
@@ -669,10 +668,10 @@ def reference_predict_tl(profile, bssid, observed_tdr_s):
         if best is None or dist < best[0]:
             best = (dist, dm.day_id, lab)
     if best is not None:
-        return best[2].tl_seconds, best[1].isoformat(), bssid, 2
+        return best[2].tl_seconds, best[1].isoformat(), 2
     lab = profile.fallback.get(bssid)
     if lab is not None:
-        return lab.tl_seconds, "fallback", bssid, 3
+        return lab.tl_seconds, "fallback", 3
     raise UnknownBssid(str(bssid))
 
 
@@ -698,7 +697,7 @@ def _outcome(fn, *args):
         p = fn(*args)
     except (ColdStart, UnknownBssid) as exc:
         return type(exc)
-    return p if isinstance(p, tuple) else (p.tl_seconds, p.source, p.matched_bssid, p.lookups)
+    return p if isinstance(p, tuple) else (p.tl_seconds, p.source, p.lookups)
 
 
 class TestPredictProperties:
@@ -724,7 +723,6 @@ class TestPredictProperties:
                 predict_tl(profile, bssid, tdr)
             return
         p = predict_tl(profile, bssid, tdr)
-        assert p.matched_bssid == bssid
         if held:
             nearest = min(abs(dm.entries[bssid].tdr_seconds - tdr) for dm in held)
             newest = max(dm.day_id for dm in held if abs(dm.entries[bssid].tdr_seconds - tdr) == nearest)

@@ -662,7 +662,7 @@ class TestFilterTrace:
     def test_drops_weak_observations_and_orphans_connection(self):
         t = trace([scan(SLICE, {bss(1): -80, bss(2): -50}, conn=bss(1))])
         out = filter_trace(t, -70)
-        assert out.scans[0].bssids() == {bss(2)}
+        assert {o.bssid for o in out.scans[0].aps} == {bss(2)}
         assert out.scans[0].connected is None
 
     def test_none_threshold_keeps_everything(self):
@@ -682,7 +682,7 @@ class TestFilterTrace:
         for before, after in zip(t.scans, out.scans):
             assert after.aps == tuple(o for o in before.aps if o.rssi_dbm >= level)
             assert after.gps == before.gps
-            dropped = before.bssids() - after.bssids()
+            dropped = {o.bssid for o in before.aps} - {o.bssid for o in after.aps}
             assert after.connected == (None if before.connected in dropped else before.connected)
             if not dropped:
                 assert after is before
