@@ -38,16 +38,17 @@ def _default_store() -> str:
 
 
 def _write(path: str, data: bytes | str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with open(path, mode) as fh:
-        fh.write(data)
+    """Write ``data`` to ``path``; a path that cannot be written is one TimelocError naming it."""
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise TimelocError(f"cannot write {path} ({exc.filename}: {exc.strerror})") from None
 
 
-def _emit(args, name: str, data: bytes | str) -> str:
-    path = os.path.join(args.out, name)
-    _write(path, data)
-    return path
+def _emit(args, name: str, data: bytes | str) -> None:
+    _write(os.path.join(args.out, name), data)
 
 
 _GROUND_TRUTH_HEADER = "day_id,arrival_ts,door_ts,mode"

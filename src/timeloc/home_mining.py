@@ -56,14 +56,16 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
     start = day_slice_start(trace.day_id)
     lo = bisect_left(scans, start + NIGHT_OPEN_S, key=_scan_ts)
     hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=_scan_ts)
-    night = scans[lo:hi]
     dwell: dict[Bssid, int] = {}
-    for cur, nxt in zip(night, night[1:]):
-        credit = min(nxt.ts - cur.ts, GAP_CAP_S)
+    get = dwell.get
+    for i in range(lo, hi - 1):
+        cur = scans[i]
+        credit = scans[i + 1].ts - cur.ts
         if credit <= 0:
             continue
+        credit = GAP_CAP_S if credit > GAP_CAP_S else credit
         for o in cur.aps:
-            dwell[o.bssid] = dwell.get(o.bssid, 0) + credit
+            dwell[o.bssid] = get(o.bssid, 0) + credit
     return dwell
 
 

@@ -1,18 +1,19 @@
 """Duty-cycled sensing state machine and its scan-count battery proxy.
 
 Cadence policy: an idle check every 60 s; WiFi scanning every
-``SCAN_PERIOD_S`` (5 s) inside the 500 m home geofence; a 120 s accelerometer burst once the home BSSID is
-scanned; a 300 s recording window once the connection is stable; then
-sleep with 30-minute wakes.  GPS is available exactly when there is a
-fix; only a fix moves the machine into or out of the geofence.  Losing the
-home connection from any settled state drops back to the idle check.  WiFi
-scan results are constant within one second (observations are keyed per
-whole second), so the 1 s minimum wake interval never yields conflicting
-scans.
+``SCAN_PERIOD_S`` (5 s) inside the 500 m home geofence; a 120 s
+accelerometer burst once the home BSSID is scanned; a 300 s recording
+window once the connection is stable; then sleep with 30-minute wakes.  GPS
+is available exactly when there is a fix; only a fix moves the machine into
+or out of the geofence.  Losing the home connection from any settled state
+drops back to the idle check.  WiFi scan results are constant within one
+second (observations are keyed per whole second), so the 1 s minimum wake
+interval never yields conflicting scans.
 
 The day runner drives the machine against a simulator oracle and returns
 the sensed trace (a sub-view of what full-rate sampling would have seen)
-plus counters that stand in for battery cost.
+plus counters that stand in for battery cost.  A wake reads from the oracle
+only what the machine decides on or records.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ _SCAN = frozenset({Action.SCAN_WIFI})
 _SCAN_GPS = frozenset({Action.SCAN_WIFI, Action.READ_GPS})
 _ACCEL = frozenset({Action.SAMPLE_ACCEL})
 _SCAN_ACCEL = frozenset({Action.SCAN_WIFI, Action.SAMPLE_ACCEL})
+# Each set's (gps, scan, accel) flags; a frozenset caches its hash, so a lookup hashes no Action.
+_FLAGS = {
+    actions: (Action.READ_GPS in actions, Action.SCAN_WIFI in actions, Action.SAMPLE_ACCEL in actions)
+    for actions in (_NO_ACTIONS, _SCAN, _SCAN_GPS, _ACCEL, _SCAN_ACCEL)
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,14 +77,14 @@ class FsmState:
     miss_streak: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class SensingStats:
-    """Monotone counters; the scan count is the battery proxy."""
+    """One day's sensing counters; the scan count is the battery proxy."""
 
-    wifi_scans: int = 0
-    gps_reads: int = 0
-    accel_samples: int = 0
-    wakeups: int = 0
+    wifi_scans: int
+    gps_reads: int
+    accel_samples: int
+    wakeups: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,7 +107,7 @@ def in_gps_region(fix: GpsFix, home_fix: GpsFix) -> bool:
 
 
 def fsm_step(
-    state: FsmState, now: int, env: EnvSnapshot
+    state: FsmState, now: int, env: EnvSnapshot | OracleReadings
 ) -> tuple[FsmState, frozenset[Action], int]:
     """One wake of the machine: actions to perform now, next state, next wake.
 
@@ -153,14 +159,41 @@ def fsm_step(
     return state, _SCAN, now + SCAN_PERIOD_S
 
 
-def snapshot_from_oracle(oracle, ts: int) -> EnvSnapshot:
-    return EnvSnapshot(
-        fix=oracle.gps_at(ts),
-        visible=oracle.aps_at(ts),
-        connected=oracle.connected_at(ts),
-        home_bssid=oracle.home_bssid,
-        home_fix=oracle.home_fix,
-    )
+class OracleReadings:
+    """An EnvSnapshot of ``oracle`` at second ``ts`` whose sensors are read on first use."""
+
+    __slots__ = ("_oracle", "_ts", "_fix", "_visible", "_connected", "home_bssid", "home_fix")
+
+    def __init__(self, oracle, ts: int):
+        self._oracle = oracle
+        self._ts = ts
+        self._fix = self._visible = self._connected = ...  # not read yet
+        self.home_bssid = oracle.home_bssid
+        self.home_fix = oracle.home_fix
+
+    @property
+    def fix(self) -> GpsFix | None:
+        if self._fix is ...:
+            self._fix = self._oracle.gps_at(self._ts)
+        return self._fix
+
+    @property
+    def visible(self) -> tuple[ApObservation, ...]:
+        if self._visible is ...:
+            self._visible = self._oracle.aps_at(self._ts)
+        return self._visible
+
+    @property
+    def connected(self) -> Bssid | None:
+        if self._connected is ...:
+            self._connected = self._oracle.connected_at(self._ts)
+        return self._connected
+
+    home_visible = EnvSnapshot.home_visible
+
+
+def snapshot_from_oracle(oracle, ts: int) -> OracleReadings:
+    return OracleReadings(oracle, ts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,10 +208,10 @@ def drive_day(oracle) -> FsmDayRun:
     start = oracle.slice_start
     end = start + DAY_S
     state = FsmState(StateTag.IDLE_CHECK, start)
-    stats = SensingStats()
     scans: list[ScanRecord] = []
     accel: list[AccelSample] = []
     transitions: list[tuple[int, StateTag]] = [(start, state.tag)]
+    gps_reads = wakeups = 0
 
     now = start
     while now < end:
@@ -186,22 +219,21 @@ def drive_day(oracle) -> FsmDayRun:
         new_state, actions, next_wake = fsm_step(state, now, env)
         if next_wake <= now:
             raise RuntimeError("state machine scheduled a non-advancing wake")
-        stats.wakeups += 1
-        if Action.READ_GPS in actions:
-            stats.gps_reads += 1
-        if Action.SCAN_WIFI in actions:
-            stats.wifi_scans += 1
-            gps = env.fix if Action.READ_GPS in actions else None
-            scans.append(ScanRecord.recorded(now, gps, env.connected, env.visible))
-        if Action.SAMPLE_ACCEL in actions:
-            stats.accel_samples += 1
+        gps, scan, sample = _FLAGS[actions]
+        wakeups += 1
+        gps_reads += gps
+        if scan:
+            fix = env.fix if gps else None
+            scans.append(ScanRecord.recorded(now, fix, env.connected, env.visible))
+        if sample:
             accel.append(AccelSample(now, oracle.accel_at(now)))
-        if new_state.tag != state.tag:
+        if new_state.tag is not state.tag:
             transitions.append((now, new_state.tag))
         state = new_state
         now = next_wake
 
     trace = DayTrace(day_id_for_ts(start), tuple(scans), tuple(accel))
+    stats = SensingStats(len(scans), gps_reads, len(accel), wakeups)
     return FsmDayRun(trace=trace, stats=stats, transitions=tuple(transitions))
 
 

@@ -592,6 +592,36 @@ class TestUnreadableInput:
             assert list(path.parent.iterdir()) == [path]  # no temporary file is left behind
 
 
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv, blocker",
+        [
+            pytest.param(["mine-home", "--traces", "{data}", "--out", "{tmp}/out"], "dir", id="mine-home-dir"),
+            pytest.param(["detect-door", "--traces", "{data}", "--out", "{tmp}/out"], "dir", id="detect-door-dir"),
+            pytest.param(["evaluate", "--traces", "{data}", "--out", "{tmp}/out"], "file", id="evaluate-file"),
+            pytest.param(["sweep", "--traces", "{data}", "--out", "{tmp}/out"], "file", id="sweep-file"),
+            pytest.param(
+                ["simulate", "--scenario", "simple", "--days", "2", "--out", "{tmp}/out"], "file", id="simulate-file"
+            ),
+            pytest.param(["fsm-run", "--scenario", "simple", "--out", "{tmp}/out"], "file", id="fsm-run-file"),
+        ],
+    )
+    def test_unwritable_output_is_one_error_line(self, argv, blocker, dataset_dir, tmp_path, capsys):
+        out_path = tmp_path / "out"
+        if blocker == "dir":
+            (out_path / "kept").mkdir(parents=True)
+        else:
+            out_path.write_text("kept\n")
+        assert run(*(a.format(data=dataset_dir, tmp=tmp_path) for a in argv)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write ") and str(out_path) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        if blocker == "dir":
+            assert [p.name for p in out_path.iterdir()] == ["kept"]
+        else:
+            assert out_path.read_text() == "kept\n"
+
+
 class TestMalformedGroundTruth:
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     @pytest.mark.parametrize(

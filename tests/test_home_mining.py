@@ -1,15 +1,20 @@
 import random
+from bisect import bisect_left
 from collections import Counter
 from datetime import date, timedelta
+from itertools import accumulate
+from operator import attrgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timeloc.errors import NoNightData
 from timeloc.home_mining import (
     GAP_CAP_S,
+    NIGHT_CLOSE_S,
     NIGHT_END_SOD,
+    NIGHT_OPEN_S,
     NIGHT_START_SOD,
     day_vote,
     nightly_dwell,
@@ -18,7 +23,7 @@ from timeloc.home_mining import (
     window_homes,
 )
 from timeloc.trace_model import DAY_S, day_slice_start
-from util import DAY, NIGHT_END, NIGHT_START, bss, scan, trace
+from util import DAY, NIGHT_END, NIGHT_START, SLICE, bss, scan, trace
 
 
 def reference_dwell(night_scans, target):
@@ -237,6 +242,66 @@ def edge_heavy_days(draw):
 @given(edge_heavy_days())
 def test_nightly_dwell_matches_reference(t):
     assert nightly_dwell(t) == reference_nightly_dwell(t)
+
+
+# ---------------------------------------------------------------------------
+# reference: nightly_dwell when it sliced out the night scans and zipped the
+# slice with itself.  The body is verbatim.
+
+_scan_ts = attrgetter("ts")
+
+
+def sliced_nightly_dwell(trace):
+    scans = trace.scans
+    start = day_slice_start(trace.day_id)
+    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=_scan_ts)
+    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=_scan_ts)
+    night = scans[lo:hi]
+    dwell = {}
+    for cur, nxt in zip(night, night[1:]):
+        credit = min(nxt.ts - cur.ts, GAP_CAP_S)
+        if credit <= 0:
+            continue
+        for o in cur.aps:
+            dwell[o.bssid] = dwell.get(o.bssid, 0) + credit
+    return dwell
+
+
+_GAPS = (0, 1, GAP_CAP_S - 1, GAP_CAP_S, GAP_CAP_S + 1, 4 * GAP_CAP_S)
+
+
+@st.composite
+def gap_runs(draw):
+    """Day traces laid out as a first scan and a run of gaps: repeated
+    timestamps, gaps at and past GAP_CAP_S, scans on the night edges, and
+    nights that hold one scan or none."""
+    day = draw(st.sampled_from([DAY, date(1969, 12, 31)]))
+    first = draw(st.one_of(st.sampled_from(_NIGHT_EDGES), st.integers(0, DAY_S - 1)))
+    gaps = draw(st.lists(st.one_of(st.sampled_from(_GAPS), st.integers(0, 2 * GAP_CAP_S)), max_size=30))
+    start = day_slice_start(day)
+    return trace(
+        [
+            scan(start + off, {bss(k): -50 for k in draw(st.sets(st.integers(1, 4), max_size=3))})
+            for off in accumulate([first, *gaps])
+            if off < DAY_S
+        ],
+        day=day,
+    )
+
+
+def _offsets_day(*offsets):
+    return trace([scan(SLICE + off, {bss(1): -50, bss(2): -60}) for off in offsets])
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_runs())
+@example(_offsets_day())  # no scans at all
+@example(_offsets_day(0, 600, DAY_S - 1))  # scans on the day, none at night
+@example(_offsets_day(600, 40_000, 70_000))  # one night scan
+@example(_offsets_day(32_399, 32_400, 32_400, 64_799, 64_800))  # both edges, a repeat
+@example(_offsets_day(32_400, 32_400 + GAP_CAP_S + 1, 64_799))  # gaps past the cap
+def test_nightly_dwell_matches_the_sliced_dwell(t):
+    assert nightly_dwell(t) == sliced_nightly_dwell(t)
 
 
 @settings(max_examples=300, deadline=None)

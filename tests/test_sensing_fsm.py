@@ -1,7 +1,13 @@
+import cProfile
+import dataclasses
+import pstats
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timeloc import sensing_fsm
 from timeloc import simulator as sim
 from timeloc.sensing_fsm import (
     ACCEL_BURST_S,
@@ -12,7 +18,9 @@ from timeloc.sensing_fsm import (
     STABLE_CONNECTION_SCANS,
     Action,
     EnvSnapshot,
+    FsmDayRun,
     FsmState,
+    SensingStats,
     StateTag,
     drive_day,
     fsm_step,
@@ -20,7 +28,16 @@ from timeloc.sensing_fsm import (
     run_fsm_day,
 )
 from timeloc.simulator import M_PER_DEG_LAT
-from timeloc.trace_model import DAY_S, ApObservation, GpsFix, haversine_m
+from timeloc.trace_model import (
+    DAY_S,
+    AccelSample,
+    ApObservation,
+    DayTrace,
+    GpsFix,
+    ScanRecord,
+    day_id_for_ts,
+    haversine_m,
+)
 from util import B, bss
 
 HOME = B("aa:00:00:00:00:ff")
@@ -398,3 +415,164 @@ def test_run_fsm_day_wrapper_returns_trace_and_stats():
     trace, stats = run_fsm_day(sim.DayOracle(plan))
     assert stats.wifi_scans == len(trace.scans)
     assert stats.wakeups >= stats.wifi_scans
+
+
+# ---------------------------------------------------------------------------
+# reference: drive_day when every wake built a full EnvSnapshot, reading GPS,
+# WiFi and the connection from the oracle whatever the state, and tested
+# each action by membership.  The bodies are verbatim except that the
+# counters live in a mutable stand-in, since SensingStats is now built once
+# at the end of the day.
+
+
+@dataclasses.dataclass(slots=True)
+class _Counters:
+    wifi_scans: int = 0
+    gps_reads: int = 0
+    accel_samples: int = 0
+    wakeups: int = 0
+
+
+def reference_snapshot_from_oracle(oracle, ts):
+    return EnvSnapshot(
+        fix=oracle.gps_at(ts),
+        visible=oracle.aps_at(ts),
+        connected=oracle.connected_at(ts),
+        home_bssid=oracle.home_bssid,
+        home_fix=oracle.home_fix,
+    )
+
+
+def reference_drive_day(oracle):
+    start = oracle.slice_start
+    end = start + DAY_S
+    state = FsmState(StateTag.IDLE_CHECK, start)
+    stats = _Counters()
+    scans = []
+    accel = []
+    transitions = [(start, state.tag)]
+
+    now = start
+    while now < end:
+        env = reference_snapshot_from_oracle(oracle, now)
+        new_state, actions, next_wake = fsm_step(state, now, env)
+        if next_wake <= now:
+            raise RuntimeError("state machine scheduled a non-advancing wake")
+        stats.wakeups += 1
+        if Action.READ_GPS in actions:
+            stats.gps_reads += 1
+        if Action.SCAN_WIFI in actions:
+            stats.wifi_scans += 1
+            gps = env.fix if Action.READ_GPS in actions else None
+            scans.append(ScanRecord.recorded(now, gps, env.connected, env.visible))
+        if Action.SAMPLE_ACCEL in actions:
+            stats.accel_samples += 1
+            accel.append(AccelSample(now, oracle.accel_at(now)))
+        if new_state.tag != state.tag:
+            transitions.append((now, new_state.tag))
+        state = new_state
+        now = next_wake
+
+    trace = DayTrace(day_id_for_ts(start), tuple(scans), tuple(accel))
+    stats = SensingStats(**dataclasses.asdict(stats))
+    return FsmDayRun(trace=trace, stats=stats, transitions=tuple(transitions))
+
+
+# days 9-11 straddle the relocation preset's move; 40 lies past every preset's length
+_DAYS = (0, 9, 10, 11, 40)
+
+
+@pytest.mark.parametrize("preset", sorted(sim.SCENARIO_PRESETS))
+def test_drive_day_matches_reference(preset):
+    """Same sensed trace (scans and accelerometer samples), stats and
+    transitions as the reference on days of every preset at several seeds."""
+    scenario = sim.SCENARIO_PRESETS[preset]()
+    for seed in (0, 3, 42):
+        for day in _DAYS:
+            plan = sim.make_day_plan(scenario, day, seed)
+            assert drive_day(sim.DayOracle(plan)) == reference_drive_day(sim.DayOracle(plan))
+
+
+class CountingOracle(sim.DayOracle):
+    """A DayOracle that logs each sensor read as ``(ts, sensor)``."""
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.reads = []
+
+    def gps_at(self, ts):
+        self.reads.append((ts, "gps"))
+        return super().gps_at(ts)
+
+    def aps_at(self, ts):
+        self.reads.append((ts, "aps"))
+        return super().aps_at(ts)
+
+    def connected_at(self, ts):
+        self.reads.append((ts, "connected"))
+        return super().connected_at(ts)
+
+    def accel_at(self, ts):
+        self.reads.append((ts, "accel"))
+        return super().accel_at(ts)
+
+
+@pytest.mark.parametrize("preset", sorted(sim.SCENARIO_PRESETS))
+def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
+    """GPS is read once per idle-check or region-scan wake, WiFi and the
+    connection once per scan, the accelerometer once per sample; a home
+    arrival wake that does not scan reads no GPS, WiFi or connection; and no
+    wake reads a sensor twice."""
+    wakes = []
+
+    def logged_step(state, now, env):
+        result = fsm_step(state, now, env)
+        wakes.append((now, state.tag, result[1]))
+        return result
+
+    monkeypatch.setattr(sensing_fsm, "fsm_step", logged_step)
+    scenario = sim.SCENARIO_PRESETS[preset]()
+    quiet_arrival_wakes = 0
+    for seed in (0, 3):
+        for day in (0, 10, 11):
+            wakes.clear()
+            oracle = CountingOracle(sim.make_day_plan(scenario, day, seed))
+            run = drive_day(oracle)
+            reads = Counter(oracle.reads)
+            assert max(reads.values()) == 1  # no wake reads a sensor twice
+            sensors_at = {}
+            for ts, sensor in reads:
+                sensors_at.setdefault(ts, set()).add(sensor)
+            assert set(sensors_at) <= {now for now, _, _ in wakes}
+            for now, tag, actions in wakes:
+                expected = set()
+                if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
+                    expected.add("gps")
+                if Action.SCAN_WIFI in actions:
+                    expected |= {"aps", "connected"}
+                if Action.SAMPLE_ACCEL in actions:
+                    expected.add("accel")
+                assert sensors_at.get(now, set()) == expected, (seed, day, now, tag)
+                if tag is StateTag.HOME_ARRIVAL and Action.SCAN_WIFI not in actions:
+                    quiet_arrival_wakes += 1
+            sensed = sum(1 for _, sensor in reads if sensor == "aps")
+            assert sensed == sum(1 for _, sensor in reads if sensor == "connected")
+            assert sensed == run.stats.wifi_scans == len(run.trace.scans)
+            assert run.stats.wakeups == len(wakes)
+    assert quiet_arrival_wakes > 0
+
+
+def test_drive_day_hashes_no_action():
+    """Each wake reads its action flags without hashing an Action member,
+    whose Enum.__hash__ runs in Python."""
+    oracle = sim.DayOracle(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42))
+    profiler = cProfile.Profile()
+    profiler.runcall(drive_day, oracle)
+    stats = pstats.Stats(profiler).stats
+    hashes = {
+        caller[2]: calls[1]
+        for (path, _, name), (_, _, _, _, callers) in stats.items()
+        if name == "__hash__" and path.endswith("enum.py")
+        for caller, calls in callers.items()
+    }
+    assert "drive_day" not in hashes
