@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 
 from . import door_detect, eval_harness, home_mining, nn_baseline, sensing_fsm, simulator, time_map
-from .errors import NoArrival, TimelocError
+from .errors import TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
     RSSI_MAX_DBM,
@@ -49,6 +49,13 @@ def _write(path: str, data: bytes | str) -> None:
 
 def _emit(args, name: str, data: bytes | str) -> None:
     _write(os.path.join(args.out, name), data)
+
+
+def _refuse_file_out(args, first: str) -> None:
+    """Report an --out that is a regular file before any work, with the
+    error that emitting ``first``, the command's first output, gives."""
+    if os.path.isfile(args.out):
+        _emit(args, first, "")  # os.makedirs refuses the file before anything is opened
 
 
 _GROUND_TRUTH_HEADER = "day_id,arrival_ts,door_ts,mode"
@@ -209,10 +216,7 @@ def _cmd_build_profile(args) -> int:
     home = next(h for h in homes[min(args.window_days, len(days)) - 1 :] if h is not None)
     profile = time_map.empty_profile(home, days[0].day_id)
     for i, (day, voted) in enumerate(zip(days, homes)):
-        try:
-            new_map = time_map.build_day_map(day, profile.home_bssid)
-        except NoArrival:
-            new_map = None
+        new_map = time_map.build_day_map(day, profile.home_bssid)
         home = voted or profile.home_bssid  # a window without nightly data keeps the home
         window_traces = days[max(0, i - args.window_days + 1) : i + 1]
         profile = time_map.fold_day(profile, new_map, home, window_traces, args.window_days)
@@ -298,6 +302,7 @@ def _cmd_fsm_run(args) -> int:
 def _cmd_evaluate(args) -> int:
     dataset = eval_harness.EvalDataset.from_lists(_load_days(args.traces), _load_truths(args.traces))
     methods = ("tls", "nn") if args.method == "both" else (args.method,)
+    _refuse_file_out(args, f"cdf_{methods[0]}.csv")
     label = "all" if args.threshold is None else str(args.threshold)
     rows = []
     for method in methods:
@@ -320,6 +325,7 @@ def _cmd_sweep(args) -> int:
     dataset = eval_harness.EvalDataset.from_lists(_load_days(args.traces), _load_truths(args.traces))
     if len(args.levels) < 2:
         raise TimelocError("sweep needs at least two levels, e.g. --levels all,-70")
+    _refuse_file_out(args, "sweep.csv")
     rows = eval_harness.sweep_rssi_filter(dataset, args.levels, seed=args.seed)
     _emit(args, "sweep.csv", eval_harness.report_csv(rows))
     for label, r in rows:

@@ -36,13 +36,12 @@ from . import home_mining, nn_baseline, time_map
 from .errors import (
     ColdStart,
     InsufficientHistory,
-    NoArrival,
     NoHistory,
     NoNightData,
     UnknownBssid,
 )
-from .nn_baseline import HistoryPoint, NnHistory, filter_env, nn_predict, query_seed
-from .simulator import GroundTruth
+from .nn_baseline import HistoryPoint, NnHistory, filter_env, nn_predict
+from .simulator import GroundTruth, _mix
 from .time_map import (
     WINDOW_DAYS,
     DayMap,
@@ -103,10 +102,7 @@ class EvalDay:
 
     def day_map(self, home: Bssid) -> DayMap | None:
         if home not in self._maps:
-            try:
-                self._maps[home] = time_map.build_day_map(self.trace, home)
-            except NoArrival:
-                self._maps[home] = None
+            self._maps[home] = time_map.build_day_map(self.trace, home)
         return self._maps[home]
 
     def history(self, home: Bssid) -> list[HistoryPoint]:
@@ -157,10 +153,7 @@ def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[Query
 
     The query is issued at the first leg scan after the AP's last sighting.
     """
-    try:
-        leg, _, losses = leg_losses(trace, home)
-    except NoArrival:
-        return []
+    leg, _, losses = leg_losses(trace, home)
     leg_ts = [s.ts for s in leg]
 
     queries = []
@@ -221,7 +214,7 @@ class NnPredictor:
             return nn_predict(
                 self._history,
                 filter_env(q.scan),
-                seed=query_seed(self.seed, q.day_id, q.query_ts, q.bssid),
+                seed=_mix(self.seed, q.day_id, q.query_ts, q.bssid),
             )
         except NoHistory:
             return None

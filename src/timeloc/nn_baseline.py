@@ -15,13 +15,12 @@ the per-point scan gives.
 from __future__ import annotations
 
 import random
-import zlib
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable
 
-from .errors import NoArrival, NoHistory
-from .time_map import homeward_leg
+from .errors import NoHistory
+from .time_map import leg_losses
 from .trace_model import Bssid, DayTrace, ScanRecord
 
 
@@ -48,10 +47,7 @@ def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
     A day without a home detection contributes nothing; scans whose
     fingerprint is empty are skipped (they carry no environment).
     """
-    try:
-        leg, arrival_ts = homeward_leg(trace, home)
-    except NoArrival:
-        return []
+    leg, arrival_ts, _ = leg_losses(trace, home)
     points = []
     for s in leg:
         fp = filter_env(s)
@@ -116,9 +112,3 @@ def nn_predict(history: NnHistory, query: frozenset[Bssid], seed: int = 0) -> tu
     tied = best[0] if len(best) == 1 else sorted(chain.from_iterable(best))
     position = tied[0] if len(tied) == 1 else random.Random(seed).choice(tied)
     return history[position].tl_seconds, len(history)
-
-
-def query_seed(master_seed: int, *parts) -> int:
-    """Stable per-query tie-break seed derived from the master seed."""
-    key = "|".join([str(master_seed), *map(str, parts)])
-    return zlib.crc32(key.encode("utf-8"))

@@ -192,10 +192,6 @@ class OracleReadings:
     home_visible = EnvSnapshot.home_visible
 
 
-def snapshot_from_oracle(oracle, ts: int) -> OracleReadings:
-    return OracleReadings(oracle, ts)
-
-
 @dataclass(frozen=True, slots=True)
 class FsmDayRun:
     trace: DayTrace
@@ -215,7 +211,7 @@ def drive_day(oracle) -> FsmDayRun:
 
     now = start
     while now < end:
-        env = snapshot_from_oracle(oracle, now)
+        env = OracleReadings(oracle, now)
         new_state, actions, next_wake = fsm_step(state, now, env)
         if next_wake <= now:
             raise RuntimeError("state machine scheduled a non-advancing wake")

@@ -54,7 +54,6 @@ M_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0
 
 _NEIGHBOR_BSSID_BASE = 0x2000_00
 _SPIKE_BSSID_BASE = 0x3000_00
-_NEW_HOME_BSSID = 0x1F_FF01
 _ROUTE, _HOME, _NEIGHBOR, _SPIKE = range(4)  # observation source kinds
 _M64 = (1 << 64) - 1
 
@@ -62,6 +61,10 @@ _M64 = (1 << 64) - 1
 def bssid_from_int(n: int) -> Bssid:
     octets = [0x02] + [(n >> shift) & 0xFF for shift in (32, 24, 16, 8, 0)]
     return Bssid(":".join(f"{o:02x}" for o in octets))
+
+
+# The home AP of every day from a relocation's move day onward.
+NEW_HOME_BSSID = bssid_from_int(0x1F_FF01)
 
 
 def _mix(*parts) -> int:
@@ -195,18 +198,6 @@ class NoiseParams:
 
 
 @dataclass(frozen=True, slots=True)
-class Relocation:
-    """Home moves to a new BSSID from ``move_day`` (0-based index) onward."""
-
-    move_day: int
-    new_home_bssid: Bssid
-
-    def __post_init__(self) -> None:
-        if self.move_day < 0:
-            raise ConfigurationError("move_day must be >= 0")
-
-
-@dataclass(frozen=True, slots=True)
 class ScenarioSpec:
     route: RouteSpec
     n_days: int
@@ -218,7 +209,7 @@ class ScenarioSpec:
     night_dwell: NightDwellSpec = NightDwellSpec()
     depart_sod: int = 18 * 3600
     start_day: date = date(2024, 1, 1)
-    relocation: Relocation | None = None
+    move_day: int | None = None  # from this 0-based day index on, home is NEW_HOME_BSSID
 
     def __post_init__(self) -> None:
         if self.n_days < 1:
@@ -227,6 +218,8 @@ class ScenarioSpec:
             raise ConfigurationError(f"{self.n_days} days from {self.start_day} run past {date.max}")
         if not 0.0 <= self.detour_prob <= 1.0:
             raise ConfigurationError("detour_prob outside [0, 1]")
+        if self.move_day is not None and self.move_day < 0:
+            raise ConfigurationError("move_day must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,7 +239,6 @@ class DayPlan:
     """Fully resolved schedule for one day; everything downstream is pure."""
 
     day_id: date
-    slice_start: int
     route: RouteSpec
     mode: TransportMode
     depart_ts: int
@@ -288,18 +280,16 @@ def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> D
     door_delay_s = 25 + 5 * rng.randint(0, 7)
 
     route = scenario.route
-    if scenario.relocation is not None and day_index >= scenario.relocation.move_day:
-        route = _swap_home(route, scenario.relocation.new_home_bssid)
+    if scenario.move_day is not None and day_index >= scenario.move_day:
+        route = _swap_home(route, NEW_HOME_BSSID)
 
     try:
         day_id = scenario.start_day + timedelta(days=day_index)
     except OverflowError:
         raise ConfigurationError(f"day index {day_index} falls outside the supported dates") from None
-    slice_start = day_slice_start(day_id)
-    depart_ts = slice_start + (scenario.depart_sod - NOON_SOD) % DAY_S + depart_jitter
+    depart_ts = day_slice_start(day_id) + (scenario.depart_sod - NOON_SOD) % DAY_S + depart_jitter
     return DayPlan(
         day_id=day_id,
-        slice_start=slice_start,
         route=route,
         mode=mode,
         depart_ts=depart_ts,
@@ -334,8 +324,7 @@ class DayOracle:
         self._observations = _SeenObservations(_SeenBssids())
 
         f = plan.mode.speed_factor
-        start = plan.slice_start
-        self.slice_start = start
+        self.slice_start = start = day_slice_start(plan.day_id)
         self.slice_end = start + DAY_S
         night = plan.night
         self.morning_depart_ts = start + (night.morning_depart_sod - NOON_SOD) % DAY_S
@@ -489,9 +478,7 @@ class DayOracle:
         while t < self.morning_depart_ts:
             instants.append(t)
             t += period
-        duration = self.plan.route.route_duration_s
-        f = self.plan.mode.speed_factor
-        morning_end = self.morning_depart_ts + round(duration / f) + MORNING_SCAN_PERIOD_S
+        morning_end = self._gps_windows[1][1] + MORNING_SCAN_PERIOD_S  # the morning route's end
         instants.extend(range(self.morning_depart_ts, min(morning_end, self.slice_end - 1), MORNING_SCAN_PERIOD_S))
         return instants
 
@@ -613,8 +600,7 @@ def mining_scenario(n_days: int = 14) -> ScenarioSpec:
 
 def relocation_scenario(move_day: int = 10, n_days: int = 16) -> ScenarioSpec:
     """The user moves house on ``move_day``; the home AP changes BSSID."""
-    relocation = Relocation(move_day=move_day, new_home_bssid=bssid_from_int(_NEW_HOME_BSSID))
-    return replace(simple_walk_scenario(n_days), relocation=relocation)
+    return replace(simple_walk_scenario(n_days), move_day=move_day)
 
 
 def door_scenario(n_days: int = 30) -> ScenarioSpec:
@@ -716,10 +702,7 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
         neighbor_dwell_s=int(night_sec.pop("neighbor_dwell_s", 5400)),
     )
 
-    relocation = None
-    if "relocation" in sections:
-        move_day = int(sections["relocation"].pop("move_day"))
-        relocation = Relocation(move_day, bssid_from_int(_NEW_HOME_BSSID))
+    move_day = int(sections["relocation"].pop("move_day")) if "relocation" in sections else None
 
     scenario = ScenarioSpec(
         route=route,
@@ -735,7 +718,7 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
         night_dwell=night,
         depart_sod=_parse_sod(str(days_sec.pop("depart", "18:00"))),
         start_day=date.fromisoformat(str(days_sec.pop("start_day", "2024-01-01"))),
-        relocation=relocation,
+        move_day=move_day,
     )
     for name, unread in sections.items():
         for key in unread:

@@ -104,17 +104,20 @@ def homeward_leg(trace: DayTrace, home: Bssid) -> tuple[tuple[ScanRecord, ...], 
 
 def leg_losses(
     trace: DayTrace, home: Bssid
-) -> tuple[tuple[ScanRecord, ...], int, dict[Bssid, tuple[int, int, int | None]]]:
+) -> tuple[tuple[ScanRecord, ...], int | None, dict[Bssid, tuple[int, int, int | None]]]:
     """The homeward leg, its home-detection instant, and each leg AP's
     (first sighting, last sighting, observed loss), keyed in first-seen order.
 
     A loss is only observable at scan granularity: one scan period after the
     last sighting.  It is None when that instant falls after home detection,
     which covers every AP still in the detection scan (the home AP always
-    is), since that scan is its last sighting.  Raises NoArrival when home
-    is never seen.
+    is), since that scan is its last sighting.  A day where home is never
+    seen has an empty leg: ``((), None, {})``.
     """
-    leg, home_ts = homeward_leg(trace, home)
+    try:
+        leg, home_ts = homeward_leg(trace, home)
+    except NoArrival:
+        return (), None, {}
     first_seen: dict[Bssid, int] = {}
     last_seen: dict[Bssid, int] = {}
     for s in leg:
@@ -128,14 +131,16 @@ def leg_losses(
     return leg, home_ts, losses
 
 
-def build_day_map(trace: DayTrace, home: Bssid) -> DayMap:
-    """Label every AP seen on the homeward leg.
+def build_day_map(trace: DayTrace, home: Bssid) -> DayMap | None:
+    """Label every AP seen on the homeward leg; None when home is never seen.
 
     For AP m:  tdr = loss - first sighting; tl = home detection - loss,
     where an AP without an observed loss (see ``leg_losses``) is lost at the
     home-detection instant and so gets tl 0.
     """
     _, home_ts, losses = leg_losses(trace, home)
+    if home_ts is None:
+        return None
     entries: dict[Bssid, ApLabel] = {}
     for b, (first, _, lost) in losses.items():
         if lost is None:
@@ -188,13 +193,9 @@ def fold_day(
     if home != profile.home_bssid:
         # Labels anchored to the old home are meaningless now: rebuild the
         # window from the traces and start the fallback over.
-        rebuilt = []
-        for t in sorted(window_traces, key=lambda t: t.day_id)[-window_days:]:
-            try:
-                rebuilt.append(build_day_map(t, home))
-            except NoArrival:
-                continue
-        window = rebuilt
+        recent = sorted(window_traces, key=lambda t: t.day_id)[-window_days:]
+        maps = (build_day_map(t, home) for t in recent)
+        window = [m for m in maps if m is not None]
         fallback = {}
 
     built_at = window[-1].day_id if window else (

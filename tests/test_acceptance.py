@@ -13,7 +13,7 @@ import pytest
 from timeloc import simulator as sim
 from timeloc.cli import main as cli_main
 from timeloc.door_detect import detect_door_events
-from timeloc.errors import ColdStart, NoArrival
+from timeloc.errors import ColdStart
 from timeloc.eval_harness import EvalDataset, evaluate, sweep_rssi_filter
 from timeloc.home_mining import vote_home_ap
 from timeloc.nn_baseline import HistoryPoint, NnHistory, nn_predict
@@ -144,15 +144,12 @@ def test_c06_relocation_flips_within_three_days():
     move_day = 10
     scenario = sim.relocation_scenario(move_day=move_day, n_days=16)
     traces, _ = sim.synth_dataset(scenario, seed=3)
-    new_home = scenario.relocation.new_home_bssid
+    new_home = sim.NEW_HOME_BSSID
     profile = empty_profile(scenario.route.home_bssid, traces[0].day_id)
     flips_at = None
     for i, t in enumerate(traces):
         window = traces[max(0, i - 6) : i + 1]
-        try:
-            new_map = build_day_map(t, profile.home_bssid)
-        except NoArrival:
-            new_map = None
+        new_map = build_day_map(t, profile.home_bssid)
         profile = update_profile(profile, new_map, window)
         if flips_at is None and profile.home_bssid == new_home:
             flips_at = i

@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from timeloc import home_mining, time_map
+from timeloc import eval_harness, home_mining, time_map
 from timeloc.cli import _load_days, main
-from timeloc.errors import NoArrival
 from timeloc.trace_model import (
     DAY_S,
     Bssid,
@@ -149,11 +148,8 @@ def _folded_profile(days, home, week):
     profile = time_map.empty_profile(home, days[0].day_id)
     no_map = 0
     for i, day in enumerate(days):
-        try:
-            new_map = time_map.build_day_map(day, profile.home_bssid)
-        except NoArrival:
-            new_map = None
-            no_map += 1
+        new_map = time_map.build_day_map(day, profile.home_bssid)
+        no_map += new_map is None
         window = days[max(0, i - week + 1) : i + 1]
         profile = time_map.update_profile(profile, new_map, window, window_days=week)
     return profile, no_map
@@ -620,6 +616,21 @@ class TestUnwritableOutput:
             assert [p.name for p in out_path.iterdir()] == ["kept"]
         else:
             assert out_path.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command, first", [("evaluate", "cdf_tls.csv"), ("sweep", "sweep.csv")])
+    def test_a_file_out_is_refused_before_any_evaluation(
+        self, command, first, dataset_dir, tmp_path, capsys, monkeypatch
+    ):
+        def evaluate(*args, **kwargs):
+            raise AssertionError("evaluated before --out was checked")
+
+        monkeypatch.setattr(eval_harness, "evaluate", evaluate)
+        out_path = tmp_path / "out"
+        out_path.write_text("kept\n")
+        assert run(command, "--traces", dataset_dir, "--out", out_path) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {out_path / first} ({out_path}: File exists)\n"
+        assert out_path.read_text() == "kept\n"
 
 
 class TestMalformedGroundTruth:

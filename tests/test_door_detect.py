@@ -314,7 +314,7 @@ def _equivalence_cases():
             yield t, route.home_bssid, truth.door_ts
     scenario = sim.relocation_scenario(move_day=4, n_days=8)
     traces, truths = sim.synth_dataset(scenario, seed=3)
-    homes = (scenario.route.home_bssid, scenario.relocation.new_home_bssid)
+    homes = (scenario.route.home_bssid, sim.NEW_HOME_BSSID)
     for t, truth in zip(traces, truths):
         for home in homes:  # one of the two is never seen that day
             yield t, home, truth.door_ts

@@ -12,7 +12,7 @@ from datetime import date
 import pytest
 
 from timeloc import home_mining, simulator as sim, time_map
-from timeloc.errors import ColdStart, NoArrival, NoHistory, NoNightData, UnknownBssid
+from timeloc.errors import ColdStart, NoHistory, NoNightData, UnknownBssid
 from timeloc.eval_harness import (
     EvalDataset,
     EvalDay,
@@ -24,7 +24,7 @@ from timeloc.eval_harness import (
     sweep_rssi_filter,
 )
 from timeloc.home_mining import vote_home_ap
-from timeloc.nn_baseline import build_history, filter_env, nn_predict, query_seed
+from timeloc.nn_baseline import build_history, filter_env, nn_predict
 from timeloc.time_map import WINDOW_DAYS, UserProfile, build_day_map, predict_tl
 from timeloc.trace_model import filter_trace
 
@@ -46,12 +46,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
         if truth is None:
             continue
         if method == "tls":
-            maps = []
-            for t in window:
-                try:
-                    maps.append(build_day_map(t, home))
-                except NoArrival:
-                    pass
+            maps = [m for m in (build_day_map(t, home) for t in window) if m is not None]
             maps = tuple(maps[-WINDOW_DAYS:])
             profile = UserProfile(home, maps, {}, maps[-1].day_id if maps else date.min)
         else:
@@ -62,7 +57,7 @@ def reference_evaluate(method, traces, truths, level, seed=0):
                     p = predict_tl(profile, q.bssid, q.observed_tdr_s)
                     answer = (p.tl_seconds, p.lookups)
                 else:
-                    qseed = query_seed(seed, q.day_id, q.query_ts, q.bssid)
+                    qseed = sim._mix(seed, q.day_id, q.query_ts, q.bssid)
                     answer = nn_predict(history, filter_env(q.scan), seed=qseed)
             except (ColdStart, UnknownBssid, NoHistory):
                 continue

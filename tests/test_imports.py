@@ -2,9 +2,10 @@
 name a library module imports is used in it, every private top-level function or class is referenced in its own module,
 every public function or method is named outside the tests, every error
 type is raised somewhere, every parameter with a default is set by some
-call, and every defaulted field of a frozen dataclass is set by some call
-outside the tests, so a helper, an exception, a setting or a switch that a
-refactor leaves without callers fails here.
+call, every defaulted field of a frozen dataclass is set by some call
+outside the tests, and no function only hands its own parameters on to
+another call, so a helper, an exception, a setting, a switch or a second
+name that a refactor leaves behind fails here.
 
 ``__init__.py`` is skipped by the unused-name check, because its imports
 are the package's exports.
@@ -344,3 +345,64 @@ def test_unset_field_is_reported():
     )
     callers = [source + "P(0, 1)\nP(a=0, d=5)\nreplace(P(0), f=6)\n"]
     assert unset_fields(source, callers) == ["line 5: P.c"]
+
+
+def _passed_names(call: ast.Call) -> list[str | None]:
+    """What each argument of ``call`` passes on: ``p`` for ``p`` or ``p=p``,
+    ``*p`` and ``**p`` for unpacked names, None for anything else."""
+    passed = []
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            passed.append(f"*{arg.value.id}" if isinstance(arg.value, ast.Name) else None)
+        else:
+            passed.append(arg.id if isinstance(arg, ast.Name) else None)
+    for k in call.keywords:
+        name = k.value.id if isinstance(k.value, ast.Name) else None
+        passed.append(f"**{name}" if k.arg is None and name else name if k.arg == name else None)
+    return passed
+
+
+def forwarding_functions(source: str) -> list[str]:
+    """Top-level functions with no defaulted parameter whose body, after
+    the docstring, is one ``return g(...)`` that passes exactly its own
+    parameters, in order: a second name for ``g`` and nothing more."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if args.defaults or any(d is not None for d in args.kw_defaults):
+            continue
+        body = node.body
+        if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+            body = body[1:]
+        if not (len(body) == 1 and isinstance(body[0], ast.Return) and isinstance(body[0].value, ast.Call)):
+            continue
+        params = [a.arg for a in args.posonlyargs + args.args]
+        params += [f"*{args.vararg.arg}"] if args.vararg else []
+        params += [a.arg for a in args.kwonlyargs]
+        params += [f"**{args.kwarg.arg}"] if args.kwarg else []
+        if _passed_names(body[0].value) == params:
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_only_forwards_its_arguments(path):
+    assert forwarding_functions(path.read_text(encoding="utf-8")) == []
+
+
+def test_forwarding_function_is_reported():
+    source = (
+        "def forwards(a, b):\n    return g(a, b)\n\n"
+        "def documented(a, *rest, key, **more):\n"
+        "    '''Doc.'''\n    return h.call(a, *rest, key=key, **more)\n\n"
+        "def defaulted(a, n=3):\n    return g(a, n=n)\n\n"
+        "def reordered(a, b):\n    return g(b, a)\n\n"
+        "def renamed(a):\n    return g(b=a)\n\n"
+        "def adds(a):\n    return g(a, 1)\n\n"
+        "def drops(a, b):\n    return g(a)\n\n"
+        "def two_steps(a):\n    x = g(a)\n    return x\n\n"
+        "class K:\n    def m(self, a):\n        return g(self, a)\n"
+    )
+    assert forwarding_functions(source) == ["line 1: forwards", "line 4: documented"]

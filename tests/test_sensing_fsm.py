@@ -20,6 +20,7 @@ from timeloc.sensing_fsm import (
     EnvSnapshot,
     FsmDayRun,
     FsmState,
+    OracleReadings,
     SensingStats,
     StateTag,
     drive_day,
@@ -303,12 +304,10 @@ class TestDayRun:
     def test_wakeups_always_advance(self, commute_run):
         oracle, run = commute_run
         # re-drive manually to watch the wake sequence
-        from timeloc.sensing_fsm import snapshot_from_oracle
-
         state = FsmState(StateTag.IDLE_CHECK, oracle.slice_start)
         now = oracle.slice_start
         for _ in range(3000):
-            state, _, wake = fsm_step(state, now, snapshot_from_oracle(oracle, now))
+            state, _, wake = fsm_step(state, now, OracleReadings(oracle, now))
             assert wake >= now + 1
             now = wake
             if now >= oracle.slice_end:

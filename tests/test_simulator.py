@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
 from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
-from timeloc.trace_model import DAY_S, NOON_SOD, ApObservation, Bssid, GpsFix, serialize_scan_records
+from timeloc.trace_model import (
+    DAY_S,
+    NOON_SOD,
+    ApObservation,
+    Bssid,
+    GpsFix,
+    day_slice_start,
+    serialize_scan_records,
+)
 from util import commute_day
 
 
@@ -128,7 +136,7 @@ class TestSynthDataset:
     def test_relocation_switches_home_and_night_presence(self):
         scenario = sim.relocation_scenario(move_day=3, n_days=6)
         traces, _ = sim.synth_dataset(scenario, seed=5)
-        old, new = scenario.route.home_bssid, scenario.relocation.new_home_bssid
+        old, new = scenario.route.home_bssid, sim.NEW_HOME_BSSID
         from timeloc.home_mining import nightly_dwell
 
         before = nightly_dwell(traces[1])
@@ -224,11 +232,20 @@ def test_default_keys_are_keys_of_every_section(tmp_path):
     assert sim.load_scenario(path).n_days == 5
 
 
+def test_a_relocation_file_moves_home_on_its_move_day(tmp_path):
+    path = tmp_path / "scenario.ini"
+    path.write_text("[days]\nn_days = 5\n\n[relocation]\nmove_day = 3\n")
+    scenario = sim.load_scenario(path)
+    assert scenario.move_day == 3
+    homes = [sim.make_day_plan(scenario, i, 0).route.home_bssid for i in range(5)]
+    assert homes == [scenario.route.home_bssid] * 3 + [sim.NEW_HOME_BSSID] * 2
+    assert sim.NEW_HOME_BSSID != scenario.route.home_bssid
+
+
 def test_a_relocation_before_day_zero_is_refused():
-    new_home = sim.bssid_from_int(0x1F_FF01)
-    assert sim.Relocation(0, new_home).move_day == 0
+    assert sim.relocation_scenario(move_day=0, n_days=4).move_day == 0
     with pytest.raises(ConfigurationError, match="move_day must be >= 0"):
-        sim.Relocation(-1, new_home)
+        replace(sim.simple_walk_scenario(4), move_day=-1)
     with pytest.raises(ConfigurationError, match="move_day must be >= 0"):
         sim.relocation_scenario(move_day=-3, n_days=4)
 
@@ -260,7 +277,7 @@ def reference_windows(oracle):
     f = plan.mode.speed_factor
     duration = route.route_duration_s
     home_pl = route.home_placement()
-    start = plan.slice_start
+    start = day_slice_start(plan.day_id)
     md = start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
     routes = []
     depart = plan.depart_ts
@@ -387,7 +404,7 @@ def test_timeline_matches_the_per_window_reference(preset, seed, day, noise, off
 def reference_gps_windows(oracle):
     """The evening (depart, arrival) and morning GPS windows, both closed."""
     plan = oracle.plan
-    md = plan.slice_start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
+    md = day_slice_start(plan.day_id) + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
     return [
         (plan.depart_ts, oracle.arrival_ts),
         (md, md + round(plan.route.route_duration_s / plan.mode.speed_factor)),

@@ -23,6 +23,7 @@ from timeloc.errors import (
     UnknownBssid,
 )
 from timeloc.home_mining import day_vote, vote_home_ap, window_homes
+from timeloc.nn_baseline import day_history
 from timeloc.time_map import (
     HOME_AWAY_MIN_S,
     SCAN_PERIOD_S,
@@ -272,10 +273,8 @@ class TestLegLossProperties:
         try:
             expected = reference_build_day_map(t, HOME)
         except NoArrival:
-            with pytest.raises(NoArrival):
-                build_day_map(t, HOME)
-        else:
-            assert build_day_map(t, HOME) == expected
+            expected = None
+        assert build_day_map(t, HOME) == expected
         assert ap_loss_queries(t, HOME, arrival) == reference_ap_loss_queries(t, HOME, arrival)
 
     @settings(max_examples=300, deadline=None)
@@ -317,6 +316,20 @@ class TestLegLossProperties:
             assert q.actual_tl_s == arrival - q.scan.ts
             assert q.observed_tdr_s == dm.entries[q.bssid].tdr_seconds
             assert losses[q.bssid][1:] == (last, last + SCAN_PERIOD_S)
+
+    @settings(max_examples=300, deadline=None)
+    @given(leg_days())
+    def test_a_day_without_its_home_has_an_empty_leg(self, day):
+        """Home never seen: ``leg_losses`` is ``((), None, {})``, so the day
+        has no map, no history point and no query.  Otherwise it has a map."""
+        t, arrival = day
+        if any(o.bssid == HOME for s in t.scans for o in s.aps):
+            assert isinstance(build_day_map(t, HOME), DayMap)
+            return
+        assert leg_losses(t, HOME) == ((), None, {})
+        assert build_day_map(t, HOME) is None
+        assert day_history(t, HOME) == []
+        assert ap_loss_queries(t, HOME, arrival) == []
 
 
 def reference_homeward_leg(trace, home):
@@ -427,17 +440,12 @@ class TestUpdateProfile:
         move_day = 10
         scenario = sim.relocation_scenario(move_day=move_day, n_days=15)
         traces, _ = sim.synth_dataset(scenario, seed=3)
-        new_home = scenario.relocation.new_home_bssid
         profile = empty_profile(scenario.route.home_bssid, traces[0].day_id)
         flips_at = None
         for i, t in enumerate(traces):
             window = traces[max(0, i - 6) : i + 1]
-            try:
-                new_map = build_day_map(t, profile.home_bssid)
-            except NoArrival:
-                new_map = None
-            profile = update_profile(profile, new_map, window)
-            if flips_at is None and profile.home_bssid == new_home:
+            profile = update_profile(profile, build_day_map(t, profile.home_bssid), window)
+            if flips_at is None and profile.home_bssid == sim.NEW_HOME_BSSID:
                 flips_at = i
         assert flips_at is not None and flips_at <= move_day + 3
         # and not before the new home holds the window majority
@@ -461,7 +469,7 @@ class TestUpdateProfile:
 
 # ---------------------------------------------------------------------------
 # reference: update_profile as it was before the fold was split from the
-# window vote, copied verbatim from that body.
+# window vote, copied from that body; a day without its home gives no map.
 
 
 def reference_update_profile(profile, new_day, all_window_traces, window_days=WINDOW_DAYS):
@@ -492,10 +500,9 @@ def reference_update_profile(profile, new_day, all_window_traces, window_days=WI
         # window from the traces and start the fallback over.
         rebuilt = []
         for t in sorted(all_window_traces, key=lambda t: t.day_id)[-window_days:]:
-            try:
-                rebuilt.append(build_day_map(t, home))
-            except NoArrival:
-                continue
+            day_map = build_day_map(t, home)
+            if day_map is not None:
+                rebuilt.append(day_map)
         window = rebuilt
         fallback = {}
 
@@ -545,13 +552,6 @@ def folded_days(draw):
     return days
 
 
-def _map_or_none(t, home):
-    try:
-        return build_day_map(t, home)
-    except NoArrival:
-        return None
-
-
 @settings(max_examples=150, deadline=None)
 @given(folded_days(), st.integers(1, 9), st.integers(0, 12), st.sampled_from([OLD_HOME, NEW_HOME]))
 def test_update_profile_matches_reference(days, window_days, lookback, start_home):
@@ -559,7 +559,7 @@ def test_update_profile_matches_reference(days, window_days, lookback, start_hom
     ``lookback`` days (none when 0, so more or fewer than ``window_days``)."""
     profile = empty_profile(start_home, days[0].day_id)
     for i, t in enumerate(days):
-        new_map = _map_or_none(t, profile.home_bssid)
+        new_map = build_day_map(t, profile.home_bssid)
         window = days[max(0, i - lookback + 1) : i + 1] if lookback else ()
         expected = reference_update_profile(profile, new_map, window, window_days)
         assert update_profile(profile, new_map, window, window_days) == expected
@@ -578,9 +578,9 @@ def test_folding_under_window_homes_matches_update_profile(days, window_days, st
     voted = folded = empty_profile(start_home, days[0].day_id)
     for i, (t, home) in enumerate(zip(days, homes)):
         window = days[max(0, i - window_days + 1) : i + 1]
-        voted = update_profile(voted, _map_or_none(t, voted.home_bssid), window, window_days)
+        voted = update_profile(voted, build_day_map(t, voted.home_bssid), window, window_days)
         home = folded.home_bssid if home is None else home
-        folded = fold_day(folded, _map_or_none(t, folded.home_bssid), home, window, window_days)
+        folded = fold_day(folded, build_day_map(t, folded.home_bssid), home, window, window_days)
         assert folded == voted
 
 
