@@ -52,10 +52,14 @@ def _emit(args, name: str, data: bytes | str) -> None:
 
 
 def _refuse_file_out(args, first: str) -> None:
-    """Report an --out that is a regular file before any work, with the
-    error that emitting ``first``, the command's first output, gives."""
-    if os.path.isfile(args.out):
-        _emit(args, first, "")  # os.makedirs refuses the file before anything is opened
+    """Report an --out whose nearest existing ancestor, itself included, is
+    not a directory before any work, with the error that emitting
+    ``first``, the command's first output, gives."""
+    path = args.out
+    while not os.path.lexists(path):
+        path = os.path.dirname(path) or "."
+    if not os.path.isdir(path):
+        _emit(args, first, "")  # os.makedirs refuses it before anything is opened
 
 
 _GROUND_TRUTH_HEADER = "day_id,arrival_ts,door_ts,mode"

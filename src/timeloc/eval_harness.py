@@ -83,15 +83,17 @@ class EvalDay:
     ``trace`` is the day filtered at that level and ``vote`` its nightly
     ballot, both made with the record; ``day_map(home)`` (None when home is
     never seen), ``history(home)`` and the query points are made on first
-    use, per home BSSID (queries also per arrival).  A predictor must not
-    change a record: every evaluation of its dataset shares it.
+    use, per home BSSID (queries also per arrival), all three from one
+    ``leg_losses`` of the day per home.  A predictor must not change a
+    record: every evaluation of its dataset shares it.
     """
 
-    __slots__ = ("trace", "vote", "_maps", "_history", "_queries")
+    __slots__ = ("trace", "vote", "_legs", "_maps", "_history", "_queries")
 
     def __init__(self, trace: DayTrace):
         self.trace = trace
         self.vote = home_mining.day_vote(trace)
+        self._legs: dict[Bssid, tuple] = {}
         self._maps: dict[Bssid, DayMap | None] = {}
         self._history: dict[Bssid, list[HistoryPoint]] = {}
         self._queries: dict[tuple[Bssid, int], tuple[QueryPoint, ...]] = {}
@@ -100,22 +102,28 @@ class EvalDay:
     def day_id(self) -> date:
         return self.trace.day_id
 
+    def _leg(self, home: Bssid) -> tuple:
+        leg = self._legs.get(home)
+        if leg is None:
+            leg = self._legs[home] = leg_losses(self.trace, home)
+        return leg
+
     def day_map(self, home: Bssid) -> DayMap | None:
         if home not in self._maps:
-            self._maps[home] = time_map.build_day_map(self.trace, home)
+            self._maps[home] = time_map.leg_day_map(self.day_id, self._leg(home))
         return self._maps[home]
 
     def history(self, home: Bssid) -> list[HistoryPoint]:
         points = self._history.get(home)
         if points is None:
-            points = self._history[home] = nn_baseline.day_history(self.trace, home)
+            points = self._history[home] = nn_baseline.leg_history(self._leg(home))
         return points
 
     def queries(self, home: Bssid, arrival_ts: int) -> tuple[QueryPoint, ...]:
         key = (home, arrival_ts)
         found = self._queries.get(key)
         if found is None:
-            found = self._queries[key] = tuple(ap_loss_queries(self.trace, home, arrival_ts))
+            found = self._queries[key] = tuple(leg_queries(self.day_id, self._leg(home), arrival_ts))
         return found
 
 
@@ -153,7 +161,12 @@ def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[Query
 
     The query is issued at the first leg scan after the AP's last sighting.
     """
-    leg, _, losses = leg_losses(trace, home)
+    return leg_queries(trace.day_id, leg_losses(trace, home), arrival_ts)
+
+
+def leg_queries(day_id: date, day_leg: tuple, arrival_ts: int) -> list[QueryPoint]:
+    """``ap_loss_queries`` of day ``day_id`` from its ``leg_losses``."""
+    leg, _, losses = day_leg
     leg_ts = [s.ts for s in leg]
 
     queries = []
@@ -165,7 +178,7 @@ def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[Query
             continue
         queries.append(
             QueryPoint(
-                day_id=trace.day_id,
+                day_id=day_id,
                 query_ts=scan.ts,
                 bssid=b,
                 observed_tdr_s=lost - first,

@@ -47,7 +47,12 @@ def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
     A day without a home detection contributes nothing; scans whose
     fingerprint is empty are skipped (they carry no environment).
     """
-    leg, arrival_ts, _ = leg_losses(trace, home)
+    return leg_history(leg_losses(trace, home))
+
+
+def leg_history(day_leg: tuple) -> list[HistoryPoint]:
+    """``day_history`` from a day's ``leg_losses``."""
+    leg, arrival_ts, _ = day_leg
     points = []
     for s in leg:
         fp = filter_env(s)

@@ -13,7 +13,11 @@ interval never yields conflicting scans.
 The day runner drives the machine against a simulator oracle and returns
 the sensed trace (a sub-view of what full-rate sampling would have seen)
 plus counters that stand in for battery cost.  A wake reads from the oracle
-only what the machine decides on or records.
+only what the machine decides on or records, and a quiet idle stretch reads
+nothing: where the oracle's ``quiet_until`` says no AP source, fix or
+connection comes before a later second, a clock-free state that one step on
+the empty readings hands back unchanged repeats that wake at the same
+period, so the runner records those wakes at once.
 """
 
 from __future__ import annotations
@@ -106,6 +110,11 @@ def in_gps_region(fix: GpsFix, home_fix: GpsFix) -> bool:
     return haversine_m(fix, home_fix) <= GEOFENCE_RADIUS_M
 
 
+# The states whose step reads no clock except to stamp a transition: on the
+# same readings their wake repeats at the same period whenever it comes.
+CLOCK_FREE = (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN)
+
+
 def fsm_step(
     state: FsmState, now: int, env: EnvSnapshot | OracleReadings
 ) -> tuple[FsmState, frozenset[Action], int]:
@@ -115,7 +124,7 @@ def fsm_step(
     """
     tag = state.tag
 
-    if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
+    if tag in CLOCK_FREE:
         actions = _SCAN if env.fix is None else _SCAN_GPS
         if env.home_visible():
             return FsmState(StateTag.HOME_ARRIVAL, now), actions, now + 1
@@ -200,7 +209,12 @@ class FsmDayRun:
 
 
 def drive_day(oracle) -> FsmDayRun:
-    """Run the machine over one simulated day and collect the sensed trace."""
+    """Run the machine over one simulated day and collect the sensed trace.
+
+    ``oracle`` reads its sensors through ``gps_at``, ``aps_at``,
+    ``connected_at`` and ``accel_at``, and its ``quiet_until(ts)`` must
+    never pass a second at which GPS, WiFi or the connection reads something.
+    """
     start = oracle.slice_start
     end = start + DAY_S
     state = FsmState(StateTag.IDLE_CHECK, start)
@@ -209,8 +223,25 @@ def drive_day(oracle) -> FsmDayRun:
     transitions: list[tuple[int, StateTag]] = [(start, state.tag)]
     gps_reads = wakeups = 0
 
+    # what GPS, WiFi and the connection read while the oracle is quiet
+    quiet = EnvSnapshot(None, (), None, oracle.home_bssid, oracle.home_fix)
     now = start
     while now < end:
+        if state.tag in CLOCK_FREE and (quiet_end := oracle.quiet_until(now)) > now:
+            new_state, actions, next_wake = fsm_step(state, now, quiet)
+            if new_state is state:
+                # a fixed point: this wake repeats at the same period until
+                # the oracle can read something again, so record them at once
+                wakes = range(now, quiet_end, next_wake - now)
+                gps, scan, sample = _FLAGS[actions]
+                wakeups += len(wakes)
+                gps_reads += gps * len(wakes)
+                if scan:
+                    scans.extend([ScanRecord(t, None, None, ()) for t in wakes])
+                if sample:
+                    accel.extend([AccelSample(t, oracle.accel_at(t)) for t in wakes])
+                now = wakes[-1] + wakes.step
+                continue
         env = OracleReadings(oracle, now)
         new_state, actions, next_wake = fsm_step(state, now, env)
         if next_wake <= now:

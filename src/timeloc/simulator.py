@@ -439,6 +439,28 @@ class DayOracle:
         seen = self._observations
         return tuple([seen[pair] for pair in sorted(obs.items())])
 
+    def quiet_until(self, ts: int) -> int:
+        """The first second in [ts, slice_end) at which some AP source is
+        active, a fix is available or the home connection holds, else
+        ``slice_end``.
+
+        Conservative: a source counts while it is active, even at a second
+        where its observation drops out.  So GPS, WiFi and the connection
+        read nothing from ``ts`` up to the returned second, which the sensing
+        machine relies on to skip its idle checks there.
+        """
+        i = bisect_right(self._edges, ts)
+        if self._segments[i]:
+            return min(ts, self.slice_end)
+        # Every edge opens or closes a source, so no two adjacent segments
+        # are both empty: the next one is active unless none follows.
+        first = self._edges[i] if i < len(self._edges) else self.slice_end
+        (depart, arrival), (morning_depart, morning_end) = self._gps_windows
+        for start, end in ((depart, arrival + 1), (morning_depart, morning_end + 1), self._connected_window):
+            if max(start, ts) < end:
+                first = min(first, max(start, ts))
+        return min(first, self.slice_end)
+
     def gps_at(self, ts: int) -> GpsFix | None:
         (depart, arrival), (morning_depart, morning_end) = self._gps_windows
         if depart <= ts <= arrival:

@@ -138,7 +138,12 @@ def build_day_map(trace: DayTrace, home: Bssid) -> DayMap | None:
     where an AP without an observed loss (see ``leg_losses``) is lost at the
     home-detection instant and so gets tl 0.
     """
-    _, home_ts, losses = leg_losses(trace, home)
+    return leg_day_map(trace.day_id, leg_losses(trace, home))
+
+
+def leg_day_map(day_id: date, day_leg: tuple) -> DayMap | None:
+    """``build_day_map`` of day ``day_id`` from its ``leg_losses``."""
+    _, home_ts, losses = day_leg
     if home_ts is None:
         return None
     entries: dict[Bssid, ApLabel] = {}
@@ -149,7 +154,7 @@ def build_day_map(trace: DayTrace, home: Bssid) -> DayMap | None:
 
     route_tdrs = [lab.tdr_seconds for lab in entries.values() if lab.tl_seconds > 0]
     signature = float(median(route_tdrs)) if route_tdrs else 0.0
-    return DayMap(day_id=trace.day_id, entries=entries, signature_s=signature)
+    return DayMap(day_id=day_id, entries=entries, signature_s=signature)
 
 
 def empty_profile(home: Bssid, built_at: date) -> UserProfile:

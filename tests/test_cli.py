@@ -630,6 +630,11 @@ class TestUnwritableOutput:
         assert run(command, "--traces", dataset_dir, "--out", out_path) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: cannot write {out_path / first} ({out_path}: File exists)\n"
+        # an --out under the file fails at its parent, which cannot be made
+        under = out_path / "sub"
+        assert run(command, "--traces", dataset_dir, "--out", under) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: cannot write {under / first} ({under}: Not a directory)\n"
         assert out_path.read_text() == "kept\n"
 
 

@@ -6,12 +6,13 @@ window traces, rebuild that window's maps or history, and query.  The
 cached ``evaluate`` must match it exactly.
 """
 
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 
 import pytest
 
-from timeloc import home_mining, simulator as sim, time_map
+from timeloc import eval_harness, home_mining, nn_baseline, simulator as sim, time_map
 from timeloc.errors import ColdStart, NoHistory, NoNightData, UnknownBssid
 from timeloc.eval_harness import (
     EvalDataset,
@@ -126,7 +127,7 @@ def test_each_day_is_computed_once(mixture, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(home_mining, "nightly_dwell", "dwell")
-    counting(time_map, "build_day_map", "day_map")
+    counting(time_map, "leg_day_map", "day_map")
     dataset = fresh(mixture)
     evaluate("tls", dataset)
     evaluate("nn", dataset)
@@ -137,6 +138,27 @@ def test_each_day_is_computed_once(mixture, monkeypatch):
     before = dict(calls)
     evaluate("tls", dataset)
     assert calls == before
+
+
+def test_each_record_takes_one_leg_per_home(mixture, monkeypatch):
+    """A record's day map, NN history and queries under one home all come
+    from a single ``leg_losses`` of its day, whichever module asks."""
+    legs = Counter()
+    original = time_map.leg_losses
+
+    def counting(trace, home):
+        legs[id(trace), home] += 1
+        return original(trace, home)
+
+    for module in (time_map, nn_baseline, eval_harness):
+        monkeypatch.setattr(module, "leg_losses", counting)
+    dataset = fresh(mixture)
+    sweep_rssi_filter(dataset, [None, -70])
+    evaluate("tls", dataset)
+    evaluate("nn", dataset)
+    records = {id(d.trace) for days in dataset._store.values() for d in days}
+    assert legs and set(legs.values()) == {1}
+    assert {trace for trace, _ in legs} <= records
 
 
 def test_custom_predictor_gets_filtered_window_traces(mixture):
@@ -183,7 +205,7 @@ def test_custom_predictor_shares_the_day_records(mixture, monkeypatch):
     dataset = fresh(mixture)
     expected = evaluate("tls", dataset)
     built = []
-    monkeypatch.setattr(time_map, "build_day_map", lambda *a: built.append(a))
+    monkeypatch.setattr(time_map, "leg_day_map", lambda *a: built.append(a))
     assert evaluate(WindowMaps(), dataset) == replace(expected, method="window-maps")
     assert built == []
 

@@ -39,7 +39,7 @@ from timeloc.trace_model import (
     day_id_for_ts,
     haversine_m,
 )
-from util import B, bss
+from util import NOISE_VARIANTS, B, bss
 
 HOME = B("aa:00:00:00:00:ff")
 HOME_FIX = GpsFix(40.0, 116.0)
@@ -259,6 +259,25 @@ def reference_fsm_step(state, now, env):
     if env.connected != env.home_bssid:
         return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
     return state, actions, now + SLEEP_PERIOD_S
+
+
+@settings(max_examples=500)
+@given(
+    st.builds(FsmState, st.sampled_from(sensing_fsm.CLOCK_FREE), st.integers(-(10**6), 10**6)),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 2 * DAY_S),
+    snapshots,
+)
+def test_a_clock_free_step_does_not_depend_on_when_it_comes(state, now, delay, snapshot):
+    """On the same readings, a clock-free state's step at ``now`` and at
+    ``now + delay`` perform the same actions, wake the same time later and
+    hand back the state object itself when it stays; this is what lets
+    drive_day repeat a quiet wake without stepping it again."""
+    new, actions, wake = fsm_step(state, now, snapshot)
+    later, later_actions, later_wake = fsm_step(state, now + delay, snapshot)
+    assert later_actions == actions and later_wake - (now + delay) == wake - now
+    assert later.tag is new.tag
+    assert (later is state) == (new is state)
 
 
 TIMER_EDGES = [
@@ -492,6 +511,21 @@ def test_drive_day_matches_reference(preset):
             assert drive_day(sim.DayOracle(plan)) == reference_drive_day(sim.DayOracle(plan))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(sim.SCENARIO_PRESETS)),
+    seed=st.integers(0, 2**32 - 1),
+    day=st.integers(0, 40),
+    noise=st.sampled_from(sorted(NOISE_VARIANTS)),
+    oracle_type=st.sampled_from([sim.DayOracle, NoGpsOracle]),
+)
+def test_drive_day_matches_reference_on_any_day(preset, seed, day, noise, oracle_type):
+    """As above on any preset day, seed and noise variant, with or without GPS."""
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
+    plan = dataclasses.replace(plan, noise=NOISE_VARIANTS[noise](plan.noise))
+    assert drive_day(oracle_type(plan)) == reference_drive_day(oracle_type(plan))
+
+
 class CountingOracle(sim.DayOracle):
     """A DayOracle that logs each sensor read as ``(ts, sensor)``."""
 
@@ -521,17 +555,20 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
     """GPS is read once per idle-check or region-scan wake, WiFi and the
     connection once per scan, the accelerometer once per sample; a home
     arrival wake that does not scan reads no GPS, WiFi or connection; and no
-    wake reads a sensor twice."""
+    wake reads a sensor twice.  A clock-free wake at which the oracle is
+    quiet is stepped once on the quiet snapshot, and it and every wake that
+    repeats it before the quiet stretch ends read no sensor and record an
+    empty scan."""
     wakes = []
 
     def logged_step(state, now, env):
         result = fsm_step(state, now, env)
-        wakes.append((now, state.tag, result[1]))
+        wakes.append((now, state.tag, result[1], result[2], not isinstance(env, OracleReadings)))
         return result
 
     monkeypatch.setattr(sensing_fsm, "fsm_step", logged_step)
     scenario = sim.SCENARIO_PRESETS[preset]()
-    quiet_arrival_wakes = 0
+    quiet_arrival_wakes = fast_forwarded_total = 0
     for seed in (0, 3):
         for day in (0, 10, 11):
             wakes.clear()
@@ -542,8 +579,20 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
             sensors_at = {}
             for ts, sensor in reads:
                 sensors_at.setdefault(ts, set()).add(sensor)
-            assert set(sensors_at) <= {now for now, _, _ in wakes}
-            for now, tag, actions in wakes:
+            assert set(sensors_at) <= {now for now, *_ in wakes}
+            scan_at = {s.ts: s for s in run.trace.scans}
+            fast_forwarded = quiet_scans = 0
+            for now, tag, actions, next_wake, quiet in wakes:
+                if quiet:
+                    assert tag in sensing_fsm.CLOCK_FREE and Action.SCAN_WIFI in actions
+                    stretch = range(now, min(oracle.quiet_until(now), oracle.slice_end), next_wake - now)
+                    for t in stretch:
+                        assert t not in sensors_at, (seed, day, t)
+                        assert oracle.quiet_until(t) > t
+                        assert scan_at[t] == ScanRecord(t, None, None, ())
+                    fast_forwarded += len(stretch) - 1
+                    quiet_scans += len(stretch)
+                    continue
                 expected = set()
                 if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
                     expected.add("gps")
@@ -556,9 +605,11 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
                     quiet_arrival_wakes += 1
             sensed = sum(1 for _, sensor in reads if sensor == "aps")
             assert sensed == sum(1 for _, sensor in reads if sensor == "connected")
-            assert sensed == run.stats.wifi_scans == len(run.trace.scans)
-            assert run.stats.wakeups == len(wakes)
+            assert sensed + quiet_scans == run.stats.wifi_scans == len(run.trace.scans)
+            assert run.stats.wakeups == len(wakes) + fast_forwarded
+            fast_forwarded_total += fast_forwarded
     assert quiet_arrival_wakes > 0
+    assert fast_forwarded_total > 0
 
 
 def test_drive_day_hashes_no_action():

@@ -20,7 +20,7 @@ from timeloc.trace_model import (
     day_slice_start,
     serialize_scan_records,
 )
-from util import commute_day
+from util import NOISE_VARIANTS, commute_day
 
 
 def noiseless_day(route, mode=sim.WALK, seed=0):
@@ -366,14 +366,6 @@ def reference_aps_at(oracle, windows, ts):
     return tuple(ApObservation(b, r) for b, r in sorted(obs.items()))
 
 
-NOISE_VARIANTS = {
-    "preset": lambda n: n,
-    "no-sigma": lambda n: replace(n, rssi_sigma_db=0.0),
-    "no-dropout": lambda n: replace(n, dropout_prob=0.0),
-    "noiseless": lambda n: sim.NoiseParams(),
-}
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     preset=st.sampled_from(["simple", "mining", "mixture", "relocation"]),
@@ -471,6 +463,43 @@ def test_gps_matches_the_per_call_reference(oracle, offsets):
     for ts in sensor_probes(oracle, offsets):
         fix = reference_gps_at(oracle, ts)
         assert oracle.gps_at(ts) == fix, ts
+
+
+# ---------------------------------------------------------------------------
+# quiet stretches against the per-window reference
+
+
+def reference_quiet_until(oracle, ts):
+    """The first second in [ts, slice_end) inside a source, GPS or connection
+    window, else slice_end: each half-open window [a, b) first holds a
+    second at or after ts at max(a, ts), when that is before b."""
+    routes, home, neighbors, _ = reference_windows(oracle)
+    gps = reference_gps_windows(oracle)
+    door = oracle.door_ts
+    spans = [w[1:3] for w in routes] + [home] + [w[1:] for w in neighbors]
+    spans += [(door, door + sim.SCAN_PERIOD_S), (door + 20, gps[1][0])]
+    spans += [(a, b + 1) for a, b in gps]
+    return min([oracle.slice_end] + [max(a, ts) for a, b in spans if max(a, ts) < b])
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle=day_oracles(), offsets=st.lists(st.integers(0, DAY_S - 1), max_size=20))
+def test_quiet_until_matches_the_window_reference(oracle, offsets):
+    """Exact against the reference on every window edge +- 1 and the offsets,
+    and never later than the first active source, fix or connection: every
+    sensor reads nothing at a probe that the oracle calls quiet."""
+    routes, home, neighbors, _ = reference_windows(oracle)
+    edges = {t for w in routes for t in w[1:3]} | set(home) | {t for w in neighbors for t in w[1:]}
+    edges |= {t for window in reference_gps_windows(oracle) for t in window}
+    edges |= {oracle.door_ts, oracle.door_ts + 20, oracle.slice_start, oracle.slice_end}
+    probes = {t + d for t in edges for d in (-1, 0, 1)}
+    probes |= {oracle.slice_start + off for off in offsets}
+    for ts in sorted(probes):
+        first = oracle.quiet_until(ts)
+        assert first == reference_quiet_until(oracle, ts), ts
+        if first > ts:
+            for t in (ts, first - 1):
+                assert oracle.aps_at(t) == () and oracle.gps_at(t) is None and oracle.connected_at(t) is None, t
 
 
 def test_an_oracle_builds_each_observation_once():

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import date
 
-from timeloc.simulator import ModeMix, ScenarioSpec, make_day_plan, synth_plan_day
+from timeloc.simulator import ModeMix, NoiseParams, ScenarioSpec, make_day_plan, synth_plan_day
 from timeloc.trace_model import (
     AccelSample,
     ApObservation,
@@ -20,6 +20,15 @@ DAY = date(2024, 1, 1)
 SLICE = day_slice_start(DAY)
 NIGHT_START = SLICE + 32_400   # 21:00
 NIGHT_END = SLICE + 64_800     # 06:00 next morning
+
+
+# ways to vary a preset day's noise: as it is, without one noise source, or none
+NOISE_VARIANTS = {
+    "preset": lambda n: n,
+    "no-sigma": lambda n: replace(n, rssi_sigma_db=0.0),
+    "no-dropout": lambda n: replace(n, dropout_prob=0.0),
+    "noiseless": lambda n: NoiseParams(),
+}
 
 
 def B(text: str) -> Bssid:
