@@ -41,17 +41,12 @@ def filter_env(scan: ScanRecord) -> frozenset[Bssid]:
     return frozenset(o.bssid for o in scan.aps)
 
 
-def day_history(trace: DayTrace, home: Bssid) -> list[HistoryPoint]:
-    """History points from one day's homeward leg, in scan order.
+def leg_history(day_leg: tuple) -> list[HistoryPoint]:
+    """History points from one day's homeward leg (its ``leg_losses``), in scan order.
 
     A day without a home detection contributes nothing; scans whose
     fingerprint is empty are skipped (they carry no environment).
     """
-    return leg_history(leg_losses(trace, home))
-
-
-def leg_history(day_leg: tuple) -> list[HistoryPoint]:
-    """``day_history`` from a day's ``leg_losses``."""
     leg, arrival_ts, _ = day_leg
     points = []
     for s in leg:
@@ -63,7 +58,7 @@ def leg_history(day_leg: tuple) -> list[HistoryPoint]:
 
 def build_history(traces: list[DayTrace], home: Bssid) -> NnHistory:
     """History points from the homeward legs of the given days, in day order."""
-    return NnHistory(p for trace in traces for p in day_history(trace, home))
+    return NnHistory(p for trace in traces for p in leg_history(leg_losses(trace, home)))
 
 
 class NnHistory(tuple):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .trace_model import (
     DAY_S,
@@ -54,23 +55,20 @@ class StateTag(enum.Enum):
     SLEEP = "Sleep"
 
 
-class Action(enum.Enum):
-    SCAN_WIFI = "ScanWifi"
-    READ_GPS = "ReadGps"
-    SAMPLE_ACCEL = "SampleAccel"
+class Actions(NamedTuple):
+    """What one wake does, as three flags."""
+
+    read_gps: bool
+    scan_wifi: bool
+    sample_accel: bool
 
 
-# Every action set a wake can perform, built once: fsm_step hands these out.
-_NO_ACTIONS: frozenset[Action] = frozenset()
-_SCAN = frozenset({Action.SCAN_WIFI})
-_SCAN_GPS = frozenset({Action.SCAN_WIFI, Action.READ_GPS})
-_ACCEL = frozenset({Action.SAMPLE_ACCEL})
-_SCAN_ACCEL = frozenset({Action.SCAN_WIFI, Action.SAMPLE_ACCEL})
-# Each set's (gps, scan, accel) flags; a frozenset caches its hash, so a lookup hashes no Action.
-_FLAGS = {
-    actions: (Action.READ_GPS in actions, Action.SCAN_WIFI in actions, Action.SAMPLE_ACCEL in actions)
-    for actions in (_NO_ACTIONS, _SCAN, _SCAN_GPS, _ACCEL, _SCAN_ACCEL)
-}
+# Every action triple a wake can perform, built once: fsm_step hands these out.
+_NO_ACTIONS = Actions(False, False, False)
+_SCAN = Actions(False, True, False)
+_SCAN_GPS = Actions(True, True, False)
+_ACCEL = Actions(False, False, True)
+_SCAN_ACCEL = Actions(False, True, True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,15 +89,40 @@ class SensingStats:
     wakeups: int
 
 
-@dataclass(frozen=True, slots=True)
 class EnvSnapshot:
-    """What the sensors would report right now, as queried from an oracle."""
+    """What the sensors report at one second: given as values, or bound to an
+    oracle and a second by ``at``, which reads each of ``fix``, ``visible``
+    and ``connected`` on first use and keeps it."""
 
-    fix: GpsFix | None
-    visible: tuple[ApObservation, ...]
-    connected: Bssid | None
-    home_bssid: Bssid
-    home_fix: GpsFix
+    __slots__ = ("_fix", "_visible", "_connected", "home_bssid", "home_fix", "_oracle", "_ts")
+
+    def __init__(self, fix, visible, connected, home_bssid: Bssid, home_fix: GpsFix):
+        self._fix, self._visible, self._connected = fix, visible, connected
+        self.home_bssid, self.home_fix = home_bssid, home_fix
+
+    @classmethod
+    def at(cls, oracle, ts: int) -> EnvSnapshot:
+        env = cls(..., ..., ..., oracle.home_bssid, oracle.home_fix)  # ``...``: not read yet
+        env._oracle, env._ts = oracle, ts
+        return env
+
+    @property
+    def fix(self) -> GpsFix | None:
+        if self._fix is ...:
+            self._fix = self._oracle.gps_at(self._ts)
+        return self._fix
+
+    @property
+    def visible(self) -> tuple[ApObservation, ...]:
+        if self._visible is ...:
+            self._visible = self._oracle.aps_at(self._ts)
+        return self._visible
+
+    @property
+    def connected(self) -> Bssid | None:
+        if self._connected is ...:
+            self._connected = self._oracle.connected_at(self._ts)
+        return self._connected
 
     def home_visible(self) -> bool:
         return any(o.bssid == self.home_bssid for o in self.visible)
@@ -115,9 +138,7 @@ def in_gps_region(fix: GpsFix, home_fix: GpsFix) -> bool:
 CLOCK_FREE = (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN)
 
 
-def fsm_step(
-    state: FsmState, now: int, env: EnvSnapshot | OracleReadings
-) -> tuple[FsmState, frozenset[Action], int]:
+def fsm_step(state: FsmState, now: int, env: EnvSnapshot) -> tuple[FsmState, Actions, int]:
     """One wake of the machine: actions to perform now, next state, next wake.
 
     next_wake always exceeds ``now`` by at least one second.
@@ -168,39 +189,6 @@ def fsm_step(
     return state, _SCAN, now + SCAN_PERIOD_S
 
 
-class OracleReadings:
-    """An EnvSnapshot of ``oracle`` at second ``ts`` whose sensors are read on first use."""
-
-    __slots__ = ("_oracle", "_ts", "_fix", "_visible", "_connected", "home_bssid", "home_fix")
-
-    def __init__(self, oracle, ts: int):
-        self._oracle = oracle
-        self._ts = ts
-        self._fix = self._visible = self._connected = ...  # not read yet
-        self.home_bssid = oracle.home_bssid
-        self.home_fix = oracle.home_fix
-
-    @property
-    def fix(self) -> GpsFix | None:
-        if self._fix is ...:
-            self._fix = self._oracle.gps_at(self._ts)
-        return self._fix
-
-    @property
-    def visible(self) -> tuple[ApObservation, ...]:
-        if self._visible is ...:
-            self._visible = self._oracle.aps_at(self._ts)
-        return self._visible
-
-    @property
-    def connected(self) -> Bssid | None:
-        if self._connected is ...:
-            self._connected = self._oracle.connected_at(self._ts)
-        return self._connected
-
-    home_visible = EnvSnapshot.home_visible
-
-
 @dataclass(frozen=True, slots=True)
 class FsmDayRun:
     trace: DayTrace
@@ -228,12 +216,11 @@ def drive_day(oracle) -> FsmDayRun:
     now = start
     while now < end:
         if state.tag in CLOCK_FREE and (quiet_end := oracle.quiet_until(now)) > now:
-            new_state, actions, next_wake = fsm_step(state, now, quiet)
+            new_state, (gps, scan, sample), next_wake = fsm_step(state, now, quiet)
             if new_state is state:
                 # a fixed point: this wake repeats at the same period until
                 # the oracle can read something again, so record them at once
                 wakes = range(now, quiet_end, next_wake - now)
-                gps, scan, sample = _FLAGS[actions]
                 wakeups += len(wakes)
                 gps_reads += gps * len(wakes)
                 if scan:
@@ -242,11 +229,10 @@ def drive_day(oracle) -> FsmDayRun:
                     accel.extend([AccelSample(t, oracle.accel_at(t)) for t in wakes])
                 now = wakes[-1] + wakes.step
                 continue
-        env = OracleReadings(oracle, now)
-        new_state, actions, next_wake = fsm_step(state, now, env)
+        env = EnvSnapshot.at(oracle, now)
+        new_state, (gps, scan, sample), next_wake = fsm_step(state, now, env)
         if next_wake <= now:
             raise RuntimeError("state machine scheduled a non-advancing wake")
-        gps, scan, sample = _FLAGS[actions]
         wakeups += 1
         gps_reads += gps
         if scan:

@@ -220,6 +220,10 @@ class ScenarioSpec:
             raise ConfigurationError("detour_prob outside [0, 1]")
         if self.move_day is not None and self.move_day < 0:
             raise ConfigurationError("move_day must be >= 0")
+        if self.depart_time_jitter_s < 0:
+            raise ConfigurationError("depart_time_jitter_s must be >= 0")
+        if self.detour_duration_s < 0:
+            raise ConfigurationError("detour_duration_s must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -390,13 +394,6 @@ class DayOracle:
     def _stream_base(self, stream: int, ts: int) -> int:
         return _sm64(self._stream_key + ts * _STEP + stream)
 
-    def _protected(self, bssid: Bssid, ts: int) -> bool:
-        # The plant must survive its own noise: arrival stays detectable and
-        # the door signature keeps its home observations.
-        return bssid == self.home_bssid and (
-            ts == self.arrival_ts or self.door_ts - 1 <= ts <= self.door_ts + 11
-        )
-
     @staticmethod
     def _trapezoid(peak: int, start: int, end: int, ts: int) -> float:
         u = (ts - start) / (end - start)
@@ -423,7 +420,9 @@ class DayOracle:
             elif kind == _HOME:
                 if self.door_ts <= ts < self.door_ts + 10:
                     value -= 8.0  # door-crossing RSSI dip
-                can_drop = not self._protected(bssid, ts)
+                # the plant must survive its own noise: arrival stays
+                # detectable and the door signature keeps its home observations
+                can_drop = not (ts == self.arrival_ts or self.door_ts - 1 <= ts <= self.door_ts + 11)
             if sigma:
                 u1 = _draw(key)
                 key += _GOLD

@@ -84,6 +84,8 @@ class TestSimulate:
             ("[modes]\nwalk = nan 1\n", "speed_factor must be finite and > 0"),
             ("[modes]\nspeed_jitter = inf\n", "speed_jitter_frac outside [0, 1)"),
             ("[modes]\nwalk = 1 inf\n", "mode weights must be finite and >= 0"),
+            ("[days]\ndepart_jitter_s = -1\n", "depart_time_jitter_s must be >= 0"),
+            ("[days]\ndetour_prob = 1\ndetour_duration_s = -10000\n", "detour_duration_s must be >= 0"),
         ],
         ids=[
             "bad-int",
@@ -108,6 +110,8 @@ class TestSimulate:
             "nan-speed-factor",
             "infinite-speed-jitter",
             "infinite-mode-weight",
+            "negative-depart-jitter",
+            "negative-detour-duration",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):

@@ -9,10 +9,11 @@ from timeloc.nn_baseline import (
     HistoryPoint,
     NnHistory,
     build_history,
-    day_history,
     filter_env,
+    leg_history,
     nn_predict,
 )
+from timeloc.time_map import leg_losses
 from timeloc.trace_model import filter_trace
 from util import B, SLICE, bss, commute_day, scan, trace
 
@@ -216,7 +217,7 @@ class TestBuildHistory:
         home = scenario.route.home_bssid
         for level in (None, -70):
             filtered = [filter_trace(t, level) for t in traces]
-            per_day = [p for t in filtered for p in day_history(t, home)]
+            per_day = [p for t in filtered for p in leg_history(leg_losses(t, home))]
             history = build_history(filtered, home)
             assert isinstance(history, NnHistory) and history == tuple(per_day)
 

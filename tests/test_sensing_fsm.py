@@ -16,11 +16,10 @@ from timeloc.sensing_fsm import (
     SCAN_PERIOD_S,
     SLEEP_PERIOD_S,
     STABLE_CONNECTION_SCANS,
-    Action,
+    Actions,
     EnvSnapshot,
     FsmDayRun,
     FsmState,
-    OracleReadings,
     SensingStats,
     StateTag,
     drive_day,
@@ -87,7 +86,7 @@ class TestFsmStep:
         new, actions, wake = fsm_step(state, 1000, env(fix=off_fix(2000)))
         assert new.tag is StateTag.IDLE_CHECK
         assert wake == 1060
-        assert Action.SCAN_WIFI in actions and Action.READ_GPS in actions
+        assert actions.scan_wifi and actions.read_gps
 
     def test_idle_crossing_into_region_speeds_up(self):
         state = FsmState(StateTag.IDLE_CHECK, 1000)
@@ -98,7 +97,7 @@ class TestFsmStep:
     def test_idle_without_gps_does_not_read_gps(self):
         state = FsmState(StateTag.IDLE_CHECK, 1000)
         _, actions, _ = fsm_step(state, 1000, env())
-        assert Action.READ_GPS not in actions
+        assert not actions.read_gps
 
     def test_home_scan_triggers_arrival_even_without_gps(self):
         state = FsmState(StateTag.IDLE_CHECK, 1000)
@@ -126,9 +125,9 @@ class TestFsmStep:
     def test_accel_only_during_burst(self):
         state = FsmState(StateTag.HOME_ARRIVAL, 1000)
         _, actions, _ = fsm_step(state, 1001, env(visible=[HOME]))
-        assert Action.SAMPLE_ACCEL in actions
+        assert actions.sample_accel
         _, actions, _ = fsm_step(state, 1000 + 125, env(visible=[HOME]))
-        assert Action.SAMPLE_ACCEL not in actions
+        assert not actions.sample_accel
 
     def test_connected_loss_reverts_to_idle(self):
         state = FsmState(StateTag.CONNECTED, 1000)
@@ -189,8 +188,11 @@ def test_next_wake_is_always_later(state, elapsed, snapshot):
 # ---------------------------------------------------------------------------
 # reference: fsm_step when the snapshot carried GPS availability as a field of
 # its own beside the fix, and each settled state had its own exit branch.
-# The body is verbatim; the snapshot it reads has gps_available = fix is not
-# None, which is what the oracle reported.
+# The body is verbatim except that it collects the names of its actions in
+# a set, which the wrapper turns into the flag triple; the snapshot it reads
+# has gps_available = fix is not None, which is what the oracle reported.
+
+READ_GPS, SCAN_WIFI, SAMPLE_ACCEL = Actions._fields
 
 
 class _SnapshotWithAvailability:
@@ -202,15 +204,15 @@ class _SnapshotWithAvailability:
         return getattr(self._env, name)
 
 
-def reference_fsm_step(state, now, env):
+def _reference_action_set_step(state, now, env):
     env = _SnapshotWithAvailability(env)
     tag = state.tag
-    actions: set[Action] = set()
+    actions: set[str] = set()
 
     if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
-        actions.add(Action.SCAN_WIFI)
+        actions.add(SCAN_WIFI)
         if env.gps_available:
-            actions.add(Action.READ_GPS)
+            actions.add(READ_GPS)
         if env.home_visible():
             return FsmState(StateTag.HOME_ARRIVAL, now), actions, now + 1
         inside = (
@@ -230,11 +232,11 @@ def reference_fsm_step(state, now, env):
     if tag is StateTag.HOME_ARRIVAL:
         elapsed = now - state.entered_at
         if elapsed < ACCEL_BURST_S:
-            actions.add(Action.SAMPLE_ACCEL)
+            actions.add(SAMPLE_ACCEL)
         streak = state.conn_streak
         misses = state.miss_streak
         if elapsed % SCAN_PERIOD_S == 0:
-            actions.add(Action.SCAN_WIFI)
+            actions.add(SCAN_WIFI)
             connected_home = env.connected == env.home_bssid
             misses = 0 if env.home_visible() else misses + 1
             # one missed scan is dropout, not a departure
@@ -247,7 +249,7 @@ def reference_fsm_step(state, now, env):
         return FsmState(tag, state.entered_at, streak, misses), actions, wake
 
     if tag is StateTag.CONNECTED:
-        actions.add(Action.SCAN_WIFI)
+        actions.add(SCAN_WIFI)
         if env.connected != env.home_bssid:
             return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
         if now - state.entered_at >= CONNECTED_RECORD_S:
@@ -255,10 +257,15 @@ def reference_fsm_step(state, now, env):
         return state, actions, now + SCAN_PERIOD_S
 
     # SLEEP
-    actions.add(Action.SCAN_WIFI)
+    actions.add(SCAN_WIFI)
     if env.connected != env.home_bssid:
         return FsmState(StateTag.IDLE_CHECK, now), actions, now + IDLE_PERIOD_S
     return state, actions, now + SLEEP_PERIOD_S
+
+
+def reference_fsm_step(state, now, env):
+    new_state, action_set, wake = _reference_action_set_step(state, now, env)
+    return new_state, Actions(*(name in action_set for name in Actions._fields)), wake
 
 
 @settings(max_examples=500)
@@ -326,7 +333,7 @@ class TestDayRun:
         state = FsmState(StateTag.IDLE_CHECK, oracle.slice_start)
         now = oracle.slice_start
         for _ in range(3000):
-            state, _, wake = fsm_step(state, now, OracleReadings(oracle, now))
+            state, _, wake = fsm_step(state, now, EnvSnapshot.at(oracle, now))
             assert wake >= now + 1
             now = wake
             if now >= oracle.slice_end:
@@ -437,10 +444,10 @@ def test_run_fsm_day_wrapper_returns_trace_and_stats():
 
 # ---------------------------------------------------------------------------
 # reference: drive_day when every wake built a full EnvSnapshot, reading GPS,
-# WiFi and the connection from the oracle whatever the state, and tested
-# each action by membership.  The bodies are verbatim except that the
-# counters live in a mutable stand-in, since SensingStats is now built once
-# at the end of the day.
+# WiFi and the connection from the oracle whatever the state.  The bodies
+# are verbatim except that the counters live in a mutable stand-in, since
+# SensingStats is now built once at the end of the day, and that each
+# action is tested as a flag of the triple instead of by set membership.
 
 
 @dataclasses.dataclass(slots=True)
@@ -477,13 +484,13 @@ def reference_drive_day(oracle):
         if next_wake <= now:
             raise RuntimeError("state machine scheduled a non-advancing wake")
         stats.wakeups += 1
-        if Action.READ_GPS in actions:
+        if actions.read_gps:
             stats.gps_reads += 1
-        if Action.SCAN_WIFI in actions:
+        if actions.scan_wifi:
             stats.wifi_scans += 1
-            gps = env.fix if Action.READ_GPS in actions else None
+            gps = env.fix if actions.read_gps else None
             scans.append(ScanRecord.recorded(now, gps, env.connected, env.visible))
-        if Action.SAMPLE_ACCEL in actions:
+        if actions.sample_accel:
             stats.accel_samples += 1
             accel.append(AccelSample(now, oracle.accel_at(now)))
         if new_state.tag != state.tag:
@@ -556,14 +563,13 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
     connection once per scan, the accelerometer once per sample; a home
     arrival wake that does not scan reads no GPS, WiFi or connection; and no
     wake reads a sensor twice.  A clock-free wake at which the oracle is
-    quiet is stepped once on the quiet snapshot, and it and every wake that
-    repeats it before the quiet stretch ends read no sensor and record an
-    empty scan."""
+    quiet is stepped once, and it and every wake that repeats it before the
+    quiet stretch ends read no sensor and record an empty scan."""
     wakes = []
 
     def logged_step(state, now, env):
         result = fsm_step(state, now, env)
-        wakes.append((now, state.tag, result[1], result[2], not isinstance(env, OracleReadings)))
+        wakes.append((now, state.tag, result[1], result[2]))
         return result
 
     monkeypatch.setattr(sensing_fsm, "fsm_step", logged_step)
@@ -582,9 +588,9 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
             assert set(sensors_at) <= {now for now, *_ in wakes}
             scan_at = {s.ts: s for s in run.trace.scans}
             fast_forwarded = quiet_scans = 0
-            for now, tag, actions, next_wake, quiet in wakes:
-                if quiet:
-                    assert tag in sensing_fsm.CLOCK_FREE and Action.SCAN_WIFI in actions
+            for now, tag, actions, next_wake in wakes:
+                if tag in sensing_fsm.CLOCK_FREE and oracle.quiet_until(now) > now:
+                    assert actions.scan_wifi
                     stretch = range(now, min(oracle.quiet_until(now), oracle.slice_end), next_wake - now)
                     for t in stretch:
                         assert t not in sensors_at, (seed, day, t)
@@ -596,12 +602,12 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
                 expected = set()
                 if tag in (StateTag.IDLE_CHECK, StateTag.GPS_REGION_SCAN):
                     expected.add("gps")
-                if Action.SCAN_WIFI in actions:
+                if actions.scan_wifi:
                     expected |= {"aps", "connected"}
-                if Action.SAMPLE_ACCEL in actions:
+                if actions.sample_accel:
                     expected.add("accel")
                 assert sensors_at.get(now, set()) == expected, (seed, day, now, tag)
-                if tag is StateTag.HOME_ARRIVAL and Action.SCAN_WIFI not in actions:
+                if tag is StateTag.HOME_ARRIVAL and not actions.scan_wifi:
                     quiet_arrival_wakes += 1
             sensed = sum(1 for _, sensor in reads if sensor == "aps")
             assert sensed == sum(1 for _, sensor in reads if sensor == "connected")
@@ -613,8 +619,8 @@ def test_a_wake_reads_only_what_it_decides_on_or_records(preset, monkeypatch):
 
 
 def test_drive_day_hashes_no_action():
-    """Each wake reads its action flags without hashing an Action member,
-    whose Enum.__hash__ runs in Python."""
+    """Each wake reads its action flags from a triple and hashes no enum
+    member, whose Enum.__hash__ runs in Python."""
     oracle = sim.DayOracle(sim.make_day_plan(sim.simple_walk_scenario(), 0, 42))
     profiler = cProfile.Profile()
     profiler.runcall(drive_day, oracle)

@@ -250,6 +250,15 @@ def test_a_relocation_before_day_zero_is_refused():
         sim.relocation_scenario(move_day=-3, n_days=4)
 
 
+def test_a_negative_depart_jitter_or_detour_is_refused():
+    scenario = sim.simple_walk_scenario(4)
+    assert replace(scenario, depart_time_jitter_s=0, detour_duration_s=0).detour_duration_s == 0
+    with pytest.raises(ConfigurationError, match="depart_time_jitter_s must be >= 0"):
+        replace(scenario, depart_time_jitter_s=-1)
+    with pytest.raises(ConfigurationError, match="detour_duration_s must be >= 0"):
+        replace(scenario, detour_prob=1.0, detour_duration_s=-10000)
+
+
 def test_resolve_scenario_preset_and_unknown():
     assert sim.resolve_scenario("simple").n_days == 24
     assert sim.resolve_scenario("simple", n_days=9).n_days == 9
@@ -356,7 +365,9 @@ def reference_aps_at(oracle, windows, ts):
         level = float(oracle.plan.route.home_placement().peak_rssi_dbm)
         if oracle.door_ts <= ts < oracle.door_ts + 10:
             level -= 8.0
-        observe(oracle.home_bssid, level, not oracle._protected(oracle.home_bssid, ts))
+        # the plant never drops at the arrival second or from door_ts - 1 to door_ts + 11
+        protected = ts == oracle.arrival_ts or oracle.door_ts - 1 <= ts <= oracle.door_ts + 11
+        observe(oracle.home_bssid, level, not protected)
     for bssid, begin, end in neighbors:
         if begin <= ts < end:
             observe(bssid, -65.0, True)

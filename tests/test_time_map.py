@@ -23,7 +23,7 @@ from timeloc.errors import (
     UnknownBssid,
 )
 from timeloc.home_mining import day_vote, vote_home_ap, window_homes
-from timeloc.nn_baseline import day_history
+from timeloc.nn_baseline import leg_history
 from timeloc.time_map import (
     HOME_AWAY_MIN_S,
     SCAN_PERIOD_S,
@@ -328,7 +328,7 @@ class TestLegLossProperties:
             return
         assert leg_losses(t, HOME) == ((), None, {})
         assert build_day_map(t, HOME) is None
-        assert day_history(t, HOME) == []
+        assert leg_history(leg_losses(t, HOME)) == []
         assert ap_loss_queries(t, HOME, arrival) == []
 
 
