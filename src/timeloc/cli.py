@@ -15,7 +15,7 @@ from datetime import date
 from pathlib import Path
 
 from . import door_detect, eval_harness, home_mining, nn_baseline, sensing_fsm, simulator, time_map
-from .errors import TimelocError
+from .errors import ConfigurationError, TimelocError
 from .simulator import GroundTruth, TransportMode
 from .trace_model import (
     RSSI_MAX_DBM,
@@ -175,12 +175,20 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _render(scenario_name: str, render, *args):
+    """``render(*args)``, where a day that cannot be rendered is one error naming the scenario file."""
+    try:
+        return render(*args)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"malformed scenario file {scenario_name!r}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_simulate(args) -> int:
     scenario = simulator.resolve_scenario(args.scenario, n_days=args.days)
-    traces, truths = simulator.synth_dataset(scenario, args.seed)
+    traces, truths = _render(args.scenario, simulator.synth_dataset, scenario, args.seed)
     records = [r for t in traces for r in t.scans]
     accel = [a for t in traces for a in t.accel]
     _emit(args, "trace.jsonl", serialize_scan_records(records))
@@ -287,7 +295,7 @@ def _cmd_detect_door(args) -> int:
 def _cmd_fsm_run(args) -> int:
     scenario = simulator.resolve_scenario(args.scenario)
     plan = simulator.make_day_plan(scenario, args.day, args.seed)
-    oracle = simulator.DayOracle(plan)
+    oracle = _render(args.scenario, simulator.DayOracle, plan)
     trace, stats = sensing_fsm.run_fsm_day(oracle)
     _emit(args, "sensed.jsonl", serialize_scan_records(trace.scans))
     _emit(args, "sensed_accel.jsonl", serialize_accel_samples(trace.accel))

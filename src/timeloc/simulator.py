@@ -1,14 +1,15 @@
 """Synthetic commute traces with planted ground truth.
 
 A scenario describes a fixed route of APs (an overlapping coverage chain
-ending at a persistent home AP), a per-day transport mode draw, noise, and
-nightly home presence.  Each day is rendered by a DayOracle that can answer
-"what would the phone see at second t" for any t, which makes the same day
-reproducible at full scan rate (synth_plan_day) or through the duty-cycling
-state machine.  Everything is a pure function of (inputs, seed): per-day
-seeds are the master seed XOR the day index, and observation noise is keyed
-by (day seed, timestamp, sensor) and drawn in a fixed source order, so days
-can be regenerated independently and in any order.
+ending where the persistent home AP comes into range), a per-day transport
+mode draw, noise, and nightly home presence.  Each day is rendered by a
+DayOracle that can answer "what would the phone see at second t" for any t,
+which makes the same day reproducible at full scan rate (synth_plan_day) or
+through the duty-cycling state machine.  Everything is a pure function of
+(inputs, seed): per-day seeds are the master seed XOR the day index, and
+observation noise is keyed by (day seed, timestamp, sensor) and drawn in a
+fixed source order, so days can be regenerated independently and in any
+order.
 
 Ground truth per day: the arrival instant (first full-rate scan containing
 the home AP) and a planted door-opening event (a one-scan spike of three
@@ -47,6 +48,10 @@ from .trace_model import (
 )
 
 MORNING_SCAN_PERIOD_S = 60
+# The home AP is in range, at this level, from the last HOME_RANGE_S
+# base-speed seconds of the evening route through the first of the morning's.
+HOME_RANGE_S = 40
+HOME_PEAK_DBM = -45.0
 BASE_SPEED_MPS = 1.4  # walking pace that converts route seconds to meters
 RAMP_DEPTH_DB = 35.0  # trapezoid edge attenuation below the plateau
 RAMP_FRAC = 0.25
@@ -148,27 +153,19 @@ class ModeMix:
 
 @dataclass(frozen=True, slots=True)
 class RouteSpec:
+    """The route's own APs, and the home AP whose range ends the route."""
+
     aps: tuple[ApPlacement, ...]
     home_bssid: Bssid
     home_fix: GpsFix
     route_duration_s: int
 
     def __post_init__(self) -> None:
-        has_home = False
         for p in self.aps:
             if p.bssid == self.home_bssid:
-                has_home = True
-                if p.enter_offset_s >= self.route_duration_s:
-                    raise ConfigurationError("home coverage must begin before route end")
-            elif p.exit_offset_s > self.route_duration_s:
-                raise ConfigurationError(
-                    f"{p.bssid}: coverage extends past the route end"
-                )
-        if not has_home:
-            raise ConfigurationError("route has no home AP placement")
-
-    def home_placement(self) -> ApPlacement:
-        return next(p for p in self.aps if p.bssid == self.home_bssid)
+                raise ConfigurationError(f"{p.bssid}: a route AP cannot be the home AP")
+            if p.exit_offset_s > self.route_duration_s:
+                raise ConfigurationError(f"{p.bssid}: coverage extends past the route end")
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +180,10 @@ class NightDwellSpec:
     def __post_init__(self) -> None:
         if self.scan_period_s < 1:
             raise ConfigurationError("night scan_period_s must be >= 1")
+        if self.neighbor_count < 0:
+            raise ConfigurationError("night neighbor_count must be >= 0")
+        if self.neighbor_dwell_s < 0:
+            raise ConfigurationError("night neighbor_dwell_s must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -253,14 +254,6 @@ class DayPlan:
     seed: int
 
 
-def _swap_home(route: RouteSpec, new_home: Bssid) -> RouteSpec:
-    aps = tuple(
-        replace(p, bssid=new_home) if p.bssid == route.home_bssid else p
-        for p in route.aps
-    )
-    return RouteSpec(aps, new_home, route.home_fix, route.route_duration_s)
-
-
 def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> DayPlan:
     """Resolve scenario randomness for one day (per-day seed = master XOR index)."""
     day_seed = master_seed ^ day_index
@@ -285,7 +278,7 @@ def make_day_plan(scenario: ScenarioSpec, day_index: int, master_seed: int) -> D
 
     route = scenario.route
     if scenario.move_day is not None and day_index >= scenario.move_day:
-        route = _swap_home(route, NEW_HOME_BSSID)
+        route = replace(route, home_bssid=NEW_HOME_BSSID)
 
     try:
         day_id = scenario.start_day + timedelta(days=day_index)
@@ -319,7 +312,6 @@ class DayOracle:
 
     def __init__(self, plan: DayPlan):
         route = plan.route
-        home_pl = route.home_placement()
         self.plan = plan
         self.home_bssid = route.home_bssid
         self.home_fix = route.home_fix
@@ -338,11 +330,16 @@ class DayOracle:
         duration = route.route_duration_s
         md = self.morning_depart_ts
         self.depart_ts = depart = plan.depart_ts
-        home_enter = depart + round(home_pl.enter_offset_s / f) + plan.detour_s
+        home_enter = depart + round((duration - HOME_RANGE_S) / f) + plan.detour_s
         k = -((home_enter - depart) // -SCAN_PERIOD_S)  # ceil division
         self.arrival_ts = depart + k * SCAN_PERIOD_S
         self.door_ts = self.arrival_ts + plan.door_delay_s
-        self._home_window = (home_enter, md + round((duration - home_pl.enter_offset_s) / f))
+        # Otherwise the day's scans would leave its slice or overlap the morning's.
+        if min(depart, self.arrival_ts - 60) < start:
+            raise ConfigurationError(f"day {plan.day_id}: the evening commute begins before the slice's noon")
+        if self.door_ts + 30 >= md:
+            raise ConfigurationError(f"day {plan.day_id}: the evening commute runs into the morning departure")
+        self._home_window = (home_enter, md + round(HOME_RANGE_S / f))
         self._gps_windows = ((depart, self.arrival_ts), (md, md + round(duration / f)))
         self._connected_window = (self.door_ts + 20, md)
         self._walk_window = (self.arrival_ts - 60, self.door_ts + 30)
@@ -352,16 +349,14 @@ class DayOracle:
         # [start, end): (kind, bssid, start, end, level), in draw order.
         sources: list[tuple] = []
         for p in route.aps:
-            if p.bssid == route.home_bssid:
-                continue
             ev = (depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f))
             mo = (
-                md + round((duration - min(p.exit_offset_s, duration)) / f),
+                md + round((duration - p.exit_offset_s) / f),
                 md + round((duration - p.enter_offset_s) / f),
             )
             sources.append((_ROUTE, p.bssid, *ev, p.peak_rssi_dbm))
             sources.append((_ROUTE, p.bssid, *mo, p.peak_rssi_dbm))
-        sources.append((_HOME, self.home_bssid, *self._home_window, float(home_pl.peak_rssi_dbm)))
+        sources.append((_HOME, self.home_bssid, *self._home_window, HOME_PEAK_DBM))
         nrng = random.Random(_mix(plan.seed, "night"))
         span = self._night_end_ts - self._night_start_ts
         for i in range(night.neighbor_count):
@@ -553,7 +548,7 @@ def make_chain_route(
     weak_bridge: bool = True,
     home_fix: GpsFix = DEFAULT_HOME_FIX,
 ) -> RouteSpec:
-    """Overlapping AP chain ending in a persistent home AP.
+    """Overlapping AP chain ending where the home AP comes into range.
 
     With ``weak_bridge`` the middle AP is demoted to a -78 dBm bridge and
     its neighbors pulled back, leaving a stretch where only a weak AP is
@@ -561,7 +556,6 @@ def make_chain_route(
     """
     if ap_count < 2:
         raise ConfigurationError("need at least 2 route APs")
-    home_bssid = bssid_from_int(0x1F_FF00)
     step = (duration_s - coverage_s) / (ap_count - 1)
     placements = []
     for i in range(ap_count):
@@ -578,13 +572,7 @@ def make_chain_route(
         gap_hi = bridge.exit_offset_s - 35
         placements[mid - 1] = replace(before, exit_offset_s=max(before.enter_offset_s + 5, gap_lo))
         placements[mid + 1] = replace(after, enter_offset_s=min(after.exit_offset_s - 5, gap_hi))
-    home = ApPlacement(
-        bssid=home_bssid,
-        enter_offset_s=duration_s - 40,
-        exit_offset_s=duration_s + DAY_S,
-        peak_rssi_dbm=-45,
-    )
-    return RouteSpec(tuple(placements) + (home,), home_bssid, home_fix, duration_s)
+    return RouteSpec(tuple(placements), bssid_from_int(0x1F_FF00), home_fix, duration_s)
 
 
 WALK = TransportMode("walk", 1.0)

@@ -86,6 +86,21 @@ class TestSimulate:
             ("[modes]\nwalk = 1 inf\n", "mode weights must be finite and >= 0"),
             ("[days]\ndepart_jitter_s = -1\n", "depart_time_jitter_s must be >= 0"),
             ("[days]\ndetour_prob = 1\ndetour_duration_s = -10000\n", "detour_duration_s must be >= 0"),
+            ("[night]\nneighbor_count = -1\n", "night neighbor_count must be >= 0"),
+            ("[night]\nneighbor_dwell_s = -5\n", "night neighbor_dwell_s must be >= 0"),
+            (
+                "[days]\ndepart = 11:59\ndepart_jitter_s = 600\n",
+                "day 2024-01-01: the evening commute runs into the morning departure",
+            ),
+            ("[days]\ndepart = 07:55\n", "day 2024-01-01: the evening commute runs into the morning departure"),
+            (
+                "[night]\nmorning_depart = 18:05\n",
+                "day 2024-01-01: the evening commute runs into the morning departure",
+            ),
+            (
+                "[days]\ndepart = 12:00\ndepart_jitter_s = 600\n",
+                "day 2024-01-02: the evening commute begins before the slice's noon",
+            ),
         ],
         ids=[
             "bad-int",
@@ -112,6 +127,12 @@ class TestSimulate:
             "infinite-mode-weight",
             "negative-depart-jitter",
             "negative-detour-duration",
+            "negative-neighbor-count",
+            "negative-neighbor-dwell",
+            "evening-commute-past-the-slice-end",
+            "evening-commute-before-the-morning",
+            "morning-departure-in-the-evening",
+            "evening-commute-before-the-slice-start",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):
@@ -468,6 +489,16 @@ class TestFsmRun:
         for day in (999999999, last + 1):
             assert run("fsm-run", "--scenario", "simple", "--day", day, "--out", tmp_path / "x") == 1
             assert capsys.readouterr().err == f"error: day index {day} falls outside the supported dates\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_a_day_that_does_not_fit_its_slice_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "f.ini"
+        path.write_text("[days]\ndepart = 07:55\n", encoding="utf-8")
+        assert run("fsm-run", "--scenario", path, "--day", "1", "--out", tmp_path / "x") == 1
+        assert capsys.readouterr().err == (
+            f"error: malformed scenario file {str(path)!r}: "
+            "day 2024-01-02: the evening commute runs into the morning departure\n"
+        )
         assert not (tmp_path / "x").exists()
 
     def test_first_and_last_calendar_days_still_run(self, tmp_path):

@@ -41,7 +41,7 @@ class TestSynthDay:
         route = sim.make_chain_route(weak_bridge=False)
         trace, truth = noiseless_day(route)
         depart = trace.scans[0].ts
-        home_enter = depart + (route.route_duration_s - 40)
+        home_enter = depart + (route.route_duration_s - sim.HOME_RANGE_S)
         assert truth.arrival_ts == home_enter  # offsets sit on the scan grid
         first_home = min(
             s.ts for s in trace.scans if any(o.bssid == route.home_bssid for o in s.aps)
@@ -55,8 +55,6 @@ class TestSynthDay:
         depart_w = walk_trace.scans[0].ts
         depart_c = cycle_trace.scans[0].ts
         for p in route.aps:
-            if p.bssid == route.home_bssid:
-                continue
             w0, w1 = visibility(walk_trace, p.bssid, until=depart_w + 700)
             c0, c1 = visibility(cycle_trace, p.bssid, until=depart_c + 700)
             assert abs((c0 - depart_c) * 2 - (w0 - depart_w)) <= 5
@@ -70,14 +68,11 @@ class TestSynthDay:
         assert serialize_scan_records(a.scans) == serialize_scan_records(b.scans)
 
     def test_route_without_home_is_a_configuration_error(self):
+        # the home AP is not on the route: a route AP with its BSSID would
+        # be a second source for that BSSID
         route = sim.make_chain_route()
-        with pytest.raises(ConfigurationError, match="route has no home AP placement"):
-            sim.RouteSpec(
-                aps=tuple(p for p in route.aps if p.bssid != route.home_bssid),
-                home_bssid=route.home_bssid,
-                home_fix=route.home_fix,
-                route_duration_s=route.route_duration_s,
-            )
+        with pytest.raises(ConfigurationError, match="a route AP cannot be the home AP"):
+            replace(route, home_bssid=route.aps[-1].bssid)
 
     def test_door_event_timing_invariant(self):
         route = sim.make_chain_route()
@@ -242,6 +237,26 @@ def test_a_relocation_file_moves_home_on_its_move_day(tmp_path):
     assert sim.NEW_HOME_BSSID != scenario.route.home_bssid
 
 
+def test_a_move_changes_only_the_routes_home():
+    scenario = sim.relocation_scenario(move_day=4, n_days=8)
+    moved = replace(scenario.route, home_bssid=sim.NEW_HOME_BSSID)
+    for day in range(scenario.n_days):
+        route = sim.make_day_plan(scenario, day, 11).route
+        assert route == (scenario.route if day < scenario.move_day else moved), day
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(sim.SCENARIO_PRESETS)),
+    seed=st.integers(0, 2**32 - 1),
+    day=st.integers(0, 40),
+)
+def test_every_preset_day_fits_its_slice(preset, seed, day):
+    oracle = sim.DayOracle(sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed))
+    assert oracle.slice_start <= min(oracle.depart_ts, oracle.arrival_ts - 60)
+    assert oracle.door_ts + 30 < oracle.morning_depart_ts
+
+
 def test_a_relocation_before_day_zero_is_refused():
     assert sim.relocation_scenario(move_day=0, n_days=4).move_day == 0
     with pytest.raises(ConfigurationError, match="move_day must be >= 0"):
@@ -285,18 +300,15 @@ def reference_windows(oracle):
     route = plan.route
     f = plan.mode.speed_factor
     duration = route.route_duration_s
-    home_pl = route.home_placement()
     start = day_slice_start(plan.day_id)
     md = start + (plan.night.morning_depart_sod - NOON_SOD) % DAY_S
     routes = []
     depart = plan.depart_ts
     home = (
-        depart + round(home_pl.enter_offset_s / f) + plan.detour_s,
-        md + round((duration - home_pl.enter_offset_s) / f),
+        depart + round((duration - sim.HOME_RANGE_S) / f) + plan.detour_s,
+        md + round(sim.HOME_RANGE_S / f),
     )
     for p in route.aps:
-        if p.bssid == route.home_bssid:
-            continue
         routes.append(
             (p.bssid, depart + round(p.enter_offset_s / f), depart + round(p.exit_offset_s / f), p.peak_rssi_dbm)
         )
@@ -362,7 +374,7 @@ def reference_aps_at(oracle, windows, ts):
         if start <= ts < end:
             observe(bssid, oracle._trapezoid(peak, start, end, ts), True)
     if h_start <= ts < h_end:
-        level = float(oracle.plan.route.home_placement().peak_rssi_dbm)
+        level = sim.HOME_PEAK_DBM
         if oracle.door_ts <= ts < oracle.door_ts + 10:
             level -= 8.0
         # the plant never drops at the arrival second or from door_ts - 1 to door_ts + 11
