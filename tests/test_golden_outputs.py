@@ -116,6 +116,23 @@ SIMULATE_GOLDEN = {
         "ground_truth.csv": "13314af6e83e42e573b9689c3ac0bd677f4a978e15292abd9e050ad469ff7993",
         "trace.jsonl": "e1ec54bc5620184b60938e3099026bead5f08b4ef69b69a5ae521ae3bc152664",
     },
+    ("simple", "10", "3"): {
+        "accel.jsonl": "590a4d22dc4e0ea863dd0f987db9618117ab769669c5c88ed419c33e3eb72e5d",
+        "ground_truth.csv": "80e7ccf7ce76a8c137052c064948cbd39e9552264cabf820fdf2c6c9addbf9b2",
+        "trace.jsonl": "58446bb3108efed453710df80010c0eab6cc3839b601c499aaff0090b9d8baef",
+    },
+    ("mixture", "10", "3"): {
+        "accel.jsonl": "dd6c7bbe97f8394e1b764925f656de7412196f158a4cc9b9f7802812c3702142",
+        "ground_truth.csv": "ad852cfb06281cd11e6c2e96d9cea1ec3a0ffff8f5aaa2313dd70252555d5245",
+        "trace.jsonl": "81172919033ea0cd243e697201c47ead7645a9e3252481f14649382d5caf2658",
+    },
+    # door is the simple preset under another name, so it is pinned on
+    # another seed and length.
+    ("door", "12", "7"): {
+        "accel.jsonl": "9a6ecb5d8daa705c2f19e20979506f8740400a019cd18a0fee20059dcc2cbfec",
+        "ground_truth.csv": "8276b5c45e9d5e34162218850f869d41b78143752c091abf08a9695bd10b2e94",
+        "trace.jsonl": "9660141c91eae5a19f8f81a75e78d7429990f313cf1fe16c715b64eb248257dd",
+    },
 }
 
 
