@@ -11,11 +11,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import attrgetter
 from statistics import pvariance
 from typing import Sequence
 
-from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord
+from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord, ts_of
 
 RSSI_WINDOW_SCANS = 5
 RSSI_VAR_THRESHOLD_DB2 = 9.0
@@ -25,8 +24,6 @@ COUNT_PEAK_DELTA = 2
 COUNT_NEIGHBORHOOD_SCANS = 4
 PEAK_REACH_SCANS = 2
 MERGE_S = 30
-
-_sample_ts = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,8 +95,8 @@ def _standing_at(trace: DayTrace, ts: int) -> bool:
     """Whether the time-ordered samples within ACCEL_WINDOW_S / 2 of ts say standing."""
     half = ACCEL_WINDOW_S / 2.0
     accel = trace.accel
-    lo = bisect_left(accel, ts - half, key=_sample_ts)
-    window = accel[lo : bisect_right(accel, ts + half, lo, key=_sample_ts)]
+    lo = bisect_left(accel, ts - half, key=ts_of)
+    window = accel[lo : bisect_right(accel, ts + half, lo, key=ts_of)]
     return is_standing(window)
 
 

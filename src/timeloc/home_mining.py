@@ -16,11 +16,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NoNightData
-from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start
+from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start, ts_of
 
 NIGHT_START_SOD = 21 * 3600
 NIGHT_END_SOD = 6 * 3600
@@ -31,8 +30,6 @@ GAP_CAP_S = 1800
 # seconds after the slice start: [21:00, 06:00) = [9 h, 18 h).
 NIGHT_OPEN_S = NIGHT_START_SOD - NOON_SOD
 NIGHT_CLOSE_S = NIGHT_END_SOD + DAY_S - NOON_SOD
-
-_scan_ts = attrgetter("ts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,8 +51,8 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
     """
     scans = trace.scans
     start = day_slice_start(trace.day_id)
-    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=_scan_ts)
-    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=_scan_ts)
+    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=ts_of)
+    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=ts_of)
     dwell: dict[Bssid, int] = {}
     get = dwell.get
     for i in range(lo, hi - 1):

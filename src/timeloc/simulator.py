@@ -41,6 +41,7 @@ from .trace_model import (
     Bssid,
     DayTrace,
     GpsFix,
+    RenderedOnRead,
     ScanRecord,
     _SeenBssids,
     _SeenObservations,
@@ -161,6 +162,12 @@ class RouteSpec:
     route_duration_s: int
 
     def __post_init__(self) -> None:
+        # The home comes into range HOME_RANGE_S before the route ends, so a
+        # shorter route would plant its arrival before its departure.
+        if self.route_duration_s <= HOME_RANGE_S:
+            raise ConfigurationError(
+                f"route duration {self.route_duration_s} s must exceed the home range {HOME_RANGE_S} s"
+            )
         for p in self.aps:
             if p.bssid == self.home_bssid:
                 raise ConfigurationError(f"{p.bssid}: a route AP cannot be the home AP")
@@ -514,15 +521,21 @@ class DayOracle:
 # trace synthesis
 
 def synth_plan_day(plan: DayPlan) -> tuple[DayTrace, GroundTruth]:
-    """Render one planned day as a full-rate DayTrace plus its ground truth."""
+    """Render one planned day as a full-rate DayTrace plus its ground truth.
+
+    The trace's scans and accelerometer samples are RenderedOnRead: each is
+    rendered from the day's oracle when it is first read, so a reader pays
+    only for what it reads.  Each item comes from its own keyed draw stream,
+    so it is the same whatever else was read; a read item never changes, and
+    two threads racing on one index render equal items.
+    """
     oracle = DayOracle(plan)
-    scans = [
-        ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts))
-        for ts in oracle.scan_instants()
-    ]
-    accel = tuple(AccelSample(ts, oracle.accel_at(ts)) for ts in oracle.accel_instants())
-    trace = DayTrace(day_id=plan.day_id, scans=tuple(scans), accel=accel)
-    return trace, oracle.ground_truth()
+    scans = RenderedOnRead(
+        oracle.scan_instants(),
+        lambda ts: ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts)),
+    )
+    accel = RenderedOnRead(oracle.accel_instants(), lambda ts: AccelSample(ts, oracle.accel_at(ts)))
+    return DayTrace(plan.day_id, scans, accel), oracle.ground_truth()
 
 
 def synth_dataset(

@@ -6,7 +6,10 @@ scan records and noon-to-noon day slices.  The module also owns the JSONL
 trace file format, day slicing, and great-circle distance.
 
 All types are immutable (frozen dataclasses, and a ``str`` subclass for
-BSSIDs), safe to share across threads.
+BSSIDs), safe to share across threads.  A simulated day's scans and samples
+are a RenderedOnRead: each item is rendered when it is first read, and a
+whole read swaps the finished tuple into the DayTrace.  A read item never
+changes, and two threads racing on one index render equal items.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import abc
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone
 from json.encoder import encode_basestring_ascii as _json_str
@@ -101,6 +105,7 @@ class AccelSample:
 
 
 _bssid_of = attrgetter("bssid")
+ts_of = attrgetter("ts")  # the stamp of a scan or a sample
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,37 +143,79 @@ class ScanRecord:
         return None
 
 
+class RenderedOnRead(abc.Sequence):
+    """Items made by ``render(instant)`` on first read, one per sorted instant:
+    ``seq[i]`` makes and keeps item i alone, and any other read makes the rest
+    and hands the finished tuple to each DayTrace holding the sequence."""
+
+    __slots__ = ("instants", "_render", "_items", "_owners")
+
+    def __init__(self, instants: list[int], render):
+        self.instants, self._render, self._owners = instants, render, []  # owners: (DayTrace, field)
+        self._items: list | tuple = [None] * len(instants)
+
+    def __len__(self) -> int:
+        return len(self.instants)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self._whole()[i]
+        items = self._items  # a reader racing _whole still stores into the list
+        if (item := items[i]) is None:
+            item = items[i] = self._render(self.instants[i])
+        return item
+
+    def __iter__(self):
+        return iter(self._whole())
+
+    def __eq__(self, other) -> bool:
+        return self._whole() == other  # a tuple hands a RenderedOnRead back to its __eq__
+
+    def __hash__(self) -> int:
+        return hash(self._whole())
+
+    def _whole(self) -> tuple:
+        if type(self._items) is list:
+            self._items = tuple([self._render(t) if it is None else it for it, t in zip(self._items, self.instants)])
+            for owner, field in self._owners:
+                object.__setattr__(owner, field, self._items)
+        return self._items
+
+
 @dataclass(frozen=True, slots=True)
 class DayTrace:
     """All scans and accelerometer samples of one noon-to-noon slice."""
 
     day_id: date
-    scans: tuple[ScanRecord, ...]
-    accel: tuple[AccelSample, ...]
+    scans: tuple[ScanRecord, ...] | RenderedOnRead
+    accel: tuple[AccelSample, ...] | RenderedOnRead
 
     def __post_init__(self) -> None:
-        if not isinstance(self.scans, tuple):
-            object.__setattr__(self, "scans", tuple(self.scans))
-        if not isinstance(self.accel, tuple):
-            object.__setattr__(self, "accel", tuple(self.accel))
         start = day_slice_start(self.day_id)
-        for items, what in ((self.scans, "scan"), (self.accel, "accel sample")):
-            _check_time_order(items, f"{what}s")
-            for item in items[:1] + items[-1:]:  # in time order, so the ends bound the rest
-                if not start <= item.ts < start + DAY_S:
-                    raise TraceValidationError(f"{what} ts {item.ts} outside slice {self.day_id}")
+        for field, what in (("scans", "scan"), ("accel", "accel sample")):
+            items = getattr(self, field)
+            lazy = isinstance(items, RenderedOnRead)
+            if not (lazy or isinstance(items, tuple)):
+                object.__setattr__(self, field, items := tuple(items))
+            stamps = items.instants if lazy else list(map(ts_of, items))
+            _check_time_order(stamps, f"{what}s")
+            for ts in stamps[:1] + stamps[-1:]:  # in time order, so the ends bound the rest
+                if not start <= ts < start + DAY_S:
+                    raise TraceValidationError(f"{what} ts {ts} outside slice {self.day_id}")
+            if lazy:
+                items._owners.append((self, field))
 
 
 # ---------------------------------------------------------------------------
 # day slicing
 
-def _check_time_order(items: Sequence, what: str) -> None:
-    """Raise OrderingError at the first item stamped earlier than the one before."""
+def _check_time_order(stamps: Iterable[int], what: str) -> None:
+    """Raise OrderingError at the first stamp earlier than the one before."""
     prev = -math.inf
-    for item in items:
-        if item.ts < prev:
-            raise OrderingError(f"{what} not sorted by ts (around {item.ts})")
-        prev = item.ts
+    for ts in stamps:
+        if ts < prev:
+            raise OrderingError(f"{what} not sorted by ts (around {ts})")
+        prev = ts
 
 
 def day_slice_start(day_id: date) -> int:
@@ -198,8 +245,8 @@ def slice_into_days(
     in a slice without scans are dropped.  Days come out in calendar order.
     Raises OrderingError if either input is not sorted by timestamp.
     """
-    _check_time_order(records, "records")
-    _check_time_order(accel, "accel samples")
+    _check_time_order(map(ts_of, records), "records")
+    _check_time_order(map(ts_of, accel), "accel samples")
 
     # Slice k starts at k * DAY_S + NOON_SOD.  Each k becomes its date once,
     # from its first record, so a date out of range names that record.

@@ -101,6 +101,7 @@ class TestSimulate:
                 "[days]\ndepart = 12:00\ndepart_jitter_s = 600\n",
                 "day 2024-01-02: the evening commute begins before the slice's noon",
             ),
+            ("[route]\nduration_s = 30\n", "route duration 30 s must exceed the home range 40 s"),
         ],
         ids=[
             "bad-int",
@@ -133,6 +134,7 @@ class TestSimulate:
             "evening-commute-before-the-morning",
             "morning-departure-in-the-evening",
             "evening-commute-before-the-slice-start",
+            "route-shorter-than-home-range",
         ],
     )
     def test_malformed_scenario_file_is_one_error_line(self, tmp_path, capsys, text, detail):

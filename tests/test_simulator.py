@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -10,15 +13,21 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
-from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S
+from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S, vote_home_ap
 from timeloc.trace_model import (
     DAY_S,
     NOON_SOD,
+    AccelSample,
     ApObservation,
     Bssid,
+    DayTrace,
     GpsFix,
+    RenderedOnRead,
+    ScanRecord,
     day_slice_start,
+    filter_trace,
     serialize_scan_records,
+    ts_of,
 )
 from util import NOISE_VARIANTS, commute_day
 
@@ -73,6 +82,17 @@ class TestSynthDay:
         route = sim.make_chain_route()
         with pytest.raises(ConfigurationError, match="a route AP cannot be the home AP"):
             replace(route, home_bssid=route.aps[-1].bssid)
+
+    @pytest.mark.parametrize("duration_s", [sim.HOME_RANGE_S - 10, sim.HOME_RANGE_S])
+    def test_route_not_longer_than_the_home_range_is_a_configuration_error(self, duration_s):
+        # the home would come into range before the departure, and the day
+        # would plant its arrival before its first scan
+        with pytest.raises(ConfigurationError, match=f"route duration {duration_s} s must exceed the home range"):
+            sim.make_chain_route(ap_count=2, duration_s=duration_s, coverage_s=20)
+        route = sim.make_chain_route(ap_count=2, duration_s=sim.HOME_RANGE_S + 1, coverage_s=20)
+        plan = sim.make_day_plan(replace(sim.mining_scenario(), route=route), 0, 0)
+        trace, truth = sim.synth_plan_day(plan)
+        assert trace.scans[0].ts == plan.depart_ts < truth.arrival_ts
 
     def test_door_event_timing_invariant(self):
         route = sim.make_chain_route()
@@ -534,3 +554,155 @@ def test_an_oracle_builds_each_observation_once():
 @given(base=st.integers(0, 2**70), i=st.integers(0, 8))
 def test_draw_is_the_keyed_unit(base, i):
     assert sim._draw(base + i * sim._GOLD) == _unit(base, i)
+
+
+# ---------------------------------------------------------------------------
+# a simulated day renders on read
+
+
+@st.composite
+def day_plans(draw):
+    """A plan for any preset day and noise variant."""
+    preset = draw(st.sampled_from(sorted(sim.SCENARIO_PRESETS)))
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)))
+    return replace(plan, noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise))
+
+
+def eager_day(plan):
+    """The day rendered whole up front, every item through its constructor."""
+    oracle = sim.DayOracle(plan)
+    scans = tuple(
+        ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts))
+        for ts in oracle.scan_instants()
+    )
+    accel = tuple(AccelSample(ts, oracle.accel_at(ts)) for ts in oracle.accel_instants())
+    return DayTrace(plan.day_id, scans, accel)
+
+
+FIELDS = ("scans", "accel")
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=day_plans(), data=st.data())
+def test_a_lazy_day_reads_the_eager_items_in_any_order(plan, data):
+    lazy, _ = sim.synth_plan_day(plan)
+    eager = eager_day(plan)
+    for field in FIELDS:
+        items, want = getattr(lazy, field), getattr(eager, field)
+        n = len(want)
+        for i in data.draw(st.lists(st.integers(-n, n - 1), max_size=20)) + data.draw(st.permutations(range(n))):
+            assert items[i] == want[i], (field, i)
+        # reading by index keeps the sequence, and each read item
+        assert getattr(lazy, field) is items and items[-1] is items[n - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(plan=day_plans(), data=st.data())
+def test_a_lazy_day_reads_as_its_eager_tuple(plan, data):
+    lazy, _ = sim.synth_plan_day(plan)
+    eager = eager_day(plan)
+    for field in FIELDS:
+        items, want = getattr(lazy, field), getattr(eager, field)
+        assert isinstance(items, RenderedOnRead) and len(items) == len(want)
+        for probe in data.draw(st.lists(st.integers(want[0].ts - 10, want[-1].ts + 10), max_size=5)):
+            for cut in (bisect_left, bisect_right):
+                assert cut(items, probe, key=ts_of) == cut(want, probe, key=ts_of)
+        assert getattr(lazy, field) is items  # bisecting reads by index
+        whole = slice(*data.draw(st.tuples(*[st.none() | st.integers(-300, 300)] * 2, st.none() | st.sampled_from([-3, -1, 1, 2]))))
+        if data.draw(st.booleans()):
+            assert list(items) == list(want)
+        else:
+            assert items[whole] == want[whole]
+        # a whole read hands the finished tuple to the trace
+        assert getattr(lazy, field) == want and type(getattr(lazy, field)) is tuple
+        assert items[whole] == want[whole] and list(items) == list(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=day_plans())
+def test_a_lazy_day_equals_and_hashes_as_the_eager_one(plan):
+    eager = eager_day(plan)
+    lazy, _ = sim.synth_plan_day(plan)
+    assert lazy == eager and eager == lazy
+    other, _ = sim.synth_plan_day(plan)
+    assert hash(other) == hash(eager)
+    assert all(type(getattr(day, field)) is tuple for day in (lazy, other) for field in FIELDS)
+    assert lazy == eager and hash(lazy) == hash(other) == hash(eager)
+    a, _ = sim.synth_plan_day(plan)
+    b, _ = sim.synth_plan_day(plan)
+    assert a.scans != eager.scans[:-1]  # a lazy sequence against a shorter tuple
+    assert a == b and hash(a) == hash(eager)  # lazy accel against lazy accel
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=day_plans(), level=st.sampled_from([None, -90, -80, -70, -60]))
+def test_filtering_a_lazy_day_equals_filtering_the_eager_one(plan, level):
+    lazy, _ = sim.synth_plan_day(plan)
+    kept = filter_trace(lazy, level)
+    assert kept.accel is lazy.accel  # one sequence, held by two traces
+    assert kept == filter_trace(eager_day(plan), level)
+    assert type(kept.accel) is tuple and kept.accel is lazy.accel
+
+
+@pytest.mark.parametrize("seed", [0, 1000, 1049])
+def test_voting_renders_the_nights_and_the_bisect_probes_only(monkeypatch, seed):
+    aps_calls, accel_calls = {}, []
+    aps_at, accel_at = sim.DayOracle.aps_at, sim.DayOracle.accel_at
+
+    def counted_aps_at(self, ts):
+        aps_calls[self.plan.day_id] = aps_calls.get(self.plan.day_id, 0) + 1
+        return aps_at(self, ts)
+
+    def counted_accel_at(self, ts):
+        accel_calls.append(ts)
+        return accel_at(self, ts)
+
+    monkeypatch.setattr(sim.DayOracle, "aps_at", counted_aps_at)
+    monkeypatch.setattr(sim.DayOracle, "accel_at", counted_accel_at)
+    scenario = sim.mining_scenario(n_days=14)
+    traces, _ = sim.synth_dataset(scenario, seed)
+    assert aps_calls == {} and accel_calls == []  # planning a day renders nothing
+    winner = vote_home_ap(traces).winner
+    assert accel_calls == []
+    for trace in traces:
+        start = day_slice_start(trace.day_id)
+        stamps = trace.scans.instants
+        night = bisect_left(stamps, start + NIGHT_CLOSE_S) - bisect_left(stamps, start + NIGHT_OPEN_S)
+        assert night < aps_calls[trace.day_id] <= night + 2 * math.ceil(math.log2(len(stamps))) + 2
+    monkeypatch.undo()
+    assert winner == vote_home_ap(eager_day(sim.make_day_plan(scenario, i, seed)) for i in range(14)).winner
+
+
+def test_threads_racing_on_one_lazy_day_read_the_eager_items():
+    plan = sim.make_day_plan(sim.simple_walk_scenario(), 3, 7)
+    want = eager_day(plan)
+    for _ in range(5):
+        lazy, _ = sim.synth_plan_day(plan)
+        errors = []
+
+        def reader(k):
+            try:
+                for field in FIELDS:
+                    items, expected = getattr(lazy, field), getattr(want, field)
+                    order = list(range(len(expected)))
+                    random.Random(k).shuffle(order)
+                    for n, i in enumerate(order):
+                        assert items[i] == expected[i]
+                        if n == len(order) // 2 and k % 2:
+                            assert tuple(items) == expected
+                assert lazy == want and hash(lazy) == hash(want)
+            except Exception as exc:  # reported below, from the test's own thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert type(lazy.scans) is tuple and type(lazy.accel) is tuple
