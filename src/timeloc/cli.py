@@ -115,11 +115,16 @@ def _read_input(path: str, load, what: str):
 def _load_days(traces_dir: str, *, with_accel: bool = False) -> list[DayTrace]:
     """The directory's trace as noon-to-noon days, the slices that hold scans.
 
-    ``accel.jsonl`` is read only when ``with_accel`` is set, as detect-door,
-    the one command that reads ``DayTrace.accel``, sets it; without it every
-    day's ``accel`` is empty.  It never changes which days are read.
+    A trace without scans is one TimelocError naming it, so every command
+    refuses it alike.  ``accel.jsonl`` is read only when ``with_accel`` is
+    set, as detect-door, the one command that reads ``DayTrace.accel``,
+    sets it; without it every day's ``accel`` is empty.  It never changes
+    which days are read.
     """
-    records = _read_input(os.path.join(traces_dir, "trace.jsonl"), load_trace_file, "trace")
+    path = os.path.join(traces_dir, "trace.jsonl")
+    records = _read_input(path, load_trace_file, "trace")
+    if not records:
+        raise TimelocError(f"no scans in {path}")
     accel_path = os.path.join(traces_dir, "accel.jsonl")
     accel = []
     if with_accel and os.path.exists(accel_path):
@@ -218,8 +223,6 @@ def _cmd_mine_home(args) -> int:
 
 def _cmd_build_profile(args) -> int:
     days = _load_days(args.traces)
-    if not days:
-        raise TimelocError("no days found in the trace directory")
     votes = [home_mining.day_vote(d) for d in days]
     home_mining.tally_votes(votes)  # raises NoNightData when no day has any
     homes = home_mining.window_homes(votes, args.window_days)

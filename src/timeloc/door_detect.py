@@ -14,7 +14,7 @@ from itertools import accumulate
 from statistics import pvariance
 from typing import Sequence
 
-from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord, ts_of
+from .trace_model import AccelSample, Bssid, DayTrace, ScanRecord
 
 RSSI_WINDOW_SCANS = 5
 RSSI_VAR_THRESHOLD_DB2 = 9.0
@@ -94,10 +94,9 @@ def _near_peak(scans: Sequence[ScanRecord]) -> set[int]:
 def _standing_at(trace: DayTrace, ts: int) -> bool:
     """Whether the time-ordered samples within ACCEL_WINDOW_S / 2 of ts say standing."""
     half = ACCEL_WINDOW_S / 2.0
-    accel = trace.accel
-    lo = bisect_left(accel, ts - half, key=ts_of)
-    window = accel[lo : bisect_right(accel, ts + half, lo, key=ts_of)]
-    return is_standing(window)
+    stamps = trace.accel_ts
+    lo = bisect_left(stamps, ts - half)
+    return is_standing(trace.accel[lo : bisect_right(stamps, ts + half, lo)])
 
 
 def detect_door_events(trace: DayTrace, home: Bssid) -> list[DoorEvent]:

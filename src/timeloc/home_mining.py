@@ -19,7 +19,7 @@ from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NoNightData
-from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start, ts_of
+from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start
 
 NIGHT_START_SOD = 21 * 3600
 NIGHT_END_SOD = 6 * 3600
@@ -47,21 +47,22 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
     Presence at scan t_i credits the gap to the next night scan t_{i+1},
     capped at GAP_CAP_S.  BSSIDs never seen at night are absent from the map.
     The scans are time-ordered within one slice, so the night scans are the
-    contiguous run found by bisecting the slice's night range.
+    contiguous run found by bisecting the day's stamps over the slice's
+    night range.  Credits come from the stamps too, so only the scans that
+    earn a credit are read: on a simulated day, the night but its last scan.
     """
-    scans = trace.scans
+    stamps, scans = trace.scan_ts, trace.scans
     start = day_slice_start(trace.day_id)
-    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=ts_of)
-    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=ts_of)
+    lo = bisect_left(stamps, start + NIGHT_OPEN_S)
+    hi = bisect_left(stamps, start + NIGHT_CLOSE_S, lo)
     dwell: dict[Bssid, int] = {}
     get = dwell.get
     for i in range(lo, hi - 1):
-        cur = scans[i]
-        credit = scans[i + 1].ts - cur.ts
+        credit = stamps[i + 1] - stamps[i]
         if credit <= 0:
             continue
         credit = GAP_CAP_S if credit > GAP_CAP_S else credit
-        for o in cur.aps:
+        for o in scans[i].aps:
             dwell[o.bssid] = get(o.bssid, 0) + credit
     return dwell
 

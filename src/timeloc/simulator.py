@@ -20,6 +20,7 @@ stillness centered on the door time).
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import random
 import zlib
@@ -71,6 +72,13 @@ def bssid_from_int(n: int) -> Bssid:
 
 # The home AP of every day from a relocation's move day onward.
 NEW_HOME_BSSID = bssid_from_int(0x1F_FF01)
+_SPIKE_BSSIDS = tuple(bssid_from_int(_SPIKE_BSSID_BASE + i) for i in range(3))
+
+
+@functools.lru_cache(maxsize=4)
+def _neighbor_bssids(count: int) -> tuple[Bssid, ...]:
+    """The BSSIDs of a night's ``count`` neighbor APs, constants per count."""
+    return tuple(bssid_from_int(_NEIGHBOR_BSSID_BASE + i) for i in range(count))
 
 
 def _mix(*parts) -> int:
@@ -317,14 +325,15 @@ class DayOracle:
     sensed trace both sample this object, so one is a sub-view of the other.
     """
 
-    def __init__(self, plan: DayPlan):
+    def __init__(self, plan: DayPlan, *, _seen: _SeenObservations | None = None):
         route = plan.route
         self.plan = plan
         self.home_bssid = route.home_bssid
         self.home_fix = route.home_fix
         self._noise = plan.noise
         self._stream_key = _mix(plan.seed, "obs") * _GOLD
-        self._observations = _SeenObservations(_SeenBssids())
+        # interns observations: the day's own table, or its dataset's
+        self._observations = _SeenObservations(_SeenBssids()) if _seen is None else _seen
 
         f = plan.mode.speed_factor
         self.slice_start = start = day_slice_start(plan.day_id)
@@ -366,13 +375,13 @@ class DayOracle:
         sources.append((_HOME, self.home_bssid, *self._home_window, HOME_PEAK_DBM))
         nrng = random.Random(_mix(plan.seed, "night"))
         span = self._night_end_ts - self._night_start_ts
-        for i in range(night.neighbor_count):
+        for bssid in _neighbor_bssids(night.neighbor_count):
             dwell = min(night.neighbor_dwell_s, span)
             begin = self._night_start_ts + nrng.randint(0, span - dwell)
-            sources.append((_NEIGHBOR, bssid_from_int(_NEIGHBOR_BSSID_BASE + i), begin, begin + dwell, -65.0))
+            sources.append((_NEIGHBOR, bssid, begin, begin + dwell, -65.0))
         spike_end = self.door_ts + SCAN_PERIOD_S
-        for i in range(3):
-            sources.append((_SPIKE, bssid_from_int(_SPIKE_BSSID_BASE + i), self.door_ts, spike_end, -67.0))
+        for bssid in _SPIKE_BSSIDS:
+            sources.append((_SPIKE, bssid, self.door_ts, spike_end, -67.0))
         sources = [src for src in sources if src[2] < src[3]]
 
         # The visibility timeline: segment i is [edges[i-1], edges[i]) and
@@ -520,16 +529,17 @@ class DayOracle:
 # ---------------------------------------------------------------------------
 # trace synthesis
 
-def synth_plan_day(plan: DayPlan) -> tuple[DayTrace, GroundTruth]:
+def synth_plan_day(plan: DayPlan, *, _seen: _SeenObservations | None = None) -> tuple[DayTrace, GroundTruth]:
     """Render one planned day as a full-rate DayTrace plus its ground truth.
 
     The trace's scans and accelerometer samples are RenderedOnRead: each is
     rendered from the day's oracle when it is first read, so a reader pays
     only for what it reads.  Each item comes from its own keyed draw stream,
     so it is the same whatever else was read; a read item never changes, and
-    two threads racing on one index render equal items.
+    two threads racing on one index render equal items.  A day rendered
+    alone interns its observations in a table of its own.
     """
-    oracle = DayOracle(plan)
+    oracle = DayOracle(plan, _seen=_seen)
     scans = RenderedOnRead(
         oracle.scan_instants(),
         lambda ts: ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts)),
@@ -541,8 +551,14 @@ def synth_plan_day(plan: DayPlan) -> tuple[DayTrace, GroundTruth]:
 def synth_dataset(
     scenario: ScenarioSpec, seed: int
 ) -> tuple[list[DayTrace], list[GroundTruth]]:
-    """All days of a scenario, each generated from its own derived seed."""
-    days = [synth_plan_day(make_day_plan(scenario, i, seed)) for i in range(scenario.n_days)]
+    """All days of a scenario, each generated from its own derived seed.
+
+    The days share one intern table, which lives as long as they do: equal
+    observations on any of them are one object, built and validated once.
+    Each day still equals the same day rendered alone by ``synth_plan_day``.
+    """
+    seen = _SeenObservations(_SeenBssids())
+    days = [synth_plan_day(make_day_plan(scenario, i, seed), _seen=seen) for i in range(scenario.n_days)]
     return [trace for trace, _ in days], [truth for _, truth in days]
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import re
 from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
@@ -184,26 +184,35 @@ class RenderedOnRead(abc.Sequence):
 
 @dataclass(frozen=True, slots=True)
 class DayTrace:
-    """All scans and accelerometer samples of one noon-to-noon slice."""
+    """All scans and accelerometer samples of one noon-to-noon slice.
+
+    ``scan_ts`` and ``accel_ts`` hold the items' stamps in order, so a
+    reader can bisect by time without reading, or rendering, an item.  They
+    are derived, so they take no part in equality, hashing or ``repr``.
+    """
 
     day_id: date
     scans: tuple[ScanRecord, ...] | RenderedOnRead
     accel: tuple[AccelSample, ...] | RenderedOnRead
+    scan_ts: list[int] = field(init=False, compare=False, repr=False)
+    accel_ts: list[int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         start = day_slice_start(self.day_id)
-        for field, what in (("scans", "scan"), ("accel", "accel sample")):
-            items = getattr(self, field)
+        fields = (("scans", "scan_ts", "scan"), ("accel", "accel_ts", "accel sample"))
+        for name, stamps_name, what in fields:
+            items = getattr(self, name)
             lazy = isinstance(items, RenderedOnRead)
             if not (lazy or isinstance(items, tuple)):
-                object.__setattr__(self, field, items := tuple(items))
+                object.__setattr__(self, name, items := tuple(items))
             stamps = items.instants if lazy else list(map(ts_of, items))
             _check_time_order(stamps, f"{what}s")
             for ts in stamps[:1] + stamps[-1:]:  # in time order, so the ends bound the rest
                 if not start <= ts < start + DAY_S:
                     raise TraceValidationError(f"{what} ts {ts} outside slice {self.day_id}")
+            object.__setattr__(self, stamps_name, stamps)
             if lazy:
-                items._owners.append((self, field))
+                items._owners.append((self, name))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +308,8 @@ class _SeenObservations(dict):
     """Raw (bssid, rssi) pair -> its ApObservation, built and validated once.
 
     A pair that fails validation is never stored, so it raises again on
-    every line where it appears.
+    every line where it appears.  A table lives as long as what it serves:
+    one parsed file, one simulated day, or the days of one simulated dataset.
     """
 
     def __init__(self, bssids: _SeenBssids):

@@ -548,24 +548,38 @@ class TestEvaluateAndSweep:
         assert len(lines) == 1 + 4  # two levels x two methods
 
 
+# every command that reads --traces, with the other arguments it needs
+TRACES_ARGVS = [
+    ["mine-home"],
+    ["build-profile", "--device", "d", "--store", "{tmp}"],
+    ["detect-door"],
+    ["evaluate", "--out", "{tmp}/out"],
+    ["sweep", "--out", "{tmp}/out"],
+    ["predict", "--method", "nn", "--ts", "5"],
+]
+
+
 class TestMissingInput:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mine-home"],
-            ["build-profile", "--device", "d", "--store", "{tmp}"],
-            ["detect-door"],
-            ["evaluate", "--out", "{tmp}/out"],
-            ["sweep", "--out", "{tmp}/out"],
-            ["predict", "--method", "nn", "--ts", "5"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    @pytest.mark.parametrize("argv", TRACES_ARGVS, ids=lambda argv: argv[0])
     def test_missing_trace_file_is_an_error(self, argv, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run(*(a.format(tmp=tmp_path) for a in argv), "--traces", empty) == 1
         assert capsys.readouterr().err == f"error: no trace file {empty / 'trace.jsonl'}\n"
+
+    @pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize(
+        "argv",
+        TRACES_ARGVS + [["detect-door", "--home", "02:00:00:1f:ff:00"]],
+        ids=lambda argv: argv[0] + ("-home" if "--home" in argv else ""),
+    )
+    def test_trace_without_scans_is_one_error(self, argv, text, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "trace.jsonl").write_text(text)
+        assert run(*(a.format(tmp=tmp_path) for a in argv), "--traces", traces) == 1
+        assert capsys.readouterr() == ("", f"error: no scans in {traces / 'trace.jsonl'}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     def test_missing_ground_truth_is_an_error(self, command, dataset_dir, tmp_path, capsys):

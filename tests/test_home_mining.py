@@ -22,8 +22,9 @@ from timeloc.home_mining import (
     vote_home_ap,
     window_homes,
 )
-from timeloc.trace_model import DAY_S, day_slice_start
-from util import DAY, NIGHT_END, NIGHT_START, SLICE, bss, scan, trace
+from timeloc.simulator import synth_plan_day
+from timeloc.trace_model import DAY_S, Bssid, day_slice_start
+from util import DAY, NIGHT_END, NIGHT_START, SLICE, bss, day_plans, scan, trace
 
 
 def reference_dwell(night_scans, target):
@@ -289,6 +290,29 @@ def gap_runs(draw):
     )
 
 
+# ---------------------------------------------------------------------------
+# reference: nightly_dwell when it bisected the scans with a key and read each
+# credit from the scans' stamps.  The body is verbatim.
+
+
+def keyed_nightly_dwell(trace):
+    scans = trace.scans
+    start = day_slice_start(trace.day_id)
+    lo = bisect_left(scans, start + NIGHT_OPEN_S, key=_scan_ts)
+    hi = bisect_left(scans, start + NIGHT_CLOSE_S, lo, key=_scan_ts)
+    dwell: dict[Bssid, int] = {}
+    get = dwell.get
+    for i in range(lo, hi - 1):
+        cur = scans[i]
+        credit = scans[i + 1].ts - cur.ts
+        if credit <= 0:
+            continue
+        credit = GAP_CAP_S if credit > GAP_CAP_S else credit
+        for o in cur.aps:
+            dwell[o.bssid] = get(o.bssid, 0) + credit
+    return dwell
+
+
 def _offsets_day(*offsets):
     return trace([scan(SLICE + off, {bss(1): -50, bss(2): -60}) for off in offsets])
 
@@ -302,6 +326,20 @@ def _offsets_day(*offsets):
 @example(_offsets_day(32_400, 32_400 + GAP_CAP_S + 1, 64_799))  # gaps past the cap
 def test_nightly_dwell_matches_the_sliced_dwell(t):
     assert nightly_dwell(t) == sliced_nightly_dwell(t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_runs())
+@example(_offsets_day(600, 40_000, 70_000))  # one night scan
+@example(_offsets_day(32_400, 32_400, 40_000, 40_000, 40_000, 64_799))  # repeats credit nothing
+def test_nightly_dwell_matches_the_keyed_dwell(t):
+    assert nightly_dwell(t) == keyed_nightly_dwell(t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(day_plans())
+def test_nightly_dwell_matches_the_keyed_dwell_on_simulated_days(plan):
+    assert nightly_dwell(synth_plan_day(plan)[0]) == keyed_nightly_dwell(synth_plan_day(plan)[0])
 
 
 @settings(max_examples=300, deadline=None)

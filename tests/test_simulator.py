@@ -6,6 +6,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
-from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S, vote_home_ap
+from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S, day_vote
+from timeloc.sensing_fsm import run_fsm_day
 from timeloc.trace_model import (
     DAY_S,
     NOON_SOD,
@@ -26,10 +28,14 @@ from timeloc.trace_model import (
     ScanRecord,
     day_slice_start,
     filter_trace,
+    parse_accel_file,
+    parse_trace_file,
+    serialize_accel_samples,
     serialize_scan_records,
+    slice_into_days,
     ts_of,
 )
-from util import NOISE_VARIANTS, commute_day
+from util import NOISE_VARIANTS, commute_day, day_plans
 
 
 def noiseless_day(route, mode=sim.WALK, seed=0):
@@ -560,14 +566,6 @@ def test_draw_is_the_keyed_unit(base, i):
 # a simulated day renders on read
 
 
-@st.composite
-def day_plans(draw):
-    """A plan for any preset day and noise variant."""
-    preset = draw(st.sampled_from(sorted(sim.SCENARIO_PRESETS)))
-    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)))
-    return replace(plan, noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise))
-
-
 def eager_day(plan):
     """The day rendered whole up front, every item through its constructor."""
     oracle = sim.DayOracle(plan)
@@ -644,8 +642,65 @@ def test_filtering_a_lazy_day_equals_filtering_the_eager_one(plan, level):
     assert type(kept.accel) is tuple and kept.accel is lazy.accel
 
 
+@settings(max_examples=30, deadline=None)
+@given(plan=day_plans(), level=st.sampled_from([None, -80, -70]))
+def test_a_days_stamps_are_its_items_stamps(plan, level):
+    """On a lazy day, where reading the stamps renders nothing, and on days
+    built whole, filtered, sliced from records, parsed and FSM-sensed."""
+    lazy, _ = sim.synth_plan_day(plan)
+    with mock.patch.object(sim.DayOracle, "aps_at", side_effect=AssertionError("a scan was rendered")):
+        with mock.patch.object(sim.DayOracle, "accel_at", side_effect=AssertionError("a sample was rendered")):
+            assert (lazy.scan_ts, lazy.accel_ts) == (lazy.scans.instants, lazy.accel.instants)
+    eager = eager_day(plan)
+    records = parse_trace_file(serialize_scan_records(eager.scans))
+    samples = parse_accel_file(serialize_accel_samples(eager.accel))
+    days = [
+        lazy,
+        eager,
+        filter_trace(sim.synth_plan_day(plan)[0], level),
+        filter_trace(eager, level),
+        *slice_into_days(eager.scans, eager.accel),
+        *slice_into_days(records, samples),
+        run_fsm_day(sim.DayOracle(plan))[0],
+    ]
+    for day in days:
+        assert day.scan_ts == [s.ts for s in day.scans] and day.accel_ts == [a.ts for a in day.accel]
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(sim.SCENARIO_PRESETS)),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from(sorted(NOISE_VARIANTS)),
+    n_days=st.integers(2, 4),
+)
+def test_a_dataset_interns_each_observation_once(preset, seed, noise, n_days):
+    """Equal observations on any days of one dataset are one object, two
+    datasets share none, and each day equals the day rendered alone."""
+    scenario = sim.SCENARIO_PRESETS[preset](n_days=n_days)
+    scenario = replace(scenario, noise=NOISE_VARIANTS[noise](scenario.noise))
+    if scenario.move_day is not None:
+        scenario = replace(scenario, move_day=1)
+    traces, _ = sim.synth_dataset(scenario, seed)
+    again, _ = sim.synth_dataset(scenario, seed)
+    first: dict[ApObservation, ApObservation] = {}
+    for trace in traces:
+        for o in (o for s in trace.scans for o in s.aps):
+            assert first.setdefault(o, o) is o
+    assert first and not {id(o) for o in first} & {id(o) for t in again for s in t.scans for o in s.aps}
+    assert traces == again
+    for i, trace in enumerate(traces):
+        assert trace == sim.synth_plan_day(sim.make_day_plan(scenario, i, seed))[0]
+
+
+@pytest.mark.parametrize(
+    "period, nights", [(600, range(2, 100)), (8 * 3600, {1}), (DAY_S, {0})], ids=["many", "one", "none"]
+)
 @pytest.mark.parametrize("seed", [0, 1000, 1049])
-def test_voting_renders_the_nights_and_the_bisect_probes_only(monkeypatch, seed):
+def test_voting_renders_the_night_but_its_last_scan(monkeypatch, seed, period, nights):
+    """Voting bisects the stamps and credits each night scan from them, so a
+    day with n >= 1 night scans renders n - 1 scans, one with none renders
+    nothing, and no accelerometer sample is rendered."""
     aps_calls, accel_calls = {}, []
     aps_at, accel_at = sim.DayOracle.aps_at, sim.DayOracle.accel_at
 
@@ -659,18 +714,19 @@ def test_voting_renders_the_nights_and_the_bisect_probes_only(monkeypatch, seed)
 
     monkeypatch.setattr(sim.DayOracle, "aps_at", counted_aps_at)
     monkeypatch.setattr(sim.DayOracle, "accel_at", counted_accel_at)
-    scenario = sim.mining_scenario(n_days=14)
+    scenario = replace(sim.mining_scenario(n_days=14), night_dwell=sim.NightDwellSpec(scan_period_s=period))
     traces, _ = sim.synth_dataset(scenario, seed)
     assert aps_calls == {} and accel_calls == []  # planning a day renders nothing
-    winner = vote_home_ap(traces).winner
+    votes = [day_vote(trace) for trace in traces]
     assert accel_calls == []
     for trace in traces:
         start = day_slice_start(trace.day_id)
         stamps = trace.scans.instants
         night = bisect_left(stamps, start + NIGHT_CLOSE_S) - bisect_left(stamps, start + NIGHT_OPEN_S)
-        assert night < aps_calls[trace.day_id] <= night + 2 * math.ceil(math.log2(len(stamps))) + 2
+        assert night in nights
+        assert aps_calls.get(trace.day_id, 0) == max(night - 1, 0)
     monkeypatch.undo()
-    assert winner == vote_home_ap(eager_day(sim.make_day_plan(scenario, i, seed)) for i in range(14)).winner
+    assert votes == [day_vote(eager_day(sim.make_day_plan(scenario, i, seed))) for i in range(14)]
 
 
 def test_threads_racing_on_one_lazy_day_read_the_eager_items():

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import date
 
-from timeloc.simulator import ModeMix, NoiseParams, ScenarioSpec, make_day_plan, synth_plan_day
+from hypothesis import strategies as st
+
+from timeloc.simulator import SCENARIO_PRESETS, ModeMix, NoiseParams, ScenarioSpec, make_day_plan, synth_plan_day
 from timeloc.trace_model import (
     AccelSample,
     ApObservation,
@@ -29,6 +31,14 @@ NOISE_VARIANTS = {
     "no-dropout": lambda n: replace(n, dropout_prob=0.0),
     "noiseless": lambda n: NoiseParams(),
 }
+
+
+@st.composite
+def day_plans(draw):
+    """A plan for any preset day and noise variant."""
+    preset = draw(st.sampled_from(sorted(SCENARIO_PRESETS)))
+    plan = make_day_plan(SCENARIO_PRESETS[preset](), draw(st.integers(0, 40)), draw(st.integers(0, 2**32 - 1)))
+    return replace(plan, noise=NOISE_VARIANTS[draw(st.sampled_from(sorted(NOISE_VARIANTS)))](plan.noise))
 
 
 def B(text: str) -> Bssid:
