@@ -12,7 +12,6 @@ from .errors import (
     ColdStart,
     ConfigurationError,
     InsufficientHistory,
-    NoArrival,
     NoHistory,
     NoNightData,
     OrderingError,

@@ -224,7 +224,6 @@ def _cmd_mine_home(args) -> int:
 def _cmd_build_profile(args) -> int:
     days = _load_days(args.traces)
     votes = [home_mining.day_vote(d) for d in days]
-    home_mining.tally_votes(votes)  # raises NoNightData when no day has any
     homes = home_mining.window_homes(votes, args.window_days)
     # Start from the first full window that votes.  Some day votes, and it
     # lies in the first full window or ends a later one, so one does.
@@ -281,7 +280,6 @@ def _cmd_detect_door(args) -> int:
         homes = [args.home] * len(days)
     else:
         votes = [home_mining.day_vote(d) for d in days]
-        home_mining.tally_votes(votes)  # raises NoNightData when no day has any
         homes = home_mining.window_homes(votes, time_map.WINDOW_DAYS)
     lines = ["ts"]
     for day, home in zip(days, homes):
@@ -425,9 +423,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader that closed stdout shows here, not at exit
+        return status
     except TimelocError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader is gone: point stdout at devnull so the interpreter's
+        # final flush cannot fail again, and exit 1 with nothing on stderr.
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 1
 
 

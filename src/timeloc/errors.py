@@ -29,10 +29,6 @@ class NoNightData(TimelocError):
     """No trace contains any scan inside the nightly voting window."""
 
 
-class NoArrival(TimelocError):
-    """The home AP was never detected in a day's trace."""
-
-
 class UnknownBssid(TimelocError):
     """Queried BSSID is absent from both the window and the fallback map."""
 

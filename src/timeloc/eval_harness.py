@@ -50,7 +50,7 @@ from .time_map import (
     leg_losses,
     predict_tl,
 )
-from .trace_model import Bssid, DayTrace, ScanRecord, filter_trace
+from .trace_model import Bssid, DayTrace, ScanRecord, filter_trace, ts_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,13 +167,12 @@ def ap_loss_queries(trace: DayTrace, home: Bssid, arrival_ts: int) -> list[Query
 def leg_queries(day_id: date, day_leg: tuple, arrival_ts: int) -> list[QueryPoint]:
     """``ap_loss_queries`` of day ``day_id`` from its ``leg_losses``."""
     leg, _, losses = day_leg
-    leg_ts = [s.ts for s in leg]
 
     queries = []
     for b, (first, last, lost) in losses.items():
         if lost is None:
             continue
-        scan = leg[bisect_right(leg_ts, last)]
+        scan = leg[bisect_right(leg, last, key=ts_of)]
         if scan.ts >= arrival_ts:
             continue
         queries.append(
@@ -288,8 +287,6 @@ def evaluate(
         if age < WINDOW_DAYS:
             continue  # history only: no predictions in the first week
         window = home_mining.days_before(days, day.day_id, WINDOW_DAYS)
-        if not window:
-            continue
         try:
             home = home_mining.tally_votes(d.vote for d in window).winner
         except NoNightData:

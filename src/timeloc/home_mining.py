@@ -82,26 +82,26 @@ def tally_votes(votes: Iterable[Bssid | None]) -> HomeVote:
     Days without a vote are skipped.  Raises NoNightData when no day voted.
     """
     tally: dict[Bssid, int] = {}
-    voting_days = 0
     for v in votes:
         if v is None:
             continue
         tally[v] = tally.get(v, 0) + 1
-        voting_days += 1
-    if voting_days == 0:
+    if not tally:
         raise NoNightData("no scans inside the 21:00-06:00 window on any day")
     best = max(tally.values())
     winner = min(b for b, n in tally.items() if n == best)
     return HomeVote(
         winner=winner,
         tally=tally,
-        confidence=tally[winner] / voting_days,
+        confidence=best / sum(tally.values()),
     )
 
 
 def window_homes(votes: Sequence[Bssid | None], length: int) -> list[Bssid | None]:
     """Each day's home: the modal vote of the ``length`` read days ending at
-    it, or None where none of them voted.  ``votes`` are in day order."""
+    it, or None where none of them voted.  ``votes`` are in day order.
+    Raises NoNightData, as ``tally_votes`` does, when no day voted."""
+    tally_votes(votes)
     homes = []
     for i in range(len(votes)):
         try:

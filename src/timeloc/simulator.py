@@ -506,10 +506,7 @@ class DayOracle:
     def scan_instants(self) -> list[int]:
         instants = list(range(self.depart_ts, self.door_ts + 31, SCAN_PERIOD_S))
         period = self.plan.night.scan_period_s
-        t = instants[-1] + period
-        while t < self.morning_depart_ts:
-            instants.append(t)
-            t += period
+        instants.extend(range(instants[-1] + period, self.morning_depart_ts, period))
         morning_end = self._gps_windows[1][1] + MORNING_SCAN_PERIOD_S  # the morning route's end
         instants.extend(range(self.morning_depart_ts, min(morning_end, self.slice_end - 1), MORNING_SCAN_PERIOD_S))
         return instants

@@ -22,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     ColdStart,
-    NoArrival,
     NoNightData,
     OrderingError,
     ProfileFormatError,
@@ -80,44 +79,35 @@ class Prediction:
     lookups: int
 
 
-def homeward_leg(trace: DayTrace, home: Bssid) -> tuple[tuple[ScanRecord, ...], int]:
-    """Scans of the final approach home, ending at the home-detection scan.
-
-    The anchor is the day's last home detection following a genuine absence
-    (at least HOME_AWAY_MIN_S since the previous sighting; shorter gaps are
-    missed scans, not departures).  The leg starts right after that previous
-    sighting, or at the first scan when home was never seen before.  Morning
-    sightings of route APs fall after the anchor and are therefore excluded.
-    Raises NoArrival when home is never seen at all.
-    """
-    scans = trace.scans
-    # A scan lists each BSSID at most once, so this is one index per sighting.
-    sightings = [i for i, s in enumerate(scans) for o in s.aps if o.bssid == home]
-    if not sightings:
-        raise NoArrival(f"home {home} not detected on {trace.day_id}")
-    detect_idx, leg_start_idx = sightings[0], 0
-    for prev, i in zip(sightings, sightings[1:]):
-        if scans[i].ts - scans[prev].ts >= HOME_AWAY_MIN_S:
-            detect_idx, leg_start_idx = i, prev + 1
-    return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
-
-
 def leg_losses(
     trace: DayTrace, home: Bssid
 ) -> tuple[tuple[ScanRecord, ...], int | None, dict[Bssid, tuple[int, int, int | None]]]:
     """The homeward leg, its home-detection instant, and each leg AP's
     (first sighting, last sighting, observed loss), keyed in first-seen order.
 
+    The leg is the scans of the final approach home.  It ends at the day's
+    last home detection following a genuine absence (at least
+    HOME_AWAY_MIN_S since the previous sighting; shorter gaps are missed
+    scans, not departures), and starts right after that previous sighting,
+    or at the first scan when home was never seen before.  Morning
+    sightings of route APs fall after it and are therefore excluded.  A day
+    where home is never seen has an empty leg: ``((), None, {})``.
+
     A loss is only observable at scan granularity: one scan period after the
     last sighting.  It is None when that instant falls after home detection,
     which covers every AP still in the detection scan (the home AP always
-    is), since that scan is its last sighting.  A day where home is never
-    seen has an empty leg: ``((), None, {})``.
+    is), since that scan is its last sighting.
     """
-    try:
-        leg, home_ts = homeward_leg(trace, home)
-    except NoArrival:
+    stamps, scans = trace.scan_ts, trace.scans
+    # A scan lists each BSSID at most once, so this is one index per sighting.
+    sightings = [i for i, s in enumerate(scans) for o in s.aps if o.bssid == home]
+    if not sightings:
         return (), None, {}
+    detect_idx, leg_start_idx = sightings[0], 0
+    for prev, i in zip(sightings, sightings[1:]):
+        if stamps[i] - stamps[prev] >= HOME_AWAY_MIN_S:
+            detect_idx, leg_start_idx = i, prev + 1
+    leg, home_ts = scans[leg_start_idx : detect_idx + 1], stamps[detect_idx]
     first_seen: dict[Bssid, int] = {}
     last_seen: dict[Bssid, int] = {}
     for s in leg:

@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -731,6 +734,47 @@ class TestMalformedGroundTruth:
         err = capsys.readouterr().err
         assert err == f"error: {truth} line 1: the header must be 'day_id,arrival_ts,door_ts,mode'\n"
         assert not (tmp_path / "out").exists()
+
+
+# Each subcommand that writes to stdout, as argv built from the 10-day
+# dataset and a scratch directory.
+STDOUT_COMMANDS = {
+    "simulate": lambda ds, tmp: ("simulate", "--scenario", "simple", "--days", "2", "--out", tmp / "sim"),
+    "mine-home": lambda ds, tmp: ("mine-home", "--traces", ds),
+    "build-profile": lambda ds, tmp: ("build-profile", "--traces", ds, "--device", "d", "--store", tmp),
+    "predict": lambda ds, tmp: (
+        "predict", "--method", "nn", "--traces", ds, "--ts", _load_days(str(ds))[-1].scans[40].ts
+    ),
+    "detect-door": lambda ds, tmp: ("detect-door", "--traces", ds),
+    "fsm-run": lambda ds, tmp: ("fsm-run", "--scenario", "simple", "--out", tmp / "fsm"),
+    "evaluate": lambda ds, tmp: ("evaluate", "--traces", ds, "--out", tmp / "eval"),
+    "sweep": lambda ds, tmp: ("sweep", "--traces", ds, "--out", tmp / "sweep"),
+}
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(STDOUT_COMMANDS))
+    def test_a_closed_pipe_exits_one_with_nothing_on_stderr(
+        self, command, unbuffered, dataset_dir, tmp_path
+    ):
+        """A reader that is gone before the command writes (``| head`` that
+        has exited) ends it with exit 1 and no traceback, whether stdout
+        fails on the write or on the final flush."""
+        argv = [str(a) for a in STDOUT_COMMANDS[command](dataset_dir, tmp_path)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "timeloc", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, b"")
 
 
 class TestUsage:

@@ -357,7 +357,15 @@ def test_day_vote_is_the_smallest_top_dwell_bssid(t):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(edge_heavy_days(), max_size=10), st.integers(1, 9))
 def test_window_homes_votes_the_read_days_ending_at_each_day(days, length):
-    homes = window_homes([day_vote(t) for t in days], length)
+    votes = [day_vote(t) for t in days]
+    if all(v is None for v in votes):
+        with pytest.raises(NoNightData) as raised:
+            window_homes(votes, length)
+        with pytest.raises(NoNightData) as tallied:
+            tally_votes(votes)
+        assert str(raised.value) == str(tallied.value)
+        return
+    homes = window_homes(votes, length)
     assert len(homes) == len(days)
     for i, home in enumerate(homes):
         try:

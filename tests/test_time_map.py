@@ -14,7 +14,6 @@ from timeloc import simulator as sim
 from timeloc.eval_harness import QueryPoint, ap_loss_queries
 from timeloc.errors import (
     ColdStart,
-    NoArrival,
     NoNightData,
     OrderingError,
     ProfileFormatError,
@@ -35,7 +34,6 @@ from timeloc.time_map import (
     build_profile_from_maps,
     empty_profile,
     fold_day,
-    homeward_leg,
     leg_losses,
     load_profile,
     predict_tl,
@@ -64,15 +62,14 @@ def commute_trace(ap_windows, home_detect_offset, period=5, day=DAY, tail=60):
 class TestHomewardLeg:
     def test_leg_ends_at_first_home_sighting(self):
         t = commute_trace({bss(1): (0, 100)}, home_detect_offset=200)
-        leg, detect_ts = homeward_leg(t, HOME)
+        leg, detect_ts = leg_losses(t, HOME)[:2]
         assert detect_ts == SLICE + 200
         assert leg[-1].ts == detect_ts
         assert leg[0].ts == SLICE
 
-    def test_no_home_raises(self):
+    def test_no_home_gives_the_empty_leg(self):
         t = commute_trace({bss(1): (0, 100)}, home_detect_offset=200)
-        with pytest.raises(NoArrival):
-            homeward_leg(t, B("aa:00:00:00:00:aa"))
+        assert leg_losses(t, B("aa:00:00:00:00:aa")) == ((), None, {})
 
     def test_single_missed_scan_is_not_a_departure(self):
         # home present throughout except one dropped scan; anchor stays put
@@ -82,7 +79,7 @@ class TestHomewardLeg:
             if off == 2000:
                 aps = {}  # dropout
             scans.append(scan(SLICE + off, aps))
-        leg, detect_ts = homeward_leg(trace(scans), HOME)
+        leg, detect_ts = leg_losses(trace(scans), HOME)[:2]
         assert detect_ts == SLICE + 1000
 
     def test_morning_sightings_are_excluded(self):
@@ -97,7 +94,7 @@ class TestHomewardLeg:
             scans.append(scan(SLICE + off, {HOME: -45}))
         for off in range(80_000, 80_300, 5):  # morning route sightings
             scans.append(scan(SLICE + off, {bss(1): -55}))
-        leg, detect_ts = homeward_leg(trace(scans), HOME)
+        leg, detect_ts = leg_losses(trace(scans), HOME)[:2]
         assert detect_ts == SLICE + 300
         assert all(s.ts <= detect_ts for s in leg)
 
@@ -136,7 +133,7 @@ class TestBuildDayMap:
         route = sim.make_chain_route()
         t, truth = commute_day(route, sim.WALK, sim.NoiseParams(), seed=5)
         dm = build_day_map(t, route.home_bssid)
-        leg, detect_ts = homeward_leg(t, route.home_bssid)
+        leg, detect_ts = leg_losses(t, route.home_bssid)[:2]
         assert detect_ts == truth.arrival_ts
         for b, lab in dm.entries.items():
             if lab.tl_seconds > 0:
@@ -151,7 +148,7 @@ class TestBuildDayMap:
 
 
 def reference_leg_sightings(trace, home):
-    leg, home_ts = homeward_leg(trace, home)
+    leg, home_ts = leg_losses(trace, home)[:2]
     first_seen = {}
     last_seen = {}
     for s in leg:
@@ -179,9 +176,8 @@ def reference_build_day_map(trace, home):
 
 
 def reference_ap_loss_queries(trace, home, arrival_ts):
-    try:
-        leg, home_ts, first_seen, last_seen = reference_leg_sightings(trace, home)
-    except NoArrival:
+    leg, home_ts, first_seen, last_seen = reference_leg_sightings(trace, home)
+    if not leg:
         return []
     leg_ts = [s.ts for s in leg]
     final_bssids = {o.bssid for o in leg[-1].aps}
@@ -270,10 +266,7 @@ class TestLegLossProperties:
     @example(_LOSS_AT_DETECTION)
     def test_day_map_and_queries_match_the_sighting_rule(self, day):
         t, arrival = day
-        try:
-            expected = reference_build_day_map(t, HOME)
-        except NoArrival:
-            expected = None
+        expected = reference_build_day_map(t, HOME) if leg_losses(t, HOME)[0] else None
         assert build_day_map(t, HOME) == expected
         assert ap_loss_queries(t, HOME, arrival) == reference_ap_loss_queries(t, HOME, arrival)
 
@@ -282,9 +275,8 @@ class TestLegLossProperties:
     @example(_LOSS_AT_DETECTION)
     def test_labels_partition_the_leg(self, day):
         t, _ = day
-        try:
-            leg, home_ts = homeward_leg(t, HOME)
-        except NoArrival:
+        leg, home_ts = leg_losses(t, HOME)[:2]
+        if not leg:
             return
         dm = build_day_map(t, HOME)
         first = {}
@@ -332,8 +324,9 @@ class TestLegLossProperties:
         assert ap_loss_queries(t, HOME, arrival) == []
 
 
-def reference_homeward_leg(trace, home):
-    """``homeward_leg`` as one walk over the scans, testing each for home."""
+def reference_walked_leg(trace, home):
+    """The leg and home-detection instant of ``leg_losses`` as one walk over
+    the scans, testing each for home; None when home is never seen."""
     scans = trace.scans
     detect_idx = None
     leg_start_idx = 0
@@ -345,7 +338,7 @@ def reference_homeward_leg(trace, home):
                 leg_start_idx = 0 if prev_sight is None else prev_sight + 1
             prev_sight = i
     if detect_idx is None:
-        raise NoArrival(f"home {home} not detected on {trace.day_id}")
+        return None
     return scans[leg_start_idx : detect_idx + 1], scans[detect_idx].ts
 
 
@@ -354,29 +347,26 @@ class TestHomewardLegProperties:
     @given(leg_days())
     def test_matches_reference(self, day):
         t, _ = day
-        try:
-            expected = reference_homeward_leg(t, HOME)
-        except NoArrival:
-            with pytest.raises(NoArrival):
-                homeward_leg(t, HOME)
+        expected = reference_walked_leg(t, HOME)
+        if expected is None:
+            assert leg_losses(t, HOME) == ((), None, {})
         else:
-            assert homeward_leg(t, HOME) == expected
+            assert leg_losses(t, HOME)[:2] == expected
 
     @settings(max_examples=300, deadline=None)
     @given(leg_days())
     def test_anchor_is_the_last_sighting_after_an_absence(self, day):
         """Home is in the leg's last scan only; the leg starts at the first
         scan or right after a sighting at least HOME_AWAY_MIN_S earlier; no
-        later sighting follows such an absence.  NoArrival exactly when home
-        is never seen."""
+        later sighting follows such an absence.  The empty leg exactly when
+        home is never seen."""
         t, _ = day
         scans = t.scans
         seen = [i for i, s in enumerate(scans) if HOME in {o.bssid for o in s.aps}]
         if not seen:
-            with pytest.raises(NoArrival):
-                homeward_leg(t, HOME)
+            assert leg_losses(t, HOME) == ((), None, {})
             return
-        leg, home_ts = homeward_leg(t, HOME)
+        leg, home_ts = leg_losses(t, HOME)[:2]
         start = next(i for i, s in enumerate(scans) if s is leg[0])
         anchor = start + len(leg) - 1
         assert scans[start : anchor + 1] == leg
@@ -574,7 +564,10 @@ def test_update_profile_matches_reference(days, window_days, lookback, start_hom
 def test_folding_under_window_homes_matches_update_profile(days, window_days, start_home):
     """build-profile's loop: one ballot per day, each day's home from
     window_homes (kept where None), folded with fold_day."""
-    homes = window_homes([day_vote(t) for t in days], window_days)
+    try:
+        homes = window_homes([day_vote(t) for t in days], window_days)
+    except NoNightData:  # no day votes: fold every day under the kept home
+        homes = [None] * len(days)
     voted = folded = empty_profile(start_home, days[0].day_id)
     for i, (t, home) in enumerate(zip(days, homes)):
         window = days[max(0, i - window_days + 1) : i + 1]
