@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import date
 from json.encoder import encode_basestring_ascii as _json_str
 from statistics import median
@@ -28,7 +28,7 @@ from .errors import (
     TimelocError,
     UnknownBssid,
 )
-from .home_mining import vote_home_ap
+from .home_mining import day_vote, tally_votes
 from .trace_model import SCAN_PERIOD_S, Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids
 
 WINDOW_DAYS = 7
@@ -64,10 +64,13 @@ class DayMap:
 
 @dataclass(frozen=True, slots=True)
 class UserProfile:
+    """``ballots`` memoizes ``day_vote`` of each window day's trace; ``==`` ignores it."""
+
     home_bssid: Bssid
     window: tuple[DayMap, ...]
     fallback: Mapping[Bssid, ApLabel]
     built_at: date
+    ballots: Mapping[date, Bssid | None] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,11 +213,19 @@ def update_profile(
     all_window_traces: Sequence[DayTrace],
     window_days: int = WINDOW_DAYS,
 ) -> UserProfile:
-    """``fold_day`` under the home voted over the traces, or the profile's if none voted."""
+    """``fold_day`` under the home voted over the traces, or the profile's if none voted.
+
+    A trace votes the profile's ballot for its day when there is one (a
+    trace for such a day is taken to be that day's trace), else its
+    ``day_vote``.  The result holds the ballots of ``all_window_traces``.
+    """
+    held = profile.ballots
+    votes = [held[t.day_id] if t.day_id in held else day_vote(t) for t in all_window_traces]
     home = profile.home_bssid
     with contextlib.suppress(NoNightData):
-        home = vote_home_ap(all_window_traces).winner
-    return fold_day(profile, new_day, home, all_window_traces, window_days)
+        home = tally_votes(votes).winner
+    folded = fold_day(profile, new_day, home, all_window_traces, window_days)
+    return replace(folded, ballots=dict(zip((t.day_id for t in all_window_traces), votes)))
 
 
 def build_profile_from_maps(home: Bssid, maps: Iterable[DayMap]) -> UserProfile:
@@ -285,7 +296,7 @@ def _labels_json(labels: Mapping[Bssid, ApLabel], indent: str) -> str:
 
 
 def profile_to_json(profile: UserProfile) -> str:
-    """The profile document, 2-space indented with sorted keys.
+    """The profile document, 2-space indented with sorted keys; ``ballots`` only when held.
 
     The text is exactly what ``json.dumps(doc, indent=2, sort_keys=True)``
     writes for the document, built directly because the indenting encoder
@@ -298,21 +309,34 @@ def profile_to_json(profile: UserProfile) -> str:
         for dm in profile.window
     )
     window = f"[\n{days}\n  ]" if profile.window else "[]"
+    nights = ",\n".join(
+        f'    "{d.isoformat()}": {"null" if b is None else _json_str(b)}'
+        for d, b in sorted(profile.ballots.items())
+    )
+    ballots = f'\n  "ballots": {{\n{nights}\n  }},' if profile.ballots else ""
     return (
-        f'{{\n  "built_at": "{profile.built_at.isoformat()}",\n'
+        f'{{{ballots}\n  "built_at": "{profile.built_at.isoformat()}",\n'
         f'  "fallback": {_labels_json(profile.fallback, "  ")},\n'
         f'  "home_bssid": {_json_str(profile.home_bssid)},\n'
         f'  "window": {window}\n}}'
     )
 
 
+_new_label, _set_tl, _set_tdr = ApLabel.__new__, ApLabel.tl_seconds.__set__, ApLabel.tdr_seconds.__set__
+
+
 def _labels_from_json(doc_labels, bssids: _SeenBssids) -> dict[Bssid, ApLabel]:
-    """A BSSID -> ApLabel map from its document form, each label an array of exactly two integers."""
+    """A BSSID -> ApLabel map from its document form, each label an array of
+    exactly two nonnegative integers; having checked that itself, it sets
+    each label's slots without the frozen ``ApLabel.__init__``."""
     labels = {}
     for b, value in doc_labels.items():
-        if not (type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int):
-            raise ValueError(f"a label must be an array of two integers, not {value!r}")
-        labels[bssids[b]] = ApLabel(*value)
+        if not (type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int
+                and value[0] >= 0 and value[1] >= 0):
+            raise ValueError(f"a label must be an array of two nonnegative integers, not {value!r}")
+        labels[bssids[b]] = label = _new_label(ApLabel)
+        _set_tl(label, value[0])
+        _set_tdr(label, value[1])
     return labels
 
 
@@ -349,11 +373,16 @@ def profile_from_json(text: str) -> UserProfile:
         if any(earlier.day_id >= later.day_id for earlier, later in zip(window, window[1:])):
             raise ValueError("window days are not strictly increasing")
         fallback = _labels_from_json(doc["fallback"], bssids)
+        ballots = {
+            date.fromisoformat(d): None if b is None else bssids[b]
+            for d, b in doc.get("ballots", {}).items()
+        }
         return UserProfile(
             home_bssid=Bssid(doc["home_bssid"]),
             window=window,
             fallback=fallback,
             built_at=date.fromisoformat(doc["built_at"]),
+            ballots=ballots,
         )
     except KeyError as exc:
         raise ProfileFormatError(f"profile lacks the key {exc}") from exc

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from bisect import bisect_right
+from dataclasses import replace
 from datetime import timedelta
 from statistics import median
 
@@ -441,6 +442,24 @@ class TestUpdateProfile:
         # and not before the new home holds the window majority
         assert flips_at == move_day + 3
 
+    def test_a_stored_ballot_stands_for_its_days_trace(self, monkeypatch):
+        from timeloc import time_map
+
+        # every night sees only HOME, but two stored ballots say bss(2)
+        days = [DAY + timedelta(days=i) for i in range(3)]
+        nights = [
+            trace([scan(day_slice_start(d) + 10 * 3600 + 600 * k, {HOME: -45}) for k in range(3)], day=d)
+            for d in days
+        ]
+        held = {nights[0].day_id: bss(2), nights[1].day_id: bss(2)}
+        profile = replace(empty_profile(HOME, nights[0].day_id), ballots=held)
+        voted = []
+        monkeypatch.setattr(time_map, "day_vote", lambda t: voted.append(t.day_id) or day_vote(t))
+        updated = update_profile(profile, None, nights)
+        assert voted == [nights[2].day_id]
+        assert updated.home_bssid == bss(2)
+        assert updated.ballots == {**held, nights[2].day_id: HOME}
+
     def test_window_content_is_a_function_of_the_last_seven_days(self):
         maps = _window_maps(9)
         a = build_profile_from_maps(HOME, maps)
@@ -557,6 +576,24 @@ def test_update_profile_matches_reference(days, window_days, lookback, start_hom
             with pytest.raises(OrderingError):
                 update_profile(expected, expected.window[-1], window, window_days)
         profile = expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(folded_days(), st.integers(1, 9), st.integers(0, 12), st.sampled_from([OLD_HOME, NEW_HOME]))
+def test_stored_ballots_survive_the_document(days, window_days, lookback, start_home):
+    """The phone's evening: fold, then write the document and read it back.
+    Each stored ballot is ``day_vote`` of its trace, and the profile is the
+    reference's, which votes every trace and stores no ballot."""
+    profile = expected = empty_profile(start_home, days[0].day_id)
+    for i, t in enumerate(days):
+        window = days[max(0, i - lookback + 1) : i + 1] if lookback else ()
+        expected = reference_update_profile(
+            expected, build_day_map(t, expected.home_bssid), window, window_days
+        )
+        profile = update_profile(profile, build_day_map(t, profile.home_bssid), window, window_days)
+        profile = profile_from_json(profile_to_json(profile))
+        assert profile.ballots == {w.day_id: day_vote(w) for w in window}
+        assert profile == expected and not expected.ballots
 
 
 @settings(max_examples=100, deadline=None)
@@ -822,6 +859,8 @@ def reference_profile_json(profile):
             for b, lab in sorted(profile.fallback.items())
         },
     }
+    if profile.ballots:
+        doc["ballots"] = {d.isoformat(): b for d, b in profile.ballots.items()}
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -853,6 +892,7 @@ def _profiles(keys, signatures):
         window=_day_maps(keys, signatures).map(tuple),
         fallback=st.dictionaries(keys, _labels, max_size=4),
         built_at=st.dates(),
+        ballots=st.dictionaries(st.dates(), st.none() | _bssids, max_size=4),
     )
 
 
@@ -862,8 +902,9 @@ _any_signature = st.one_of(st.sampled_from(_SIGNATURES), st.floats(), st.integer
 @settings(max_examples=300, deadline=None)
 @given(_profiles(st.one_of(_bssids, st.text(max_size=6)), _any_signature))
 def test_profile_writer_matches_json_dumps(profile):
-    """Empty windows and maps, -0.0, x.5, 1e16, NaN and the infinities, and
-    keys that need escaping: the text is the indenting encoder's, byte for byte."""
+    """Empty windows and maps, -0.0, x.5, 1e16, NaN and the infinities,
+    keys that need escaping, and ballots or none, some of them None: the
+    text is the indenting encoder's, byte for byte."""
     assert profile_to_json(profile) == reference_profile_json(profile)
 
 
@@ -875,7 +916,9 @@ _finite_signature = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(_profiles(_bssids, _finite_signature))
 def test_finite_profile_survives_a_json_round_trip(profile):
-    assert profile_from_json(profile_to_json(profile)) == profile
+    back = profile_from_json(profile_to_json(profile))
+    assert back == profile
+    assert back.ballots == profile.ballots  # == ignores the ballots
 
 
 @settings(max_examples=200, deadline=None)
@@ -935,6 +978,12 @@ class TestMalformedProfile:
             (("window", 0, "signature_s"), float("nan")),
             (("window", 0, "signature_s"), float("inf")),
             pytest.param(("window", 0, "signature_s"), 10**400, id="signature-past-the-float-range"),
+            pytest.param(("window", 0, "entries", str(HOME)), [0, -1], id="negative-tdr"),
+            pytest.param(("fallback", str(bss(1))), [-5, 3], id="negative-fallback-tl"),
+            pytest.param(("ballots",), ["2024-01-01", None], id="ballots-not-an-object"),
+            pytest.param(("ballots",), "2024-01-01", id="ballots-a-string"),
+            pytest.param(("ballots",), {"yesterday": None}, id="ballot-date-not-a-date"),
+            pytest.param(("ballots",), {"2024-02-30": None}, id="ballot-date-out-of-range"),
         ],
     )
     def test_invalid_value(self, path, value):
@@ -973,6 +1022,13 @@ class TestMalformedProfile:
     def test_bad_bssid_is_still_a_validation_error(self):
         doc = self._doc()
         doc["home_bssid"] = "nope"
+        with pytest.raises(TraceValidationError, match="invalid BSSID"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("ballot", ["nope", 5])
+    def test_bad_ballot_bssid_is_a_validation_error(self, ballot):
+        doc = self._doc()
+        doc["ballots"] = {"2024-01-01": None, "2024-01-02": ballot}
         with pytest.raises(TraceValidationError, match="invalid BSSID"):
             profile_from_json(json.dumps(doc))
 
