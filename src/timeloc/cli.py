@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .trace_model import (
     filter_trace,
     load_accel_file,
     load_trace_file,
+    read_date,
     serialize_accel_samples,
     serialize_scan_records,
     slice_into_days,
@@ -88,7 +90,7 @@ def _parse_ground_truth_csv(text: str, path: str) -> list[GroundTruth]:
             name, factor = mode.split(":")
             truths.append(
                 GroundTruth(
-                    day_id=date.fromisoformat(day_id),
+                    day_id=read_date(day_id),
                     arrival_ts=int(arrival),
                     door_ts=int(door),
                     mode=TransportMode(name, float(factor)),
@@ -160,7 +162,7 @@ def _parse_bssid(text: str) -> Bssid:
 
 def _parse_day(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return read_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid date (YYYY-MM-DD): {text!r}") from None
 
@@ -222,19 +224,19 @@ def _cmd_mine_home(args) -> int:
 
 
 def _cmd_build_profile(args) -> int:
+    """Fold each day read with ``update_profile`` over the ``--window-days``
+    read days ending at it, from the first ballot cast: before its day no
+    window votes, so no fold moves the home.  The document holds no ballots."""
     days = _load_days(args.traces)
-    votes = [home_mining.day_vote(d) for d in days]
-    homes = home_mining.window_homes(votes, args.window_days)
-    # Start from the first full window that votes.  Some day votes, and it
-    # lies in the first full window or ends a later one, so one does.
-    home = next(h for h in homes[min(args.window_days, len(days)) - 1 :] if h is not None)
+    first_ballot = next(filter(None, map(home_mining.day_vote, days)), None)
+    # The tally of one ballot is that ballot; of none, mine-home's NoNightData.
+    home = home_mining.tally_votes([first_ballot]).winner
     profile = time_map.empty_profile(home, days[0].day_id)
-    for i, (day, voted) in enumerate(zip(days, homes)):
+    for i, day in enumerate(days):
         new_map = time_map.build_day_map(day, profile.home_bssid)
-        home = voted or profile.home_bssid  # a window without nightly data keeps the home
         window_traces = days[max(0, i - args.window_days + 1) : i + 1]
-        profile = time_map.fold_day(profile, new_map, home, window_traces, args.window_days)
-    path = time_map.save_profile(profile, args.store, args.device)
+        profile = time_map.update_profile(profile, new_map, window_traces, args.window_days)
+    path = time_map.save_profile(replace(profile, ballots={}), args.store, args.device)
     print(
         f"profile for {args.device}: home {profile.home_bssid}, "
         f"{len(profile.window)} window day(s), {len(profile.fallback)} fallback "

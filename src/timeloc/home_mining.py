@@ -7,9 +7,9 @@ modal vote across days (``tally_votes``) is declared the home AP.
 Two rules for the home on day d stay apart on purpose.  A prediction on d
 uses the W calendar days before d and never d's own night, which comes
 after the arrival it predicts (``days_before``: ``evaluate``, ``predict
---method nn``).  A fold uses the W read days ending at d (``window_homes``:
-build-profile and detect-door; ``update_profile``, which reuses the
-ballots its profile stores and votes only the days it has none for).
+--method nn``).  A fold uses the W read days ending at d: ``update_profile``
+for build-profile and the phone, voting only the days whose ballot its
+profile lacks, and ``window_homes`` for detect-door, which keeps no profile.
 """
 
 from __future__ import annotations

@@ -47,6 +47,7 @@ from .trace_model import (
     _SeenBssids,
     _SeenObservations,
     day_slice_start,
+    read_date,
 )
 
 MORNING_SCAN_PERIOD_S = 60
@@ -752,7 +753,7 @@ def _scenario_from_config(cp: configparser.ConfigParser) -> ScenarioSpec:
         depart_time_jitter_s=int(days_sec.pop("depart_jitter_s", 300)),
         night_dwell=night,
         depart_sod=_parse_sod(str(days_sec.pop("depart", "18:00"))),
-        start_day=date.fromisoformat(str(days_sec.pop("start_day", "2024-01-01"))),
+        start_day=read_date(str(days_sec.pop("start_day", "2024-01-01"))),
         move_day=move_day,
     )
     for name, unread in sections.items():

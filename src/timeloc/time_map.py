@@ -14,7 +14,7 @@ import contextlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date
 from json.encoder import encode_basestring_ascii as _json_str
 from statistics import median
@@ -29,7 +29,7 @@ from .errors import (
     UnknownBssid,
 )
 from .home_mining import day_vote, tally_votes
-from .trace_model import SCAN_PERIOD_S, Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids
+from .trace_model import SCAN_PERIOD_S, Bssid, DayTrace, ScanRecord, _json_float, _SeenBssids, read_date
 
 WINDOW_DAYS = 7
 # A home re-detection only counts as "coming home" after a real absence;
@@ -154,26 +154,34 @@ def empty_profile(home: Bssid, built_at: date) -> UserProfile:
     return UserProfile(home_bssid=home, window=(), fallback={}, built_at=built_at)
 
 
-def fold_day(
+def update_profile(
     profile: UserProfile,
     new_day: DayMap | None,
-    home: Bssid,
-    window_traces: Sequence[DayTrace],
+    all_window_traces: Sequence[DayTrace],
     window_days: int = WINDOW_DAYS,
 ) -> UserProfile:
-    """Fold one day into the profile under ``home``: append, evict, maybe rebuild.
+    """Fold one day into the profile: vote the home, append, evict, maybe rebuild.
 
-    The new DayMap is appended; when the window overflows, the oldest map is
-    evicted and its labels merged into the fallback (newer label wins per
-    BSSID).  If ``home`` is not the profile's, the window is rebuilt against
-    it from the newest ``window_days`` of ``window_traces``, days where it
-    was never detected drop out, and the fallback starts over.  ``new_day``
-    may be None for a day that produced no map against the current home
-    (typically right after a relocation).  Raises ValueError if
-    ``window_days`` < 1.
+    The home is the modal ballot of ``all_window_traces``, or the profile's
+    if none voted.  A trace votes the profile's ballot for its day when
+    there is one (a trace for such a day is taken to be that day's trace),
+    else its ``day_vote``; the result holds the ballots of
+    ``all_window_traces``.  The new DayMap is appended; when the window
+    overflows, the oldest map is evicted and its labels merged into the
+    fallback (newer label wins per BSSID).  If the home moved, the window
+    is rebuilt against it from the newest ``window_days`` of the traces,
+    days where it was never detected drop out, and the fallback starts
+    over.  ``new_day`` may be None for a day that produced no map against
+    the current home (typically right after a relocation).  Raises
+    ValueError if ``window_days`` < 1.
     """
     if window_days < 1:
         raise ValueError(f"window_days must be >= 1, got {window_days}")
+    held = profile.ballots
+    votes = [held[t.day_id] if t.day_id in held else day_vote(t) for t in all_window_traces]
+    home = profile.home_bssid
+    with contextlib.suppress(NoNightData):
+        home = tally_votes(votes).winner
     window = list(profile.window)
     fallback = dict(profile.fallback)
 
@@ -191,41 +199,21 @@ def fold_day(
     if home != profile.home_bssid:
         # Labels anchored to the old home are meaningless now: rebuild the
         # window from the traces and start the fallback over.
-        recent = sorted(window_traces, key=lambda t: t.day_id)[-window_days:]
+        recent = sorted(all_window_traces, key=lambda t: t.day_id)[-window_days:]
         maps = (build_day_map(t, home) for t in recent)
         window = [m for m in maps if m is not None]
         fallback = {}
 
     built_at = window[-1].day_id if window else (
-        max(t.day_id for t in window_traces) if window_traces else profile.built_at
+        max(t.day_id for t in all_window_traces) if all_window_traces else profile.built_at
     )
     return UserProfile(
         home_bssid=home,
         window=tuple(window),
         fallback=fallback,
         built_at=built_at,
+        ballots=dict(zip((t.day_id for t in all_window_traces), votes)),
     )
-
-
-def update_profile(
-    profile: UserProfile,
-    new_day: DayMap | None,
-    all_window_traces: Sequence[DayTrace],
-    window_days: int = WINDOW_DAYS,
-) -> UserProfile:
-    """``fold_day`` under the home voted over the traces, or the profile's if none voted.
-
-    A trace votes the profile's ballot for its day when there is one (a
-    trace for such a day is taken to be that day's trace), else its
-    ``day_vote``.  The result holds the ballots of ``all_window_traces``.
-    """
-    held = profile.ballots
-    votes = [held[t.day_id] if t.day_id in held else day_vote(t) for t in all_window_traces]
-    home = profile.home_bssid
-    with contextlib.suppress(NoNightData):
-        home = tally_votes(votes).winner
-    folded = fold_day(profile, new_day, home, all_window_traces, window_days)
-    return replace(folded, ballots=dict(zip((t.day_id for t in all_window_traces), votes)))
 
 
 def build_profile_from_maps(home: Bssid, maps: Iterable[DayMap]) -> UserProfile:
@@ -233,7 +221,7 @@ def build_profile_from_maps(home: Bssid, maps: Iterable[DayMap]) -> UserProfile:
     ordered = sorted(maps, key=lambda m: m.day_id)
     profile = empty_profile(home, ordered[0].day_id if ordered else date.min)
     for m in ordered:
-        profile = fold_day(profile, m, home, ())
+        profile = update_profile(profile, m, ())
     return profile
 
 
@@ -364,7 +352,7 @@ def profile_from_json(text: str) -> UserProfile:
     try:
         window = tuple(
             DayMap(
-                day_id=date.fromisoformat(d["day_id"]),
+                day_id=read_date(d["day_id"]),
                 entries=_labels_from_json(d["entries"], bssids),
                 signature_s=_number_from_json(d["signature_s"]),
             )
@@ -374,14 +362,14 @@ def profile_from_json(text: str) -> UserProfile:
             raise ValueError("window days are not strictly increasing")
         fallback = _labels_from_json(doc["fallback"], bssids)
         ballots = {
-            date.fromisoformat(d): None if b is None else bssids[b]
+            read_date(d): None if b is None else bssids[b]
             for d, b in doc.get("ballots", {}).items()
         }
         return UserProfile(
             home_bssid=Bssid(doc["home_bssid"]),
             window=window,
             fallback=fallback,
-            built_at=date.fromisoformat(doc["built_at"]),
+            built_at=read_date(doc["built_at"]),
             ballots=ballots,
         )
     except KeyError as exc:

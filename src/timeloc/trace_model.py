@@ -232,6 +232,13 @@ def day_slice_start(day_id: date) -> int:
     return int(datetime.combine(day_id, time(12, 0), tzinfo=timezone.utc).timestamp())
 
 
+def read_date(text: str) -> date:
+    """The date of YYYY-MM-DD ``text``; ValueError for any other text, 20240101 included."""
+    if (day := date.fromisoformat(text)).isoformat() != text:
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return day
+
+
 def day_id_for_ts(ts: int) -> date:
     """Slice label for an epoch second: the date whose noon starts the slice.
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -17,6 +19,7 @@ from timeloc.trace_model import (
     serialize_accel_samples,
     serialize_scan_records,
 )
+from util import OTHER_ISO_DATES
 
 
 def run(*argv):
@@ -288,6 +291,37 @@ class TestProfileAndPredict:
         profile, _ = _folded_profile(trimmed, start, week)
         assert profile.home_bssid == Bssid("02:00:00:1f:ff:01")
         assert time_map.load_profile(store, "d") == profile
+
+    def test_a_first_ballot_after_the_first_week_writes_the_reference_document(
+        self, relocated, tmp_path, capsys
+    ):
+        """No night of days 0-8 is scanned, so the first ballot is day 9's.
+        The document is the one build-profile wrote when it started from the
+        first full window that votes, and it holds no ballots."""
+        data, days = relocated
+        scans = [s for i, d in enumerate(days) for s in d.scans if i >= 9 or not _is_night(s.ts)]
+        (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(scans))
+        store = tmp_path / "store"
+        capsys.readouterr()
+        assert run("build-profile", "--traces", tmp_path, "--device", "d", "--store", store) == 0
+        path = store / "d.profile.json"
+        out = "profile for d: home 02:00:00:1f:ff:01, 7 window day(s), 15 fallback entries"
+        assert capsys.readouterr() == (f"{out} -> {path}\n", "")
+        text = path.read_bytes()
+        assert hashlib.sha256(text).hexdigest() == (
+            "bc4fb1aaf4677f527a3bb0bf29ccf5b96c3caeac6527399c3e468e34cca32a30"
+        )
+        assert "ballots" not in json.loads(text)
+
+    def test_a_trace_without_night_scans_writes_no_profile(self, relocated, tmp_path, capsys):
+        data, days = relocated
+        scans = [s for d in days for s in d.scans if not _is_night(s.ts)]
+        (tmp_path / "trace.jsonl").write_bytes(serialize_scan_records(scans))
+        store = tmp_path / "store"
+        capsys.readouterr()
+        assert run("build-profile", "--traces", tmp_path, "--device", "d", "--store", store) == 1
+        assert capsys.readouterr() == ("", "error: no scans inside the 21:00-06:00 window on any day\n")
+        assert not store.exists()
 
     @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
     def test_store_that_is_not_a_directory_is_an_error(self, dataset_dir, tmp_path, capsys, inside):
@@ -719,6 +753,20 @@ class TestMalformedGroundTruth:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text", OTHER_ISO_DATES)
+    def test_a_day_that_is_not_yyyy_mm_dd(self, text, dataset_dir, tmp_path, capsys):
+        traces = tmp_path / "bad_day"
+        traces.mkdir()
+        (traces / "trace.jsonl").write_bytes((dataset_dir / "trace.jsonl").read_bytes())
+        lines = (dataset_dir / "ground_truth.csv").read_text().splitlines()
+        lines[3] = text + lines[3][len("2024-01-03") :]
+        truth = traces / "ground_truth.csv"
+        truth.write_text("\n".join(lines) + "\n")
+        assert run("evaluate", "--traces", traces, "--out", tmp_path / "out") == 1
+        detail = f"malformed ground truth (Invalid isoformat string: '{text}')"
+        assert capsys.readouterr() == ("", f"error: {truth} line 4: {detail}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["evaluate", "sweep"])
     @pytest.mark.parametrize("header", [None, "day,arrival,door,mode", ""], ids=["missing", "renamed", "blank"])
     def test_header_line_is_required(self, header, command, dataset_dir, tmp_path, capsys):
@@ -840,6 +888,14 @@ class TestUsage:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[-2]}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", OTHER_ISO_DATES)
+    def test_a_detect_door_day_that_is_not_yyyy_mm_dd(self, text, dataset_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect-door", "--traces", str(dataset_dir), "--day", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --day: invalid date (YYYY-MM-DD): '{text}'" in err and "Traceback" not in err
 
     def test_build_profile_accepts_a_longer_window(self, dataset_dir, tmp_path, capsys):
         store = tmp_path / "store"

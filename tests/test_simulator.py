@@ -35,7 +35,7 @@ from timeloc.trace_model import (
     slice_into_days,
     ts_of,
 )
-from util import NOISE_VARIANTS, commute_day, day_plans
+from util import NOISE_VARIANTS, OTHER_ISO_DATES, commute_day, day_plans
 
 
 def noiseless_day(route, mode=sim.WALK, seed=0):
@@ -238,6 +238,15 @@ neighbor_dwell_s = 3600
     assert {m.name for m, _ in scenario.mode_schedule.modes} == {"walk", "cycle"}
     traces, truths = sim.synth_dataset(scenario, seed=1)
     assert len(traces) == 9
+
+
+@pytest.mark.parametrize("text", OTHER_ISO_DATES)
+def test_a_start_day_that_is_not_yyyy_mm_dd_is_refused(tmp_path, text):
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"[days]\nstart_day = {text}\n")
+    with pytest.raises(ConfigurationError) as exc:
+        sim.load_scenario(str(path))
+    assert str(exc.value) == f"malformed scenario file {str(path)!r}: Invalid isoformat string: '{text}'"
 
 
 def test_the_readme_scenario_file_loads_as_the_mixture_preset(tmp_path):

@@ -1,17 +1,23 @@
+import argparse
 import contextlib
 import json
 import math
+import os
 import random
+import tempfile
 from bisect import bisect_right
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 from statistics import median
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timeloc import cli
 from timeloc import simulator as sim
+from timeloc.cli import _load_days
 from timeloc.eval_harness import QueryPoint, ap_loss_queries
 from timeloc.errors import (
     ColdStart,
@@ -34,7 +40,6 @@ from timeloc.time_map import (
     build_day_map,
     build_profile_from_maps,
     empty_profile,
-    fold_day,
     leg_losses,
     load_profile,
     predict_tl,
@@ -42,8 +47,8 @@ from timeloc.time_map import (
     profile_to_json,
     update_profile,
 )
-from timeloc.trace_model import day_slice_start
-from util import B, DAY, SLICE, bss, commute_day, scan, trace
+from timeloc.trace_model import day_slice_start, serialize_scan_records
+from util import OTHER_ISO_DATES, B, DAY, SLICE, bss, commute_day, scan, trace
 
 HOME = B("aa:00:00:00:00:ff")
 
@@ -596,22 +601,83 @@ def test_stored_ballots_survive_the_document(days, window_days, lookback, start_
         assert profile == expected and not expected.ballots
 
 
-@settings(max_examples=100, deadline=None)
-@given(folded_days(), st.integers(1, 9), st.sampled_from([OLD_HOME, NEW_HOME]))
-def test_folding_under_window_homes_matches_update_profile(days, window_days, start_home):
-    """build-profile's loop: one ballot per day, each day's home from
-    window_homes (kept where None), folded with fold_day."""
-    try:
-        homes = window_homes([day_vote(t) for t in days], window_days)
-    except NoNightData:  # no day votes: fold every day under the kept home
-        homes = [None] * len(days)
-    voted = folded = empty_profile(start_home, days[0].day_id)
-    for i, (t, home) in enumerate(zip(days, homes)):
-        window = days[max(0, i - window_days + 1) : i + 1]
-        voted = update_profile(voted, build_day_map(t, voted.home_bssid), window, window_days)
-        home = folded.home_bssid if home is None else home
-        folded = fold_day(folded, build_day_map(t, folded.home_bssid), home, window, window_days)
-        assert folded == voted
+# reference: build-profile as it was before it folded through
+# update_profile, copied from that loop and from the fold_day it called.
+
+
+def reference_fold_day(profile, new_day, home, window_traces, window_days=WINDOW_DAYS):
+    if window_days < 1:
+        raise ValueError(f"window_days must be >= 1, got {window_days}")
+    window = list(profile.window)
+    fallback = dict(profile.fallback)
+
+    if new_day is not None:
+        if window and new_day.day_id <= window[-1].day_id:
+            raise OrderingError(
+                f"day {new_day.day_id} not later than window tail {window[-1].day_id}"
+            )
+        window.append(new_day)
+        while len(window) > window_days:
+            evicted = window.pop(0)
+            for b, lab in evicted.entries.items():
+                fallback[b] = lab
+
+    if home != profile.home_bssid:
+        # Labels anchored to the old home are meaningless now: rebuild the
+        # window from the traces and start the fallback over.
+        recent = sorted(window_traces, key=lambda t: t.day_id)[-window_days:]
+        maps = (build_day_map(t, home) for t in recent)
+        window = [m for m in maps if m is not None]
+        fallback = {}
+
+    built_at = window[-1].day_id if window else (
+        max(t.day_id for t in window_traces) if window_traces else profile.built_at
+    )
+    return UserProfile(
+        home_bssid=home,
+        window=tuple(window),
+        fallback=fallback,
+        built_at=built_at,
+    )
+
+
+def reference_build_profile(days, window_days):
+    votes = [day_vote(d) for d in days]
+    homes = window_homes(votes, window_days)
+    # Start from the first full window that votes.  Some day votes, and it
+    # lies in the first full window or ends a later one, so one does.
+    home = next(h for h in homes[min(window_days, len(days)) - 1 :] if h is not None)
+    profile = empty_profile(home, days[0].day_id)
+    for i, (day, voted) in enumerate(zip(days, homes)):
+        new_map = build_day_map(day, profile.home_bssid)
+        home = voted or profile.home_bssid  # a window without nightly data keeps the home
+        window_traces = days[max(0, i - window_days + 1) : i + 1]
+        profile = reference_fold_day(profile, new_map, home, window_traces, window_days)
+    return profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(folded_days(), st.integers(1, 9))
+def test_build_profile_from_the_first_ballot_matches_the_first_voting_window(days, window_days):
+    """build-profile starts from the first ballot cast and folds with
+    update_profile; the reference starts from the first full window that
+    votes and folds under window_homes, keeping the home where a window has
+    no votes.  Both write the same document, or both refuse a trace where
+    no day votes.  Windows shorter than the CLI's 7-day minimum run too."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "trace.jsonl").write_bytes(serialize_scan_records(s for d in days for s in d.scans))
+        days = _load_days(tmp)
+        args = argparse.Namespace(traces=tmp, device="d", store=tmp, window_days=window_days)
+        try:
+            expected = reference_build_profile(days, window_days)
+        except NoNightData:
+            with pytest.raises(NoNightData):
+                cli._cmd_build_profile(args)
+            assert sorted(os.listdir(tmp)) == ["trace.jsonl"]
+            return
+        assert cli._cmd_build_profile(args) == 0
+        assert load_profile(tmp, "d") == expected
+        assert (Path(tmp) / "d.profile.json").read_text() == profile_to_json(expected) + "\n"
 
 
 class TestPredict:
@@ -996,6 +1062,19 @@ class TestMalformedProfile:
         else:
             doc = value
         with pytest.raises(ProfileFormatError, match="invalid value"):
+            profile_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", OTHER_ISO_DATES)
+    @pytest.mark.parametrize("where", ["window-day", "ballot", "built_at"])
+    def test_a_date_that_is_not_yyyy_mm_dd(self, where, text):
+        doc = self._doc()
+        if where == "window-day":
+            doc["window"][0]["day_id"] = text
+        elif where == "ballot":
+            doc["ballots"] = {text: None}
+        else:
+            doc["built_at"] = text
+        with pytest.raises(ProfileFormatError, match=f"invalid value \\(Invalid isoformat string: '{text}'\\)"):
             profile_from_json(json.dumps(doc))
 
     @pytest.mark.parametrize("where", ["same-map", "fallback"])

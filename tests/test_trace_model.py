@@ -26,11 +26,12 @@ from timeloc.trace_model import (
     haversine_m,
     parse_accel_file,
     parse_trace_file,
+    read_date,
     serialize_accel_samples,
     serialize_scan_records,
     slice_into_days,
 )
-from util import B, DAY, SLICE, bss, scan, trace
+from util import OTHER_ISO_DATES, B, DAY, SLICE, bss, scan, trace
 
 
 class TestBssid:
@@ -692,3 +693,14 @@ def test_day_id_for_ts_matches_slice_start():
     assert day_id_for_ts(SLICE) == DAY
     assert day_id_for_ts(SLICE + 86_399) == DAY
     assert day_id_for_ts(SLICE - 1) == date(2023, 12, 31)
+
+
+@given(st.dates())
+def test_read_date_reads_each_date_it_writes(day):
+    assert read_date(day.isoformat()) == day
+
+
+@pytest.mark.parametrize("text", OTHER_ISO_DATES)
+def test_read_date_refuses_every_other_iso_form(text):
+    with pytest.raises(ValueError, match=f"Invalid isoformat string: '{text}'"):
+        read_date(text)

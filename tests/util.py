@@ -22,6 +22,9 @@ DAY = date(2024, 1, 1)
 SLICE = day_slice_start(DAY)
 NIGHT_START = SLICE + 32_400   # 21:00
 NIGHT_END = SLICE + 64_800     # 06:00 next morning
+# ISO forms of a date that are not YYYY-MM-DD: Python 3.11 on reads the
+# first two as 2024-01-01, and no version reads the ordinal date.
+OTHER_ISO_DATES = ("20240101", "2024-W01-1", "2024-001")
 
 
 # ways to vary a preset day's noise: as it is, without one noise source, or none
