@@ -20,7 +20,7 @@ from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NoNightData
-from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, day_slice_start
+from .trace_model import DAY_S, NOON_SOD, Bssid, DayTrace, RenderedOnRead, day_slice_start
 
 NIGHT_START_SOD = 21 * 3600
 NIGHT_END_SOD = 6 * 3600
@@ -50,12 +50,14 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
     The scans are time-ordered within one slice, so the night scans are the
     contiguous run found by bisecting the day's stamps over the slice's
     night range.  Credits come from the stamps too, so only the scans that
-    earn a credit are read: on a simulated day, the night but its last scan.
+    earn a credit are read, and the vote reads only which BSSIDs each lists:
+    on a simulated day it renders no scan (``RenderedOnRead.listed``).
     """
     stamps, scans = trace.scan_ts, trace.scans
     start = day_slice_start(trace.day_id)
     lo = bisect_left(stamps, start + NIGHT_OPEN_S)
     hi = bisect_left(stamps, start + NIGHT_CLOSE_S, lo)
+    listed = scans.listed if isinstance(scans, RenderedOnRead) else None
     dwell: dict[Bssid, int] = {}
     get = dwell.get
     for i in range(lo, hi - 1):
@@ -63,8 +65,12 @@ def nightly_dwell(trace: DayTrace) -> dict[Bssid, int]:
         if credit <= 0:
             continue
         credit = GAP_CAP_S if credit > GAP_CAP_S else credit
-        for o in scans[i].aps:
-            dwell[o.bssid] = get(o.bssid, 0) + credit
+        if listed is None:
+            for o in scans[i].aps:
+                dwell[o.bssid] = get(o.bssid, 0) + credit
+        else:
+            for b in listed(i):
+                dwell[b] = get(b, 0) + credit
     return dwell
 
 

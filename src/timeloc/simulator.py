@@ -9,7 +9,8 @@ through the duty-cycling state machine.  Everything is a pure function of
 (inputs, seed): per-day seeds are the master seed XOR the day index, and
 observation noise is keyed by (day seed, timestamp, sensor) and drawn in a
 fixed source order, so days can be regenerated independently and in any
-order.
+order.  Each source draws its RSSI pair (when sigma > 0), then its dropout
+uniform; the presence read ``bssids_at`` steps past the pair undrawn.
 
 Ground truth per day: the arrival instant (first full-rate scan containing
 the home AP) and a planted door-opening event (a one-scan spike of three
@@ -417,6 +418,15 @@ class DayOracle:
             edge = 0.0
         return peak - RAMP_DEPTH_DB * edge
 
+    def _kept_kinds(self, ts: int) -> tuple[int, ...]:
+        """The source kinds that never drop out at ``ts``.  The plant must
+        survive its own noise: the spike is always kept, and the home at
+        arrival and around the door, so arrival stays detectable and the
+        door signature keeps its home observations."""
+        if ts == self.arrival_ts or self.door_ts - 1 <= ts <= self.door_ts + 11:
+            return _SPIKE, _HOME
+        return (_SPIKE,)
+
     def aps_at(self, ts: int) -> tuple[ApObservation, ...]:
         active = self._segments[bisect_right(self._edges, ts)]
         if not active:
@@ -424,24 +434,20 @@ class DayOracle:
         key = self._stream_base(1, ts)  # the key of the next draw
         sigma = self._noise.rssi_sigma_db
         p_drop = self._noise.dropout_prob
+        kept = self._kept_kinds(ts)
         obs: dict[Bssid, int] = {}
         for kind, bssid, start, end, value in active:
-            can_drop = kind != _SPIKE  # the planted spike never drops out
             if kind == _ROUTE:
                 value = self._trapezoid(value, start, end, ts)
-            elif kind == _HOME:
-                if self.door_ts <= ts < self.door_ts + 10:
-                    value -= 8.0  # door-crossing RSSI dip
-                # the plant must survive its own noise: arrival stays
-                # detectable and the door signature keeps its home observations
-                can_drop = not (ts == self.arrival_ts or self.door_ts - 1 <= ts <= self.door_ts + 11)
+            elif kind == _HOME and self.door_ts <= ts < self.door_ts + 10:
+                value -= 8.0  # door-crossing RSSI dip
             if sigma:
                 u1 = _draw(key)
                 key += _GOLD
                 u2 = _draw(key)
                 key += _GOLD
                 value += sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
-            if can_drop and p_drop:
+            if p_drop and kind not in kept:
                 u = _draw(key)
                 key += _GOLD
                 if u < p_drop:
@@ -449,6 +455,26 @@ class DayOracle:
             obs[bssid] = max(RSSI_MIN_DBM, min(RSSI_MAX_DBM, round(value)))
         seen = self._observations
         return tuple([seen[pair] for pair in sorted(obs.items())])
+
+    def bssids_at(self, ts: int) -> set[Bssid]:
+        """The BSSIDs ``aps_at(ts)`` lists, from the dropout draws alone."""
+        active = self._segments[bisect_right(self._edges, ts)]
+        if not active:
+            return set()
+        key = self._stream_base(1, ts)
+        pair = 2 * _GOLD if self._noise.rssi_sigma_db else 0  # the RSSI pair, never drawn
+        p_drop = self._noise.dropout_prob
+        kept = self._kept_kinds(ts)
+        listed = set()
+        for kind, bssid, _, _, _ in active:
+            key += pair
+            if p_drop and kind not in kept:
+                u = _draw(key)
+                key += _GOLD
+                if u < p_drop:
+                    continue
+            listed.add(bssid)
+        return listed
 
     def quiet_until(self, ts: int) -> int:
         """The first second in [ts, slice_end) at which some AP source is
@@ -532,15 +558,17 @@ def synth_plan_day(plan: DayPlan, *, _seen: _SeenObservations | None = None) -> 
 
     The trace's scans and accelerometer samples are RenderedOnRead: each is
     rendered from the day's oracle when it is first read, so a reader pays
-    only for what it reads.  Each item comes from its own keyed draw stream,
-    so it is the same whatever else was read; a read item never changes, and
-    two threads racing on one index render equal items.  A day rendered
-    alone interns its observations in a table of its own.
+    only for what it reads, and which BSSIDs a scan lists is read from
+    ``bssids_at`` without a render.  Each item comes from its own keyed draw
+    stream, so it is the same whatever else was read; a read item never
+    changes, and two threads racing on one index render equal items.  A day
+    rendered alone interns its observations in a table of its own.
     """
     oracle = DayOracle(plan, _seen=_seen)
     scans = RenderedOnRead(
         oracle.scan_instants(),
         lambda ts: ScanRecord.recorded(ts, oracle.gps_at(ts), oracle.connected_at(ts), oracle.aps_at(ts)),
+        oracle.bssids_at,
     )
     accel = RenderedOnRead(oracle.accel_instants(), lambda ts: AccelSample(ts, oracle.accel_at(ts)))
     return DayTrace(plan.day_id, scans, accel), oracle.ground_truth()

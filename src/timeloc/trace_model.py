@@ -9,7 +9,8 @@ All types are immutable (frozen dataclasses, and a ``str`` subclass for
 BSSIDs), safe to share across threads.  A simulated day's scans and samples
 are a RenderedOnRead: each item is rendered when it is first read, and a
 whole read swaps the finished tuple into the DayTrace.  A read item never
-changes, and two threads racing on one index render equal items.
+changes, and two threads racing on one index render equal items.  Which
+BSSIDs a scan lists can be read without rendering it (``listed``).
 """
 
 from __future__ import annotations
@@ -146,13 +147,22 @@ class ScanRecord:
 class RenderedOnRead(abc.Sequence):
     """Items made by ``render(instant)`` on first read, one per sorted instant:
     ``seq[i]`` makes and keeps item i alone, and any other read makes the rest
-    and hands the finished tuple to each DayTrace holding the sequence."""
+    and hands the finished tuple to each DayTrace holding the sequence.  A
+    sequence of scans that ``listed`` reads needs ``listed_at(instant)``,
+    the set of BSSIDs the scan at that instant lists."""
 
-    __slots__ = ("instants", "_render", "_items", "_owners")
+    __slots__ = ("instants", "_render", "_listed_at", "_items", "_owners")
 
-    def __init__(self, instants: list[int], render):
-        self.instants, self._render, self._owners = instants, render, []  # owners: (DayTrace, field)
-        self._items: list | tuple = [None] * len(instants)
+    def __init__(self, instants: list[int], render, listed_at=None):
+        self.instants, self._render, self._listed_at = instants, render, listed_at
+        self._owners, self._items = [], [None] * len(instants)  # (DayTrace, field) pairs; a list, later a tuple
+
+    def listed(self, i) -> Iterable[Bssid]:
+        """The BSSIDs scan i lists: read from the scan once it is rendered,
+        else from ``listed_at``, which renders and stores nothing."""
+        if (item := self._items[i]) is None:
+            return self._listed_at(self.instants[i])
+        return map(_bssid_of, item.aps)
 
     def __len__(self) -> int:
         return len(self.instants)

@@ -1,8 +1,10 @@
+import contextlib
 import math
 import random
 import sys
 import threading
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from timeloc import simulator as sim
 from timeloc.errors import ConfigurationError
-from timeloc.home_mining import NIGHT_CLOSE_S, NIGHT_OPEN_S, day_vote
+from timeloc.home_mining import GAP_CAP_S, NIGHT_CLOSE_S, NIGHT_OPEN_S, day_vote, nightly_dwell
 from timeloc.sensing_fsm import run_fsm_day
 from timeloc.trace_model import (
     DAY_S,
@@ -702,40 +704,106 @@ def test_a_dataset_interns_each_observation_once(preset, seed, noise, n_days):
         assert trace == sim.synth_plan_day(sim.make_day_plan(scenario, i, seed))[0]
 
 
+@contextlib.contextmanager
+def oracle_reads():
+    """Spies on DayOracle's scan, presence and accelerometer reads; yields
+    a function giving one of them's call count per day."""
+    with contextlib.ExitStack() as stack:
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(sim.DayOracle, name, autospec=True, side_effect=getattr(sim.DayOracle, name))
+            )
+            for name in ("aps_at", "accel_at", "bssids_at")
+        }
+        yield lambda name: Counter(call.args[0].plan.day_id for call in spies[name].call_args_list)
+
+
+def night_range(trace) -> range:
+    """The indices of the day's night scans."""
+    start, stamps = day_slice_start(trace.day_id), trace.scan_ts
+    return range(bisect_left(stamps, start + NIGHT_OPEN_S), bisect_left(stamps, start + NIGHT_CLOSE_S))
+
+
 @pytest.mark.parametrize(
     "period, nights", [(600, range(2, 100)), (8 * 3600, {1}), (DAY_S, {0})], ids=["many", "one", "none"]
 )
 @pytest.mark.parametrize("seed", [0, 1000, 1049])
-def test_voting_renders_the_night_but_its_last_scan(monkeypatch, seed, period, nights):
-    """Voting bisects the stamps and credits each night scan from them, so a
-    day with n >= 1 night scans renders n - 1 scans, one with none renders
-    nothing, and no accelerometer sample is rendered."""
-    aps_calls, accel_calls = {}, []
-    aps_at, accel_at = sim.DayOracle.aps_at, sim.DayOracle.accel_at
-
-    def counted_aps_at(self, ts):
-        aps_calls[self.plan.day_id] = aps_calls.get(self.plan.day_id, 0) + 1
-        return aps_at(self, ts)
-
-    def counted_accel_at(self, ts):
-        accel_calls.append(ts)
-        return accel_at(self, ts)
-
-    monkeypatch.setattr(sim.DayOracle, "aps_at", counted_aps_at)
-    monkeypatch.setattr(sim.DayOracle, "accel_at", counted_accel_at)
+def test_voting_renders_no_scan(seed, period, nights):
+    """Voting bisects the stamps, credits each night scan from them and reads
+    only which BSSIDs it lists, so a day with n night scans renders no scan
+    and no accelerometer sample, and makes max(n - 1, 0) presence reads."""
     scenario = replace(sim.mining_scenario(n_days=14), night_dwell=sim.NightDwellSpec(scan_period_s=period))
-    traces, _ = sim.synth_dataset(scenario, seed)
-    assert aps_calls == {} and accel_calls == []  # planning a day renders nothing
-    votes = [day_vote(trace) for trace in traces]
-    assert accel_calls == []
+    with oracle_reads() as reads:
+        traces, _ = sim.synth_dataset(scenario, seed)
+        assert not (reads("aps_at") or reads("accel_at") or reads("bssids_at"))  # planning a day reads nothing
+        votes = [day_vote(trace) for trace in traces]
+    assert not (reads("aps_at") or reads("accel_at"))
     for trace in traces:
-        start = day_slice_start(trace.day_id)
-        stamps = trace.scans.instants
-        night = bisect_left(stamps, start + NIGHT_CLOSE_S) - bisect_left(stamps, start + NIGHT_OPEN_S)
-        assert night in nights
-        assert aps_calls.get(trace.day_id, 0) == max(night - 1, 0)
-    monkeypatch.undo()
+        assert len(night_range(trace)) in nights
+        assert reads("bssids_at")[trace.day_id] == max(len(night_range(trace)) - 1, 0)
     assert votes == [day_vote(eager_day(sim.make_day_plan(scenario, i, seed))) for i in range(14)]
+
+
+# the presets' noise variants, and one where every droppable source drops
+PRESENCE_NOISE = {**NOISE_VARIANTS, "all-drop": lambda n: replace(n, dropout_prob=1.0)}
+
+
+def assert_presence_is_the_render(oracle):
+    """At every scan instant, and every second from the departure to past
+    the door: the arrival, the door dip, the spike and the protected home."""
+    for ts in sorted({*oracle.scan_instants(), *range(oracle.depart_ts - 60, oracle.door_ts + 61)}):
+        assert oracle.bssids_at(ts) == {o.bssid for o in oracle.aps_at(ts)}, ts
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    preset=st.sampled_from(sorted(sim.SCENARIO_PRESETS)),
+    seed=st.integers(0, 2**32 - 1),
+    day=st.integers(0, 40),
+    noise=st.sampled_from(sorted(PRESENCE_NOISE)),
+)
+def test_the_presence_read_lists_what_the_render_lists(preset, seed, day, noise):
+    plan = sim.make_day_plan(sim.SCENARIO_PRESETS[preset](), day, seed)
+    assert_presence_is_the_render(sim.DayOracle(replace(plan, noise=PRESENCE_NOISE[noise](plan.noise))))
+
+
+@pytest.mark.parametrize("noise", [sim.NoiseParams(), sim.NoiseParams(rssi_sigma_db=2.0, dropout_prob=0.5)])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_a_home_that_is_a_night_neighbor_is_credited_once(noise, seed):
+    """One BSSID from two sources (the home and a neighbor) is listed once,
+    kept when either source survives its dropout, and credited once."""
+    route = sim.make_chain_route(ap_count=4, duration_s=240, coverage_s=80)
+    route = replace(route, home_bssid=sim.bssid_from_int(0x2000_00))  # the first night neighbor's
+    scenario = sim.ScenarioSpec(route, 3, sim.ModeMix(((sim.WALK, 1.0),)), noise=noise)
+    for i in range(scenario.n_days):
+        plan = sim.make_day_plan(scenario, i, seed)
+        assert_presence_is_the_render(sim.DayOracle(plan))
+        lazy, _ = sim.synth_plan_day(plan)
+        dwell = nightly_dwell(lazy)
+        assert dwell == nightly_dwell(eager_day(plan))
+        if not noise.dropout_prob:  # the home is in range all night: every credit, once
+            stamps = lazy.scan_ts[night_range(lazy).start : night_range(lazy).stop]
+            credits = [min(b - a, GAP_CAP_S) for a, b in zip(stamps, stamps[1:])]
+            assert credits and dwell[route.home_bssid] == sum(credits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(plan=day_plans(), data=st.data())
+def test_a_half_rendered_day_votes_as_its_eager_twin(plan, data):
+    """Night scans read through ``seq[i]`` first are voted from the scan
+    itself; the vote reads the presence of the others and renders none."""
+    with oracle_reads() as reads:
+        lazy, _ = sim.synth_plan_day(plan)
+        night = night_range(lazy)
+        read = set(data.draw(st.lists(st.sampled_from(night), max_size=8))) if night else set()
+        for i in read:
+            lazy.scans[i]
+        dwell = nightly_dwell(lazy)
+    assert reads("aps_at")[plan.day_id] == len(read) and not reads("accel_at")
+    assert reads("bssids_at")[plan.day_id] == len(set(night[:-1]) - read)
+    eager = eager_day(plan)
+    assert dwell == nightly_dwell(eager) and day_vote(lazy) == day_vote(eager)
+    assert type(lazy.scans) is RenderedOnRead  # voting rendered nothing whole
 
 
 def test_threads_racing_on_one_lazy_day_read_the_eager_items():
